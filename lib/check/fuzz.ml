@@ -163,16 +163,16 @@ let corpus_pass entries =
 
 let pass r = r.r_failures = [] && (r.r_corpus = [] || corpus_pass r.r_corpus)
 
-let m_cases = lazy (Obs.Metrics.counter "fuzz.cases")
-let m_checks = lazy (Obs.Metrics.counter "fuzz.checks")
-let m_skipped = lazy (Obs.Metrics.counter "fuzz.skipped")
-let m_failures = lazy (Obs.Metrics.counter "fuzz.failures")
+let m_cases = Obs.Metrics.counter "fuzz.cases"
+let m_checks = Obs.Metrics.counter "fuzz.checks"
+let m_skipped = Obs.Metrics.counter "fuzz.skipped"
+let m_failures = Obs.Metrics.counter "fuzz.failures"
 
 let publish r =
-  Obs.Metrics.incr ~by:r.r_cases (Lazy.force m_cases);
-  Obs.Metrics.incr ~by:r.r_checks (Lazy.force m_checks);
-  Obs.Metrics.incr ~by:r.r_skipped (Lazy.force m_skipped);
-  Obs.Metrics.incr ~by:(List.length r.r_failures) (Lazy.force m_failures)
+  Obs.Metrics.incr ~by:r.r_cases m_cases;
+  Obs.Metrics.incr ~by:r.r_checks m_checks;
+  Obs.Metrics.incr ~by:r.r_skipped m_skipped;
+  Obs.Metrics.incr ~by:(List.length r.r_failures) m_failures
 
 let run ?(config = default_config) () =
   let r = fuzz config in

@@ -1,4 +1,4 @@
-type scheduled = { schedule : Schedule.t; cfgs : Schedule.cfg list }
+type scheduled = { schedule : Schedule.t; cfgs : (Schedule.cfg * Gpu.Kernel.t) list }
 
 type variant = {
   use_temporal : bool;
@@ -14,8 +14,9 @@ let base_ss = { full with use_temporal = false; use_tuning = false }
 let base_as = { full with use_temporal = false }
 let base_ts = { full with use_tuning = false }
 
-let feasible (arch : Gpu.Arch.t) schedule cfg ~name ~tensor_of =
-  match Lower.lower schedule cfg ~name ~tensor_of with
+(* Lower one cfg with [lower] and check the resource bounds. *)
+let feasible_with lower (arch : Gpu.Arch.t) cfg ~name =
+  match lower cfg with
   | exception Lower.Unlowerable msg ->
       Log.debug (fun m -> m "[%s] unlowerable (%s): %s" name (Schedule.cfg_to_string cfg) msg);
       None
@@ -26,14 +27,17 @@ let feasible (arch : Gpu.Arch.t) schedule cfg ~name ~tensor_of =
       then Some k
       else None
 
-(* Feasibility checks lower every candidate, which makes enumCfg the other
-   compile-time hot spot next to tuning: fan the lowering out over the
-   domain pool. The result keeps enum_cfgs order, so downstream tie-breaks
-   are unaffected. *)
+let feasible arch schedule cfg ~name ~tensor_of =
+  feasible_with (fun cfg -> Lower.lower schedule cfg ~name ~tensor_of) arch cfg ~name
+
+(* One lowering per unit-block mask ({!Lower.lowerer}); every other cfg
+   is an instantiation, so the whole enumeration costs a handful of
+   lowerings. The result keeps enum_cfgs order, the tuner's tie-break. *)
 let feasible_cfgs arch schedule ~name ~tensor_of =
-  let cfgs = Schedule.enum_cfgs schedule in
-  let keep = Parallel.map (fun cfg -> feasible arch schedule cfg ~name ~tensor_of <> None) cfgs in
-  List.filter_map (fun (cfg, ok) -> if ok then Some cfg else None) (List.combine cfgs keep)
+  let lower = Lower.lowerer schedule ~name ~tensor_of in
+  List.filter_map
+    (fun cfg -> Option.map (fun k -> (cfg, k)) (feasible_with lower arch cfg ~name))
+    (Schedule.enum_cfgs schedule)
 
 (* The "expert knowledge" fixed configuration for the ablation variants and
    the hand-tuned baseline models, falling back to the first feasible
@@ -53,13 +57,14 @@ let expert_cfg variant arch schedule ~name ~tensor_of =
         | None -> None);
     }
   in
-  if feasible arch schedule fixed ~name ~tensor_of <> None then [ fixed ]
-  else
-    (* Fall back to the largest feasible configuration (hand-tuned kernels
-       shrink their tiles only as far as the budget forces them to). *)
-    match List.rev (feasible_cfgs arch schedule ~name ~tensor_of) with
-    | [] -> []
-    | c :: _ -> [ c ]
+  match feasible arch schedule fixed ~name ~tensor_of with
+  | Some k -> [ (fixed, k) ]
+  | None -> (
+      (* Fall back to the largest feasible configuration (hand-tuned kernels
+         shrink their tiles only as far as the budget forces them to). *)
+      match List.rev (feasible_cfgs arch schedule ~name ~tensor_of) with
+      | [] -> []
+      | c :: _ -> [ c ])
 
 (* Whether a temporal plan is expressible without intra-operator dependency
    transformation: plain streaming and simple aggregation are, the paper's
@@ -127,9 +132,8 @@ let exists_feasible ?(variant = full) arch smg ~name ~tensor_of =
   let spatial = Analysis.spatial_dims smg in
   let try_schedule temporal =
     let schedule = Schedule.make smg ~spatial ~temporal in
-    List.exists
-      (fun cfg -> feasible arch schedule cfg ~name ~tensor_of <> None)
-      (Schedule.enum_cfgs schedule)
+    let lower = Lower.lowerer schedule ~name ~tensor_of in
+    List.exists (fun cfg -> feasible_with lower arch cfg ~name <> None) (Schedule.enum_cfgs schedule)
   in
   try_schedule None
   ||

@@ -2,12 +2,18 @@
 
     Spatial slicing first, then temporal slicing on the highest-priority
     feasible dimension; every candidate block-size configuration is lowered
-    and checked against the architecture's shared-memory/register budgets,
-    and only feasible (schedule, configuration) pairs survive. An empty
+    (once per unit-block mask, see {!Lower.lowerer}) and checked against
+    the architecture's shared-memory/register budgets, and only feasible
+    (schedule, configuration) pairs survive, each with its kernel. An empty
     result means the SMG is unschedulable and must be partitioned
     (Algorithm 2). *)
 
-type scheduled = { schedule : Schedule.t; cfgs : Schedule.cfg list }
+type scheduled = {
+  schedule : Schedule.t;
+  cfgs : (Schedule.cfg * Gpu.Kernel.t) list;
+      (** feasible configurations in {!Schedule.enum_cfgs} order, each with
+          its lowered kernel *)
+}
 
 type variant = {
   use_temporal : bool;

@@ -52,26 +52,26 @@ let timed t phase f =
 
 (* Registry handles are interned once; Obs.Metrics.reset zeroes cells in
    place so these stay valid across resets. *)
-let m_compiles = lazy (Obs.Metrics.counter "compile.count")
-let m_total = lazy (Obs.Metrics.histogram "compile.seconds")
-let m_ss = lazy (Obs.Metrics.histogram "compile.ss_seconds")
-let m_ts = lazy (Obs.Metrics.histogram "compile.ts_seconds")
-let m_enum = lazy (Obs.Metrics.histogram "compile.enum_seconds")
-let m_tune = lazy (Obs.Metrics.histogram "compile.tune_seconds")
-let m_cfgs = lazy (Obs.Metrics.counter "tuner.costed")
-let m_pruned = lazy (Obs.Metrics.counter "tuner.pruned")
-let m_partitions = lazy (Obs.Metrics.counter "sched.partitions")
+let m_compiles = Obs.Metrics.counter "compile.count"
+let m_total = Obs.Metrics.histogram "compile.seconds"
+let m_ss = Obs.Metrics.histogram "compile.ss_seconds"
+let m_ts = Obs.Metrics.histogram "compile.ts_seconds"
+let m_enum = Obs.Metrics.histogram "compile.enum_seconds"
+let m_tune = Obs.Metrics.histogram "compile.tune_seconds"
+let m_cfgs = Obs.Metrics.counter "tuner.costed"
+let m_pruned = Obs.Metrics.counter "tuner.pruned"
+let m_partitions = Obs.Metrics.counter "sched.partitions"
 
 let publish t =
-  Obs.Metrics.incr (Lazy.force m_compiles);
-  Obs.Metrics.observe (Lazy.force m_total) t.t_total;
-  Obs.Metrics.observe (Lazy.force m_ss) t.t_ss;
-  Obs.Metrics.observe (Lazy.force m_ts) t.t_ts;
-  Obs.Metrics.observe (Lazy.force m_enum) t.t_enum;
-  Obs.Metrics.observe (Lazy.force m_tune) t.t_tune;
-  Obs.Metrics.incr ~by:t.n_cfgs (Lazy.force m_cfgs);
-  Obs.Metrics.incr ~by:t.n_early_quit (Lazy.force m_pruned);
-  Obs.Metrics.incr ~by:t.n_partitions (Lazy.force m_partitions)
+  Obs.Metrics.incr m_compiles;
+  Obs.Metrics.observe m_total t.t_total;
+  Obs.Metrics.observe m_ss t.t_ss;
+  Obs.Metrics.observe m_ts t.t_ts;
+  Obs.Metrics.observe m_enum t.t_enum;
+  Obs.Metrics.observe m_tune t.t_tune;
+  Obs.Metrics.incr ~by:t.n_cfgs m_cfgs;
+  Obs.Metrics.incr ~by:t.n_early_quit m_pruned;
+  Obs.Metrics.incr ~by:t.n_partitions m_partitions
 
 let pp fmt t =
   Format.fprintf fmt

@@ -549,10 +549,14 @@ let pool_buffers (k : K.t) =
 (* Top-level lowering                                                  *)
 (* ------------------------------------------------------------------ *)
 
-let lower_body ~pool (sched : Schedule.t) (cfg : Schedule.cfg) ~name ~tensor_of =
+(* A lowered kernel depends on its cfg in three ways only: which blocked
+   dims have block 1 ([role]'s unit blocks become [Lit 1] buffer extents
+   and admit leading tensor axes), the grid blocks ([grid_of]) and the
+   temporal tile ([temporal_of]). Everything else — instructions, buffers,
+   pooling — is a function of the schedule and the unit-block mask. *)
+let role_of (sched : Schedule.t) (cfg : Schedule.cfg) =
   let fsp = Smg.fused sched.Schedule.smg in
-  let g = Smg.graph sched.Schedule.smg in
-  let role d =
+  fun d ->
     if List.mem d sched.batch_dims then RGrid (Fusedspace.dim_name fsp d, 1)
     else
       match List.assoc_opt d cfg.Schedule.blocks with
@@ -564,7 +568,28 @@ let lower_body ~pool (sched : Schedule.t) (cfg : Schedule.cfg) ~name ~tensor_of 
               if List.mem d sched.tiled_dims then
                 RGrid (Fusedspace.dim_name fsp d, Fusedspace.dim_extent fsp d)
               else RInner (Fusedspace.dim_extent fsp d))
-  in
+
+let grid_of (sched : Schedule.t) role =
+  let fsp = Smg.fused sched.Schedule.smg in
+  List.filter_map
+    (fun d ->
+      match role d with
+      | RGrid (gdim, block) -> Some { K.gdim; extent = Fusedspace.dim_extent fsp d; block }
+      | _ -> None)
+    (List.sort_uniq compare (sched.batch_dims @ sched.tiled_dims))
+
+let temporal_of (sched : Schedule.t) (cfg : Schedule.cfg) =
+  let fsp = Smg.fused sched.Schedule.smg in
+  match sched.temporal with
+  | Some p ->
+      let extent = Fusedspace.dim_extent fsp p.Update_fn.tdim in
+      let tile = match cfg.Schedule.tile with Some t -> t | None -> extent in
+      Some (Fusedspace.dim_name fsp p.Update_fn.tdim, extent, tile)
+  | None -> None
+
+let lower_body ~pool (sched : Schedule.t) (cfg : Schedule.cfg) ~name ~tensor_of =
+  let g = Smg.graph sched.Schedule.smg in
+  let role = role_of sched cfg in
   let sections = [ Prologue; Loop; Interlude; Pass2; Epilogue ] in
   let st =
     {
@@ -658,22 +683,6 @@ let lower_body ~pool (sched : Schedule.t) (cfg : Schedule.cfg) ~name ~tensor_of 
           let b = value st ~invariant Epilogue out in
           emit st Epilogue (K.Store { src = b.bname; tensor = tensor_of out; idx = transfer_idx st out }))
         reduced_outs);
-  let grid =
-    List.filter_map
-      (fun d ->
-        match role d with
-        | RGrid (gdim, block) ->
-            Some { K.gdim; extent = Fusedspace.dim_extent fsp d; block }
-        | _ -> None)
-      (List.sort_uniq compare (sched.batch_dims @ sched.tiled_dims))
-  in
-  let temporal =
-    match sched.temporal with
-    | Some p ->
-        let tile = match cfg.Schedule.tile with Some t -> t | None -> Fusedspace.dim_extent fsp p.Update_fn.tdim in
-        Some (Fusedspace.dim_name fsp p.Update_fn.tdim, Fusedspace.dim_extent fsp p.Update_fn.tdim, tile)
-    | None -> None
-  in
   let get section = List.rev !(sink st section) in
   let stages =
     List.filter_map
@@ -698,8 +707,8 @@ let lower_body ~pool (sched : Schedule.t) (cfg : Schedule.cfg) ~name ~tensor_of 
   let kernel =
     {
       K.kname = name;
-      grid;
-      temporal;
+      grid = grid_of sched role;
+      temporal = temporal_of sched cfg;
       bufs = List.rev_map snd !(st.bufs);
       stages;
       tags;
@@ -708,13 +717,33 @@ let lower_body ~pool (sched : Schedule.t) (cfg : Schedule.cfg) ~name ~tensor_of 
   K.validate kernel;
   if pool then pool_buffers kernel else kernel
 
-let m_calls = lazy (Obs.Metrics.counter "lower.calls")
-let m_unlowerable = lazy (Obs.Metrics.counter "lower.unlowerable")
+let m_calls = Obs.Metrics.counter "lower.calls"
+let m_unlowerable = Obs.Metrics.counter "lower.unlowerable"
 
 let lower ?(pool = true) (sched : Schedule.t) (cfg : Schedule.cfg) ~name ~tensor_of =
-  Obs.Metrics.incr (Lazy.force m_calls);
+  Obs.Metrics.incr m_calls;
   Obs.Trace.with_span "lower" @@ fun () ->
   try lower_body ~pool sched cfg ~name ~tensor_of
   with Unlowerable _ as e ->
-    Obs.Metrics.incr (Lazy.force m_unlowerable);
+    Obs.Metrics.incr m_unlowerable;
     raise e
+
+let lowerer (sched : Schedule.t) ~name ~tensor_of =
+  let templates = ref [] in
+  fun (cfg : Schedule.cfg) ->
+    let mask = List.map (fun (d, blk) -> (d, blk = 1)) cfg.Schedule.blocks in
+    let template =
+      match List.assoc_opt mask !templates with
+      | Some t -> t
+      | None ->
+          let t =
+            match lower sched cfg ~name ~tensor_of with
+            | k -> Ok k
+            | exception Unlowerable msg -> Error msg
+          in
+          templates := (mask, t) :: !templates;
+          t
+    in
+    match template with
+    | Ok k -> { k with K.grid = grid_of sched (role_of sched cfg); temporal = temporal_of sched cfg }
+    | Error msg -> raise (Unlowerable msg)

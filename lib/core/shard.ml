@@ -26,9 +26,9 @@ type decision = {
 
 let speedup d = if d.d_time > 0.0 then d.d_baseline_s /. d.d_time else 1.0
 
-let m_decisions = lazy (Obs.Metrics.counter "shard.decisions")
-let m_sharded = lazy (Obs.Metrics.counter "shard.sharded_picks")
-let m_pruned = lazy (Obs.Metrics.counter "shard.pruned_candidates")
+let m_decisions = Obs.Metrics.counter "shard.decisions"
+let m_sharded = Obs.Metrics.counter "shard.sharded_picks"
+let m_pruned = Obs.Metrics.counter "shard.pruned_candidates"
 
 let ceil_div a b = (a + b - 1) / b
 
@@ -255,9 +255,9 @@ let best ?(reps = 1) ?(dispatch_us = 3.0) (node : Gpu.Node.t) (plan : Gpu.Plan.t
   let pick =
     { pick with d_candidates = 1 + List.length evaluated - pruned; d_pruned = pruned }
   in
-  Obs.Metrics.incr (Lazy.force m_decisions);
-  if pick.d_devices > 1 then Obs.Metrics.incr (Lazy.force m_sharded);
-  if pruned > 0 then Obs.Metrics.incr ~by:pruned (Lazy.force m_pruned);
+  Obs.Metrics.incr m_decisions;
+  if pick.d_devices > 1 then Obs.Metrics.incr m_sharded;
+  if pruned > 0 then Obs.Metrics.incr ~by:pruned m_pruned;
   pick
 
 let run_functional ?arch device (plan : Gpu.Plan.t) ~devices =

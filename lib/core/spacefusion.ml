@@ -123,6 +123,18 @@ let compile_impl ?(variant = Auto_scheduler.full) ?tensor_names ~arch ~name grap
         acc +. (Gpu.Cost.kernel_time arch cache stats).Gpu.Cost.time +. dispatch_cost)
       0.0 ks
   in
+  (* The cheapest candidate plan, each costed once; of equal-cost plans the
+     earliest wins. *)
+  let best_of = function
+    | [] -> assert false
+    | c :: rest ->
+        fst
+          (List.fold_left
+             (fun (best, best_cost) c ->
+               let cost = plan_cost c in
+               if cost < best_cost then (c, cost) else (best, best_cost))
+             (c, plan_cost c) rest)
+  in
   (* Schedule one (sub)graph. The slicing state (Algorithm 1) yields the
      fused candidate; the partitioning state (Algorithm 2 / §5.3) yields
      split candidates — on unschedulable SMGs out of necessity, and on
@@ -184,12 +196,6 @@ let compile_impl ?(variant = Auto_scheduler.full) ?tensor_names ~arch ~name grap
         [ List.concat (List.map fst per_comp) ]
     | _ -> schedule_connected ~st ~memo g orig
 
-  and best_of candidates =
-    match candidates with
-    | [] -> assert false
-    | c :: rest ->
-        List.fold_left (fun acc c -> if plan_cost c < plan_cost acc then c else acc) c rest
-
   and schedule_connected ~st ~memo g orig =
     let tensor_of nid = name_of (orig nid) in
     let smg = Obs.Trace.with_span "build" (fun () -> Smg.build g) in
@@ -204,7 +210,7 @@ let compile_impl ?(variant = Auto_scheduler.full) ?tensor_names ~arch ~name grap
           let per_schedule =
             List.filter_map
               (fun sched ->
-                match Tuner.pick_best ~stats:st arch device ~name:kname ~tensor_of [ sched ] with
+                match Tuner.pick_best ~stats:st arch device [ sched ] with
                 | None -> None
                 | Some (schedule, cfg, kernel, cost) ->
                     Some [ { kc_kernel = kernel; kc_schedule = schedule; kc_cfg = cfg; kc_cost = cost } ])
@@ -281,10 +287,7 @@ let compile_impl ?(variant = Auto_scheduler.full) ?tensor_names ~arch ~name grap
       Obs.Trace.with_span "schedule" (fun () ->
           schedule_graph ~st:stats ~memo:(Hashtbl.create 32) graph (fun nid -> nid))
     in
-    Obs.Trace.with_span "select" (fun () ->
-        List.fold_left
-          (fun acc c -> if plan_cost c < plan_cost acc then c else acc)
-          (List.hd candidates) (List.tl candidates))
+    Obs.Trace.with_span "select" (fun () -> best_of candidates)
   in
   stats.Cstats.t_total <- Unix.gettimeofday () -. t_start;
   Cstats.publish stats;

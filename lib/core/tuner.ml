@@ -45,10 +45,9 @@ let lower_bound arch schedule cfg =
   let gemm_flops, bytes = graph_work (Smg.graph schedule.Schedule.smg) in
   Gpu.Cost.time_lower_bound arch ~blocks:(config_blocks schedule cfg) ~gemm_flops ~bytes
 
-type outcome = Pruned | Unlowerable | Costed of Gpu.Kernel.t * float
+type outcome = Pruned | Costed of float
 
-let pick_best ?stats ?(prune = true) arch device ~name ~tensor_of
-    (scheds : Auto_scheduler.scheduled list) =
+let pick_best ?stats ?(prune = true) arch device (scheds : Auto_scheduler.scheduled list) =
   let cstats = match stats with Some s -> s | None -> Cstats.create () in
   Obs.Trace.with_span "tune" @@ fun () ->
   Cstats.timed cstats Cstats.Tune (fun () ->
@@ -60,10 +59,9 @@ let pick_best ?stats ?(prune = true) arch device ~name ~tensor_of
         List.concat_map
           (fun { Auto_scheduler.schedule; cfgs } ->
             let gemm_flops, bytes = graph_work (Smg.graph schedule.Schedule.smg) in
-            List.map (fun cfg -> (schedule, cfg, gemm_flops, bytes)) cfgs)
+            List.map (fun (cfg, kernel) -> (schedule, cfg, kernel, gemm_flops, bytes)) cfgs)
           scheds
       in
-      let arr = Array.of_list candidates in
       (* Cross-domain incumbent: workers prune against the best cost seen so
          far by anyone. Pruning only ever skips candidates whose lower bound
          strictly exceeds the incumbent, and the incumbent only decreases, so
@@ -73,7 +71,7 @@ let pick_best ?stats ?(prune = true) arch device ~name ~tensor_of
       let best_now = Atomic.make infinity in
       let outcomes =
         Parallel.map
-          (fun (schedule, cfg, gemm_flops, bytes) ->
+          (fun (schedule, cfg, kernel, gemm_flops, bytes) ->
             let lb =
               if not prune then neg_infinity
               else
@@ -81,31 +79,26 @@ let pick_best ?stats ?(prune = true) arch device ~name ~tensor_of
                   ~bytes
             in
             if lb > Atomic.get best_now then Pruned
-            else
-              match Lower.lower schedule cfg ~name ~tensor_of with
-              | exception Lower.Unlowerable _ -> Unlowerable
-              | kernel ->
-                  let cost = kernel_cost arch device kernel in
-                  let rec relax () =
-                    let cur = Atomic.get best_now in
-                    if cost < cur && not (Atomic.compare_and_set best_now cur cost) then relax ()
-                  in
-                  relax ();
-                  Costed (kernel, cost))
-          (Array.to_list arr)
+            else begin
+              let cost = kernel_cost arch device kernel in
+              let rec relax () =
+                let cur = Atomic.get best_now in
+                if cost < cur && not (Atomic.compare_and_set best_now cur cost) then relax ()
+              in
+              relax ();
+              Costed cost
+            end)
+          candidates
       in
       let best = ref None in
-      List.iteri
-        (fun i outcome ->
+      List.iter2
+        (fun (schedule, cfg, kernel, _, _) outcome ->
           match outcome with
           | Pruned -> cstats.Cstats.n_early_quit <- cstats.Cstats.n_early_quit + 1
-          | Unlowerable -> ()
-          | Costed (kernel, cost) ->
+          | Costed cost -> (
               cstats.Cstats.n_cfgs <- cstats.Cstats.n_cfgs + 1;
-              (match !best with
-              | Some (_, best_cost) when best_cost <= cost -> ()
-              | _ ->
-                  let schedule, cfg, _, _ = arr.(i) in
-                  best := Some ((schedule, cfg, kernel, cost), cost)))
-        outcomes;
-      Option.map fst !best)
+              match !best with
+              | Some (_, _, _, best_cost) when best_cost <= cost -> ()
+              | _ -> best := Some (schedule, cfg, kernel, cost)))
+        candidates outcomes;
+      !best)

@@ -1,13 +1,16 @@
 (** Auto-tuning: pick the best (schedule, configuration) pair by scoring
     lowered kernels on the simulated-GPU cost model (§6.5).
 
-    Candidates are lowered and costed in parallel ({!Parallel.map}) with a
+    The candidates arrive already lowered: {!Auto_scheduler.run} lowers
+    once per (schedule, unit-block mask) and instantiates every feasible
+    configuration's kernel from that ({!Lower.lowerer}), so tuning never
+    lowers. Candidates are costed in parallel ({!Parallel.map}) with a
     shared atomic incumbent cost used for cross-domain pruning: before
-    lowering a configuration, an analytic lower bound
+    costing a configuration, an analytic lower bound
     ({!Gpu.Cost.time_lower_bound} over the graph's mandatory DRAM traffic,
     GEMM flops and the configuration's grid size) is compared against the
     incumbent, and configurations that provably cannot beat it are skipped
-    without being lowered — these are what {!Cstats.t.n_early_quit} counts.
+    without being costed — these are what {!Cstats.t.n_early_quit} counts.
 
     Determinism guarantee: the selected (schedule, cfg) is identical across
     serial, parallel, pruned and unpruned runs. Ties are broken by the
@@ -28,7 +31,7 @@ val kernel_cost : Gpu.Arch.t -> Gpu.Device.t -> Gpu.Kernel.t -> float
 (** Simulated seconds for one kernel on a fresh L2. *)
 
 val lower_bound : Gpu.Arch.t -> Schedule.t -> Schedule.cfg -> float
-(** The pruning bound for one candidate, computed without lowering it.
+(** The pruning bound for one candidate, computed without costing it.
     Never above {!kernel_cost} of the lowered kernel (exposed for tests and
     the bench ablation). *)
 
@@ -37,12 +40,10 @@ val pick_best :
   ?prune:bool ->
   Gpu.Arch.t ->
   Gpu.Device.t ->
-  name:string ->
-  tensor_of:(Ir.Graph.node_id -> string) ->
   Auto_scheduler.scheduled list ->
   (Schedule.t * Schedule.cfg * Gpu.Kernel.t * float) option
-(** Best candidate over every schedule's feasible configurations. The
-    device must have every touched tensor's shape declared. [prune]
-    (default true) enables lower-bound pruning; disabling it lowers and
-    costs every candidate (used to validate that pruning never changes the
+(** Best candidate over every schedule's feasible configurations and their
+    kernels. The device must have every touched tensor's shape declared.
+    [prune] (default true) enables lower-bound pruning; disabling it costs
+    every candidate (used to validate that pruning never changes the
     selection). *)

@@ -15,14 +15,14 @@ let dead t = t.is_dead
 let last_slowdown t = t.slow
 let faults t = t.nfaults
 
-let m_injected = lazy (Obs.Metrics.counter "fault.injected")
-let m_launch = lazy (Obs.Metrics.counter "fault.launch_failures")
-let m_device = lazy (Obs.Metrics.counter "fault.device_errors")
-let m_death = lazy (Obs.Metrics.counter "fault.device_deaths")
-let m_smem = lazy (Obs.Metrics.counter "fault.smem_evictions")
-let m_spike = lazy (Obs.Metrics.counter "fault.latency_spikes")
-let m_poison = lazy (Obs.Metrics.counter "fault.poison_requests")
-let m_resource = lazy (Obs.Metrics.counter "fault.resource_exhausted")
+let m_injected = Obs.Metrics.counter "fault.injected"
+let m_launch = Obs.Metrics.counter "fault.launch_failures"
+let m_device = Obs.Metrics.counter "fault.device_errors"
+let m_death = Obs.Metrics.counter "fault.device_deaths"
+let m_smem = Obs.Metrics.counter "fault.smem_evictions"
+let m_spike = Obs.Metrics.counter "fault.latency_spikes"
+let m_poison = Obs.Metrics.counter "fault.poison_requests"
+let m_resource = Obs.Metrics.counter "fault.resource_exhausted"
 
 let kind_cell = function
   | Plan.Launch_failure -> m_launch
@@ -33,13 +33,13 @@ let kind_cell = function
   | Plan.Resource_exhausted -> m_resource
 
 let record kind =
-  Obs.Metrics.incr (Lazy.force m_injected);
-  Obs.Metrics.incr (Lazy.force (kind_cell kind))
+  Obs.Metrics.incr m_injected;
+  Obs.Metrics.incr (kind_cell kind)
 
 let raise_fault t kind ~kernel ~seq =
   t.nfaults <- t.nfaults + 1;
-  Obs.Metrics.incr (Lazy.force m_injected);
-  Obs.Metrics.incr (Lazy.force (kind_cell kind));
+  Obs.Metrics.incr m_injected;
+  Obs.Metrics.incr (kind_cell kind);
   raise (Plan.Injected { Plan.f_kind = kind; f_kernel = kernel; f_seq = seq })
 
 let launch t ~kernel =
@@ -52,7 +52,7 @@ let launch t ~kernel =
     | Plan.Pass -> ()
     | Plan.Slow m ->
         t.slow <- m;
-        Obs.Metrics.incr (Lazy.force m_spike)
+        Obs.Metrics.incr m_spike
     | Plan.Fail Plan.Device_death ->
         t.is_dead <- true;
         raise_fault t Plan.Device_death ~kernel ~seq

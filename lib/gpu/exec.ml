@@ -35,9 +35,12 @@ external unsafe_set : Tensor.buf -> int -> float -> unit = "%caml_ba_unsafe_set_
 
 (* A kernel's step list is compiled once into a closure-free execution
    record: buffer and grid-dim names resolved to integer slots, operator
-   closures materialized, block/step partitions tabulated. Launching then
-   walks flat arrays instead of re-interpreting the step structure (name
-   lookups, [List.init] partition lists) per launch. *)
+   closures materialized, block/step segment classes tabulated. Launching
+   then walks flat arrays instead of re-interpreting the step structure
+   (name lookups) per launch. Full walks compute each block's and step's
+   (origin, segment) on the fly, so compiling costs O(kernel size) however
+   large the grid: the tuner compiles every candidate for an Analytic walk
+   that never visits individual blocks. *)
 
 type ridx = RAll | RStep | RGrid of int  (* grid slot *)
 
@@ -78,9 +81,9 @@ type cop =
 type compiled = {
   ck : Kernel.t;
   cbufs : cbuf array;
-  cparts : (int * int) array array;  (* per grid dim: (origin, segment) partitions *)
+  cgrid : (int * int) array;  (* per grid dim: (extent, block) *)
   cclasses : (int * int) array array;  (* per grid dim: (segment, multiplicity) classes *)
-  cstep_parts : (int * int) array;
+  cstep_extent : int;  (* temporal extent; 1 without a temporal loop *)
   cstep_classes : (int * int) array;  (* (segment, multiplicity) *)
   cnominal_tile : int;
   csmem : int;
@@ -88,12 +91,6 @@ type compiled = {
   cscratch : int;  (* bytes=no; elements of aliasing-binary scratch, 0 if unused *)
   cstages : (bool * cop array) array;  (* (in temporal loop?, ops) *)
 }
-
-(* Enumerate (origin, segment) partitions of [extent] by [block]. *)
-let partitions extent block =
-  Array.init (ceil_div extent block) (fun i ->
-      let o = i * block in
-      (o, min block (extent - o)))
 
 (* Segment classes: (segment, multiplicity). *)
 let seg_classes extent block =
@@ -140,7 +137,9 @@ let compile (k : Kernel.t) =
         })
       bufs
   in
-  let nominal_tile = match k.temporal with Some (_, _, t) -> t | None -> 1 in
+  let step_extent, nominal_tile =
+    match k.temporal with Some (_, extent, t) -> (extent, t) | None -> (1, 1)
+  in
   let ridx_of = function
     | Kernel.IAll -> RAll
     | Kernel.IStep -> RStep
@@ -200,16 +199,10 @@ let compile (k : Kernel.t) =
   {
     ck = k;
     cbufs;
-    cparts = Array.map (fun (g : Kernel.grid_dim) -> partitions g.extent g.block) grid;
+    cgrid = Array.map (fun (g : Kernel.grid_dim) -> (g.extent, g.block)) grid;
     cclasses = Array.map (fun (g : Kernel.grid_dim) -> seg_classes g.extent g.block) grid;
-    cstep_parts =
-      (match k.temporal with
-      | Some (_, extent, tile) -> partitions extent tile
-      | None -> [| (0, 1) |]);
-    cstep_classes =
-      (match k.temporal with
-      | Some (_, extent, tile) -> seg_classes extent tile
-      | None -> [| (1, 1) |]);
+    cstep_extent = step_extent;
+    cstep_classes = seg_classes step_extent nominal_tile;
     cnominal_tile = nominal_tile;
     csmem = Kernel.smem_bytes k;
     cregs = Kernel.reg_bytes k;
@@ -658,14 +651,16 @@ let run_stages ~full ~c ~device ~bufs ~scratch ~acc (ctx : rctx) =
         ctx.mult <- base_mult;
         Array.iter (exec_cop ~full ~c ~device ~bufs ~scratch ~acc ctx) ops
       end
-      else if full then
-        Array.iter
-          (fun (o, s) ->
-            ctx.step_o <- o;
-            ctx.step_s <- s;
-            ctx.mult <- base_mult;
-            Array.iter (exec_cop ~full ~c ~device ~bufs ~scratch ~acc ctx) ops)
-          c.cstep_parts
+      else if full then begin
+        let extent = c.cstep_extent and tile = c.cnominal_tile in
+        for i = 0 to ceil_div extent tile - 1 do
+          let o = i * tile in
+          ctx.step_o <- o;
+          ctx.step_s <- min tile (extent - o);
+          ctx.mult <- base_mult;
+          Array.iter (exec_cop ~full ~c ~device ~bufs ~scratch ~acc ctx) ops
+        done
+      end
       else
         Array.iter
           (fun (s, count) ->
@@ -676,9 +671,12 @@ let run_stages ~full ~c ~device ~bufs ~scratch ~acc (ctx : rctx) =
           c.cstep_classes)
     c.cstages
 
-(* Walk the cartesian product of per-dim tables with an odometer (last dim
-   fastest), matching the old recursive enumeration order exactly so the
-   counter accumulation order — and thus every float sum — is unchanged.
+(* Walk the cartesian product of per-dim positions with an odometer (last
+   dim fastest), matching the old recursive enumeration order exactly so
+   the counter accumulation order — and thus every float sum — is
+   unchanged. A Full walk visits block [p] of a dim at origin [p·block]
+   with its edge-clamped segment; an Analytic walk visits the dim's
+   segment classes.
 
    With [shard = (i, d)] a full walk executes only the blocks whose walk
    index is congruent to [i] mod [d] — device [i]'s round-robin share of
@@ -686,8 +684,14 @@ let run_stages ~full ~c ~device ~bufs ~scratch ~acc (ctx : rctx) =
    devices each running their residue class write disjoint output regions
    and the union is bit-identical to the single-device walk. *)
 let walk ~full ~shard ~(c : compiled) ~device ~bufs ~scratch ~acc =
-  let tables = if full then c.cparts else c.cclasses in
-  let nd = Array.length tables in
+  let nd = Array.length c.cgrid in
+  let positions =
+    Array.init nd (fun i ->
+        if full then
+          let extent, block = c.cgrid.(i) in
+          ceil_div extent block
+        else Array.length c.cclasses.(i))
+  in
   let ctx =
     {
       origins = Array.make nd 0;
@@ -700,14 +704,14 @@ let walk ~full ~shard ~(c : compiled) ~device ~bufs ~scratch ~acc =
   let counters = Array.make nd 0 in
   let set_dim i p =
     if full then begin
-      let o, s = tables.(i).(p) in
+      let extent, block = c.cgrid.(i) in
+      let o = p * block in
       ctx.origins.(i) <- o;
-      ctx.segs.(i) <- s
+      ctx.segs.(i) <- min block (extent - o)
     end
     else begin
-      let s, _count = tables.(i).(p) in
       ctx.origins.(i) <- 0;
-      ctx.segs.(i) <- s
+      ctx.segs.(i) <- fst c.cclasses.(i).(p)
     end
   in
   for i = 0 to nd - 1 do
@@ -718,7 +722,7 @@ let walk ~full ~shard ~(c : compiled) ~device ~bufs ~scratch ~acc =
     else begin
       let m = ref 1.0 in
       for i = 0 to nd - 1 do
-        m := !m *. float_of_int (snd tables.(i).(counters.(i)))
+        m := !m *. float_of_int (snd c.cclasses.(i).(counters.(i)))
       done;
       !m
     end
@@ -740,7 +744,7 @@ let walk ~full ~shard ~(c : compiled) ~device ~bufs ~scratch ~acc =
     let stepped = ref false in
     while (not !stepped) && !d >= 0 do
       let ni = counters.(!d) + 1 in
-      if ni < Array.length tables.(!d) then begin
+      if ni < positions.(!d) then begin
         counters.(!d) <- ni;
         set_dim !d ni;
         stepped := true

@@ -12,21 +12,21 @@ type result = {
 
 let supported ~arch (b : Backends.Policy.t) = b.supports arch
 
-let m_runs = lazy (Obs.Metrics.counter "model.runs")
-let m_latency = lazy (Obs.Metrics.histogram "model.latency_seconds")
-let m_compile = lazy (Obs.Metrics.histogram "model.compile_seconds")
-let m_warm_fast = lazy (Obs.Metrics.counter "run.warm_fast_path")
+let m_runs = Obs.Metrics.counter "model.runs"
+let m_latency = Obs.Metrics.histogram "model.latency_seconds"
+let m_compile = Obs.Metrics.histogram "model.compile_seconds"
+let m_warm_fast = Obs.Metrics.counter "run.warm_fast_path"
 
 (* Full (interpreter-backed) executions: a warmed server serving in-class
    shapes from verified plans must leave this flat — the soak and the
    batch bench gate on its delta. *)
-let m_functional = lazy (Obs.Metrics.counter "run.functional_execs")
-let m_class_hits = lazy (Obs.Metrics.counter "shape_class.hits")
+let m_functional = Obs.Metrics.counter "run.functional_execs"
+let m_class_hits = Obs.Metrics.counter "shape_class.hits"
 
 (* A classed lookup that still compiled: its bucket had no plan yet. The
    fallback is compile-and-insert under the classed key — never an error —
    so after one warm pass per class this counter must stay flat. *)
-let m_guard_miss = lazy (Obs.Metrics.counter "shape_class.guard_misses")
+let m_guard_miss = Obs.Metrics.counter "shape_class.guard_misses"
 
 (* Plans are cached across calls when [cache] is supplied: the paper's
    program-preprocessing compiles each distinct (repetitive) subprogram
@@ -74,7 +74,7 @@ let run_workload_r ?cache ?inject ?arena ?(functional = `Never) (w : Workload.t)
                 Plan_cache.compile_hit_verified c ~devices ?cls backend arch ~name run_graph
           in
           if Option.is_some cls then
-            Obs.Metrics.incr (Lazy.force (if hit then m_class_hits else m_guard_miss));
+            Obs.Metrics.incr (if hit then m_class_hits else m_guard_miss);
           (* A hit's wall-clock is a table lookup, not compilation: report
              it as zero so cached latencies do not inflate compile time. *)
           if hit then incr hits
@@ -94,12 +94,12 @@ let run_workload_r ?cache ?inject ?arena ?(functional = `Never) (w : Workload.t)
             | `Always -> Gpu.Exec.Full
             | `Auto ->
                 if hit && verified then begin
-                  Obs.Metrics.incr (Lazy.force m_warm_fast);
+                  Obs.Metrics.incr m_warm_fast;
                   Gpu.Exec.Analytic
                 end
                 else Gpu.Exec.Full
           in
-          if mode = Gpu.Exec.Full then Obs.Metrics.incr (Lazy.force m_functional);
+          if mode = Gpu.Exec.Full then Obs.Metrics.incr m_functional;
           let device = Gpu.Device.create () in
           (match inject with Some inj -> Gpu.Device.attach_faults device inj | None -> ());
           let r = Runner.run_plan ~mode ~arch ~dispatch_us:backend.dispatch_us device plan in
@@ -140,9 +140,9 @@ let run_workload_r ?cache ?inject ?arena ?(functional = `Never) (w : Workload.t)
           in
           exec := Exec_stats.add !exec (Exec_stats.scale r sp.count))
         model.subprograms;
-      Obs.Metrics.incr (Lazy.force m_runs);
-      Obs.Metrics.observe (Lazy.force m_latency) !exec.Exec_stats.x_time;
-      Obs.Metrics.observe (Lazy.force m_compile) !compile_s;
+      Obs.Metrics.incr m_runs;
+      Obs.Metrics.observe m_latency !exec.Exec_stats.x_time;
+      Obs.Metrics.observe m_compile !compile_s;
       {
         m_model = model.model_name;
         m_backend = backend.be_name;

@@ -30,10 +30,10 @@ type t = {
   store : Store.Plan_store.t option;  (* write-behind persistence *)
 }
 
-let m_hits = lazy (Obs.Metrics.counter "cache.hits")
-let m_misses = lazy (Obs.Metrics.counter "cache.misses")
-let m_evictions = lazy (Obs.Metrics.counter "cache.evictions")
-let m_size = lazy (Obs.Metrics.gauge "cache.size")
+let m_hits = Obs.Metrics.counter "cache.hits"
+let m_misses = Obs.Metrics.counter "cache.misses"
+let m_evictions = Obs.Metrics.counter "cache.evictions"
+let m_size = Obs.Metrics.gauge "cache.size"
 
 let locked t f =
   Mutex.lock t.lock;
@@ -75,7 +75,7 @@ let evict_over_capacity t =
             Hashtbl.remove t.table k;
             t.stats.Core.Cstats.n_cache_evictions <-
               t.stats.Core.Cstats.n_cache_evictions + 1;
-            Obs.Metrics.incr (Lazy.force m_evictions)
+            Obs.Metrics.incr m_evictions
         | None -> ()
       done
 
@@ -83,12 +83,6 @@ let create ?capacity ?store () =
   (match capacity with
   | Some c when c < 1 -> invalid_arg "Plan_cache.create: capacity must be >= 1"
   | _ -> ());
-  (* Register the cache metrics up front so a profile of an all-miss (or
-     never-evicting) run still shows them at zero. *)
-  ignore (Lazy.force m_hits);
-  ignore (Lazy.force m_misses);
-  ignore (Lazy.force m_evictions);
-  ignore (Lazy.force m_size);
   let t =
     { table = Hashtbl.create 64; pending = Hashtbl.create 8; stamps = Hashtbl.create 16;
       lock = Mutex.create (); filled = Condition.create (); capacity; tick = 0;
@@ -113,7 +107,7 @@ let create ?capacity ?store () =
                     { e_plan = plan; e_last_use = t.tick; e_verified = verified })
             (Store.Plan_store.entries s);
           evict_over_capacity t;
-          Obs.Metrics.set (Lazy.force m_size) (float_of_int (Hashtbl.length t.table))));
+          Obs.Metrics.set m_size (float_of_int (Hashtbl.length t.table))));
   t
 
 (* Write-behind: persistence never holds the cache lock while touching the
@@ -166,7 +160,7 @@ let compile_hit_verified t ?devices ?cls (backend : Backends.Policy.t) arch ~nam
           t.stats.Core.Cstats.n_cache_hits <- t.stats.Core.Cstats.n_cache_hits + 1;
           let verified = e.e_verified in
           Mutex.unlock t.lock;
-          Obs.Metrics.incr (Lazy.force m_hits);
+          Obs.Metrics.incr m_hits;
           `Hit (e.e_plan, verified)
       | None ->
           if Hashtbl.mem t.pending key then begin
@@ -177,7 +171,7 @@ let compile_hit_verified t ?devices ?cls (backend : Backends.Policy.t) arch ~nam
             Hashtbl.replace t.pending key ();
             t.stats.Core.Cstats.n_cache_misses <- t.stats.Core.Cstats.n_cache_misses + 1;
             Mutex.unlock t.lock;
-            Obs.Metrics.incr (Lazy.force m_misses);
+            Obs.Metrics.incr m_misses;
             `Compile
           end
     in
@@ -190,7 +184,7 @@ let compile_hit_verified t ?devices ?cls (backend : Backends.Policy.t) arch ~nam
         locked t (fun () ->
             Hashtbl.remove t.pending key;
             let r = f () in
-            Obs.Metrics.set (Lazy.force m_size) (float_of_int (Hashtbl.length t.table));
+            Obs.Metrics.set m_size (float_of_int (Hashtbl.length t.table));
             Condition.broadcast t.filled;
             r)
       in

@@ -1,13 +1,13 @@
 type result = Exec_stats.t
 
-let m_plans = lazy (Obs.Metrics.counter "run.plans")
-let m_kernels = lazy (Obs.Metrics.counter "run.kernels")
-let m_sim = lazy (Obs.Metrics.histogram "run.sim_seconds")
-let m_functional = lazy (Obs.Metrics.counter "run.functional_execs")
+let m_plans = Obs.Metrics.counter "run.plans"
+let m_kernels = Obs.Metrics.counter "run.kernels"
+let m_sim = Obs.Metrics.histogram "run.sim_seconds"
+let m_functional = Obs.Metrics.counter "run.functional_execs"
 
 let run_plan ?(mode = Gpu.Exec.Analytic) ~arch ~dispatch_us device (plan : Gpu.Plan.t) =
   Obs.Trace.with_span ~attrs:[ ("plan", plan.Gpu.Plan.p_name) ] "execute" @@ fun () ->
-  if mode = Gpu.Exec.Full then Obs.Metrics.incr (Lazy.force m_functional);
+  if mode = Gpu.Exec.Full then Obs.Metrics.incr m_functional;
   Gpu.Plan.declare_all plan device;
   let cache = Gpu.Cost.fresh_cache arch in
   let timing = ref Gpu.Cost.zero in
@@ -38,9 +38,9 @@ let run_plan ?(mode = Gpu.Exec.Analytic) ~arch ~dispatch_us device (plan : Gpu.P
   let kernels = Gpu.Plan.num_kernels plan in
   let dispatch = float_of_int kernels *. dispatch_us *. 1e-6 in
   let time = !timing.Gpu.Cost.time +. dispatch in
-  Obs.Metrics.incr (Lazy.force m_plans);
-  Obs.Metrics.incr ~by:kernels (Lazy.force m_kernels);
-  Obs.Metrics.observe (Lazy.force m_sim) time;
+  Obs.Metrics.incr m_plans;
+  Obs.Metrics.incr ~by:kernels m_kernels;
+  Obs.Metrics.observe m_sim time;
   {
     Exec_stats.x_time = time;
     x_gpu_time = !timing.Gpu.Cost.time;

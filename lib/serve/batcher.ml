@@ -54,16 +54,13 @@ type 'r t = {
   clock : unit -> float;
 }
 
-let m_batches = lazy (Obs.Metrics.counter "batch.closed")
-let m_joined = lazy (Obs.Metrics.counter "batch.joined")
-let m_boundary = lazy (Obs.Metrics.counter "batch.boundary_closes")
+let m_batches = Obs.Metrics.counter "batch.closed"
+let m_joined = Obs.Metrics.counter "batch.joined"
+let m_boundary = Obs.Metrics.counter "batch.boundary_closes"
 
 let create ?(window_s = 2e-3) ?(max_members = max_int) ?(clock = Unix.gettimeofday) () =
   if window_s < 0.0 then invalid_arg "Batcher.create: window_s < 0";
   if max_members < 1 then invalid_arg "Batcher.create: max_members < 1";
-  ignore (Lazy.force m_batches);
-  ignore (Lazy.force m_joined);
-  ignore (Lazy.force m_boundary);
   { lock = Mutex.create (); table = Hashtbl.create 16; window_s; max_members; clock }
 
 let locked t f =
@@ -133,9 +130,9 @@ let admit t ~key ~mode ?deadline ?(tag = 0) cb =
           (match mode with
           | Sliced { cap; _ } when b.bt_rows >= cap || members b >= t.max_members ->
               b.bt_state <- Sealed;
-              Obs.Metrics.incr (Lazy.force m_boundary)
+              Obs.Metrics.incr m_boundary
           | _ -> ());
-          Obs.Metrics.incr (Lazy.force m_joined);
+          Obs.Metrics.incr m_joined;
           `Join
       | Some stale ->
           (* Sealed (or mode-incompatible, or row-overflowing) batch still
@@ -147,7 +144,7 @@ let admit t ~key ~mode ?deadline ?(tag = 0) cb =
           (match (stale.bt_state, stale.bt_mode) with
           | Open, Sliced _ ->
               stale.bt_state <- Sealed;
-              Obs.Metrics.incr (Lazy.force m_boundary)
+              Obs.Metrics.incr m_boundary
           | _ -> ());
           lead ()
       | None -> lead ())
@@ -235,7 +232,7 @@ let take_members t b =
       List.rev b.bt_members)
 
 let run_deliveries t ms deliveries =
-  Obs.Metrics.incr (Lazy.force m_batches);
+  Obs.Metrics.incr m_batches;
   let now = t.clock () in
   List.iteri
     (fun i m ->

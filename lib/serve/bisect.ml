@@ -9,8 +9,8 @@ type 'r placement = {
   p_len : int;
 }
 
-let m_bisections = lazy (Obs.Metrics.counter "batch.bisections")
-let m_isolated = lazy (Obs.Metrics.counter "batch.isolated")
+let m_bisections = Obs.Metrics.counter "batch.bisections"
+let m_isolated = Obs.Metrics.counter "batch.isolated"
 
 let split_half ms =
   let n = List.length ms in
@@ -54,7 +54,7 @@ let execute ~run ~members =
         match ms with
         | [ m ] ->
             (* Fully isolated: the failure is this member's alone. *)
-            Obs.Metrics.incr (Lazy.force m_isolated);
+            Obs.Metrics.incr m_isolated;
             [
               {
                 p_member = m;
@@ -66,7 +66,7 @@ let execute ~run ~members =
               };
             ]
         | _ ->
-            Obs.Metrics.incr (Lazy.force m_bisections);
+            Obs.Metrics.incr m_bisections;
             let left, right = split_half ms in
             go left @ go right)
   in

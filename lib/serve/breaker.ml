@@ -24,19 +24,18 @@ type t = {
   entries : (string, entry) Hashtbl.t;
 }
 
-let m_opened = lazy (Obs.Metrics.counter "breaker.opened")
-let m_half = lazy (Obs.Metrics.counter "breaker.half_opened")
-let m_closed = lazy (Obs.Metrics.counter "breaker.closed")
-let m_short = lazy (Obs.Metrics.counter "breaker.short_circuits")
-let m_probes = lazy (Obs.Metrics.counter "breaker.probes")
-let m_open_g = lazy (Obs.Metrics.gauge "breaker.open")
+let m_opened = Obs.Metrics.counter "breaker.opened"
+let m_half = Obs.Metrics.counter "breaker.half_opened"
+let m_closed = Obs.Metrics.counter "breaker.closed"
+let m_short = Obs.Metrics.counter "breaker.short_circuits"
+let m_probes = Obs.Metrics.counter "breaker.probes"
+let m_open_g = Obs.Metrics.gauge "breaker.open"
 
 let create ?(clock = Unix.gettimeofday) cfg =
   if cfg.threshold < 1 then
     invalid_arg (Printf.sprintf "Breaker.create: threshold %d < 1" cfg.threshold);
   if cfg.cooldown_s < 0.0 then
     invalid_arg (Printf.sprintf "Breaker.create: negative cooldown %g" cfg.cooldown_s);
-  ignore (Lazy.force m_open_g);
   { cfg; clock; lock = Mutex.create (); entries = Hashtbl.create 8 }
 
 let locked t f =
@@ -51,7 +50,7 @@ let entry t key =
       Hashtbl.add t.entries key e;
       e
 
-let gauge_add by = Obs.Metrics.add (Lazy.force m_open_g) by
+let gauge_add by = Obs.Metrics.add m_open_g by
 
 let trip e now =
   if e.st = Closed then gauge_add 1.0;
@@ -60,14 +59,14 @@ let trip e now =
   e.probing <- false;
   e.opened_at <- now;
   e.ntrips <- e.ntrips + 1;
-  Obs.Metrics.incr (Lazy.force m_opened)
+  Obs.Metrics.incr m_opened
 
 let close e =
   if e.st <> Closed then gauge_add (-1.0);
   e.st <- Closed;
   e.consecutive <- 0;
   e.probing <- false;
-  Obs.Metrics.incr (Lazy.force m_closed)
+  Obs.Metrics.incr m_closed
 
 let acquire t ~key =
   locked t @@ fun () ->
@@ -76,21 +75,21 @@ let acquire t ~key =
   | Open when t.clock () -. e.opened_at >= t.cfg.cooldown_s ->
       e.st <- Half_open;
       e.probing <- false;
-      Obs.Metrics.incr (Lazy.force m_half)
+      Obs.Metrics.incr m_half
   | _ -> ());
   match e.st with
   | Closed -> `Proceed
   | Open ->
-      Obs.Metrics.incr (Lazy.force m_short);
+      Obs.Metrics.incr m_short;
       `Short_circuit
   | Half_open ->
       if e.probing then begin
-        Obs.Metrics.incr (Lazy.force m_short);
+        Obs.Metrics.incr m_short;
         `Short_circuit
       end
       else begin
         e.probing <- true;
-        Obs.Metrics.incr (Lazy.force m_probes);
+        Obs.Metrics.incr m_probes;
         `Probe
       end
 
@@ -113,7 +112,7 @@ let failure t ~key ~probe =
     e.probing <- false;
     e.opened_at <- t.clock ();
     e.ntrips <- e.ntrips + 1;
-    Obs.Metrics.incr (Lazy.force m_opened)
+    Obs.Metrics.incr m_opened
   end
   else
     match e.st with

@@ -12,10 +12,10 @@ type t = {
   reroutes : int Atomic.t;
 }
 
-let m_placements = lazy (Obs.Metrics.counter "fleet.placements")
-let m_locality = lazy (Obs.Metrics.counter "fleet.locality_hits")
-let m_reroutes = lazy (Obs.Metrics.counter "fleet.reroutes")
-let m_dead = lazy (Obs.Metrics.counter "fleet.dead_devices")
+let m_placements = Obs.Metrics.counter "fleet.placements"
+let m_locality = Obs.Metrics.counter "fleet.locality_hits"
+let m_reroutes = Obs.Metrics.counter "fleet.reroutes"
+let m_dead = Obs.Metrics.counter "fleet.dead_devices"
 
 (* Per-device injector streams live far above the per-attempt request
    streams ((rq_stream lsl 8) lor attempt), so the two schemes never
@@ -77,7 +77,7 @@ let place t ~key =
              request — plan/cache warmth is worth a little queueing. *)
           let s =
             if (not p.sl_dead) && load p <= load least + 1 then begin
-              Obs.Metrics.incr (Lazy.force m_locality);
+              Obs.Metrics.incr m_locality;
               p
             end
             else least
@@ -86,7 +86,7 @@ let place t ~key =
 
 let acquire t i =
   Atomic.incr t.slots.(i).sl_inflight;
-  Obs.Metrics.incr (Lazy.force m_placements)
+  Obs.Metrics.incr m_placements
 
 let release t i =
   Atomic.decr t.slots.(i).sl_inflight;
@@ -98,14 +98,14 @@ let mark_dead t i =
   locked t (fun () ->
       if not t.slots.(i).sl_dead then begin
         t.slots.(i).sl_dead <- true;
-        Obs.Metrics.incr (Lazy.force m_dead)
+        Obs.Metrics.incr m_dead
       end)
 
 let is_dead t i = locked t (fun () -> t.slots.(i).sl_dead)
 
 let note_reroute t =
   Atomic.incr t.reroutes;
-  Obs.Metrics.incr (Lazy.force m_reroutes)
+  Obs.Metrics.incr m_reroutes
 
 let served t i = Atomic.get t.slots.(i).sl_served
 

@@ -119,8 +119,8 @@ type t = {
   mutable worker_domains : unit Domain.t list;
 }
 
-let m_cap_halved = lazy (Obs.Metrics.counter "serve.batch_cap_halvings")
-let m_cap_shift = lazy (Obs.Metrics.gauge "serve.batch_cap_shift")
+let m_cap_halved = Obs.Metrics.counter "serve.batch_cap_halvings"
+let m_cap_shift = Obs.Metrics.gauge "serve.batch_cap_shift"
 
 (* Clean batched runs required before the cap recovers one halving. *)
 let cap_recovery_runs = 32
@@ -290,8 +290,8 @@ let note_pressure t =
   Atomic.set t.clean_runs 0;
   let shift = Atomic.get t.cap_shift in
   if shift < 16 && Atomic.compare_and_set t.cap_shift shift (shift + 1) then begin
-    Obs.Metrics.incr (Lazy.force m_cap_halved);
-    Obs.Metrics.set (Lazy.force m_cap_shift) (float_of_int (shift + 1))
+    Obs.Metrics.incr m_cap_halved;
+    Obs.Metrics.set m_cap_shift (float_of_int (shift + 1))
   end
 
 let note_clean_run t =
@@ -300,7 +300,7 @@ let note_clean_run t =
     Atomic.set t.clean_runs 0;
     let shift = Atomic.get t.cap_shift in
     if shift > 0 && Atomic.compare_and_set t.cap_shift shift (shift - 1) then
-      Obs.Metrics.set (Lazy.force m_cap_shift) (float_of_int (shift - 1))
+      Obs.Metrics.set m_cap_shift (float_of_int (shift - 1))
   end
 
 let effective_cap t cap = max 1 (cap lsr Atomic.get t.cap_shift)

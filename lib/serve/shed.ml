@@ -14,10 +14,10 @@ type t = {
   mutable deferred : int;
 }
 
-let m_backlog = lazy (Obs.Metrics.gauge "shed.backlog_seconds")
-let m_cap = lazy (Obs.Metrics.gauge "shed.compile_cap")
-let m_deferred = lazy (Obs.Metrics.counter "shed.compiles_deferred")
-let m_offense = lazy (Obs.Metrics.counter "shed.offenses")
+let m_backlog = Obs.Metrics.gauge "shed.backlog_seconds"
+let m_cap = Obs.Metrics.gauge "shed.compile_cap"
+let m_deferred = Obs.Metrics.counter "shed.compiles_deferred"
+let m_offense = Obs.Metrics.counter "shed.offenses"
 
 let create ?(alpha = 0.3) ?(workers = 1) ?(quarantine_threshold = 0) ?(cold_compile_cap = 0)
     () =
@@ -27,11 +27,7 @@ let create ?(alpha = 0.3) ?(workers = 1) ?(quarantine_threshold = 0) ?(cold_comp
   if quarantine_threshold < 0 then
     invalid_arg "Serve.Shed.create: negative quarantine_threshold";
   if cold_compile_cap < 0 then invalid_arg "Serve.Shed.create: negative cold_compile_cap";
-  ignore (Lazy.force m_backlog);
-  ignore (Lazy.force m_cap);
-  ignore (Lazy.force m_deferred);
-  ignore (Lazy.force m_offense);
-  Obs.Metrics.set (Lazy.force m_cap) (float_of_int cold_compile_cap);
+  Obs.Metrics.set m_cap (float_of_int cold_compile_cap);
   {
     lock = Mutex.create ();
     alpha;
@@ -75,7 +71,7 @@ let seed t ~key ~service_s =
 (* Admission feasibility                                               *)
 (* ------------------------------------------------------------------ *)
 
-let set_backlog_gauge v = Obs.Metrics.set (Lazy.force m_backlog) v
+let set_backlog_gauge v = Obs.Metrics.set m_backlog v
 
 let admit t ~key ?deadline_rel () =
   let verdict =
@@ -129,7 +125,7 @@ let backlog_seconds t = locked t (fun () -> t.backlog_s)
 (* ------------------------------------------------------------------ *)
 
 let offense t ~key =
-  Obs.Metrics.incr (Lazy.force m_offense);
+  Obs.Metrics.incr m_offense;
   locked t (fun () ->
       let n = 1 + Option.value (Hashtbl.find_opt t.offenses key) ~default:0 in
       Hashtbl.replace t.offenses key n;
@@ -160,7 +156,7 @@ let try_compile t =
           false
         end)
   in
-  if not ok then Obs.Metrics.incr (Lazy.force m_deferred);
+  if not ok then Obs.Metrics.incr m_deferred;
   ok
 
 let end_compile t ~ok =
@@ -175,7 +171,7 @@ let end_compile t ~ok =
           else t.compile_cap <- max 1 (t.compile_cap / 2);
           t.compile_cap)
     in
-    Obs.Metrics.set (Lazy.force m_cap) (float_of_int cap)
+    Obs.Metrics.set m_cap (float_of_int cap)
   end
 
 let compile_cap t = locked t (fun () -> t.compile_cap)

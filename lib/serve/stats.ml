@@ -48,33 +48,24 @@ type t = {
 }
 
 (* Process-wide mirrors, shared by every server in the process. *)
-let m_submitted = lazy (Obs.Metrics.counter "serve.submitted")
-let m_admitted = lazy (Obs.Metrics.counter "serve.admitted")
-let m_rejected = lazy (Obs.Metrics.counter "serve.rejected")
-let m_timed_out = lazy (Obs.Metrics.counter "serve.timed_out")
-let m_done = lazy (Obs.Metrics.counter "serve.done")
-let m_failed = lazy (Obs.Metrics.counter "serve.failed")
-let m_coalesced = lazy (Obs.Metrics.counter "serve.coalesced")
-let m_batched = lazy (Obs.Metrics.counter "serve.batched")
-let m_degraded = lazy (Obs.Metrics.counter "serve.degraded")
-let m_retries = lazy (Obs.Metrics.counter "serve.retries")
-let m_requeued = lazy (Obs.Metrics.counter "serve.requeued")
-let m_shed = lazy (Obs.Metrics.counter "serve.shed")
-let m_quarantined = lazy (Obs.Metrics.counter "serve.quarantined")
-let m_queue_depth = lazy (Obs.Metrics.gauge "serve.queue_depth")
-let m_latency = lazy (Obs.Metrics.histogram "serve.latency_seconds")
-let m_queue_wait = lazy (Obs.Metrics.histogram "serve.queue_wait_seconds")
+let m_submitted = Obs.Metrics.counter "serve.submitted"
+let m_admitted = Obs.Metrics.counter "serve.admitted"
+let m_rejected = Obs.Metrics.counter "serve.rejected"
+let m_timed_out = Obs.Metrics.counter "serve.timed_out"
+let m_done = Obs.Metrics.counter "serve.done"
+let m_failed = Obs.Metrics.counter "serve.failed"
+let m_coalesced = Obs.Metrics.counter "serve.coalesced"
+let m_batched = Obs.Metrics.counter "serve.batched"
+let m_degraded = Obs.Metrics.counter "serve.degraded"
+let m_retries = Obs.Metrics.counter "serve.retries"
+let m_requeued = Obs.Metrics.counter "serve.requeued"
+let m_shed = Obs.Metrics.counter "serve.shed"
+let m_quarantined = Obs.Metrics.counter "serve.quarantined"
+let m_queue_depth = Obs.Metrics.gauge "serve.queue_depth"
+let m_latency = Obs.Metrics.histogram "serve.latency_seconds"
+let m_queue_wait = Obs.Metrics.histogram "serve.queue_wait_seconds"
 
 let create () =
-  ignore (Lazy.force m_queue_depth);
-  ignore (Lazy.force m_latency);
-  ignore (Lazy.force m_queue_wait);
-  List.iter
-    (fun m -> ignore (Lazy.force m))
-    [
-      m_submitted; m_admitted; m_rejected; m_timed_out; m_done; m_failed; m_coalesced;
-      m_batched; m_degraded; m_retries; m_requeued; m_shed; m_quarantined;
-    ];
   {
     submitted = Atomic.make 0;
     admitted = Atomic.make 0;
@@ -111,16 +102,16 @@ let cell t = function
 let record t ev =
   let local, global = cell t ev in
   Atomic.incr local;
-  Obs.Metrics.incr (Lazy.force global)
+  Obs.Metrics.incr global
 
 let observe_latency t ~queue_s ~total_s =
-  Obs.Metrics.observe (Lazy.force m_queue_wait) queue_s;
-  Obs.Metrics.observe (Lazy.force m_latency) total_s;
+  Obs.Metrics.observe m_queue_wait queue_s;
+  Obs.Metrics.observe m_latency total_s;
   Mutex.lock t.lat_lock;
   t.lat <- total_s :: t.lat;
   Mutex.unlock t.lat_lock
 
-let set_queue_depth _t depth = Obs.Metrics.set (Lazy.force m_queue_depth) (float_of_int depth)
+let set_queue_depth _t depth = Obs.Metrics.set m_queue_depth (float_of_int depth)
 
 let snapshot t =
   {

@@ -33,11 +33,11 @@ let format_version = 1
    exactly the bug the class id exists to prevent. *)
 let current_code_version = "store-v2"
 
-let m_loaded = lazy (Obs.Metrics.counter "store.loaded")
-let m_quarantined = lazy (Obs.Metrics.counter "store.quarantined")
-let m_rejected = lazy (Obs.Metrics.counter "store.rejected")
-let m_writes = lazy (Obs.Metrics.counter "store.writes")
-let m_restamps = lazy (Obs.Metrics.counter "store.restamps")
+let m_loaded = Obs.Metrics.counter "store.loaded"
+let m_quarantined = Obs.Metrics.counter "store.quarantined"
+let m_rejected = Obs.Metrics.counter "store.rejected"
+let m_writes = Obs.Metrics.counter "store.writes"
+let m_restamps = Obs.Metrics.counter "store.restamps"
 
 let filename_of_key k =
   let id =
@@ -209,9 +209,9 @@ let scan t =
       lr_quarantined = List.rev !quarantined;
       lr_rejected = List.rev !rejected;
     };
-  Obs.Metrics.incr ~by:t.rep.lr_loaded (Lazy.force m_loaded);
-  Obs.Metrics.incr ~by:(List.length t.rep.lr_quarantined) (Lazy.force m_quarantined);
-  Obs.Metrics.incr ~by:(List.length t.rep.lr_rejected) (Lazy.force m_rejected)
+  Obs.Metrics.incr ~by:t.rep.lr_loaded m_loaded;
+  Obs.Metrics.incr ~by:(List.length t.rep.lr_quarantined) m_quarantined;
+  Obs.Metrics.incr ~by:(List.length t.rep.lr_rejected) m_rejected
 
 let open_ ?(code_version = current_code_version) dir =
   ensure_dir dir;
@@ -237,7 +237,7 @@ let locked t f =
 let put t key ~verified plan =
   locked t (fun () ->
       write_atomic t.dir (filename_of_key key) (entry_to_string ~code:t.code key ~verified plan);
-      Obs.Metrics.incr (Lazy.force m_writes))
+      Obs.Metrics.incr m_writes)
 
 let mark_verified t key =
   locked t (fun () ->
@@ -247,7 +247,7 @@ let mark_verified t key =
         match parse_entry ~code:t.code (read_file path) with
         | Entry (k, false, plan) ->
             write_atomic t.dir file (entry_to_string ~code:t.code k ~verified:true plan);
-            Obs.Metrics.incr (Lazy.force m_restamps)
+            Obs.Metrics.incr m_restamps
         | Entry (_, true, _) | Corrupt _ | Stale _ ->
             (* Already stamped, or not ours to touch: the next [put] of
                this key will carry the stamp. *)

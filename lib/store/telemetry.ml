@@ -2,7 +2,7 @@ module J = Obs.Json
 
 type t = { dir : string; lock : Mutex.t }
 
-let m_records = lazy (Obs.Metrics.counter "telemetry.records")
+let m_records = Obs.Metrics.counter "telemetry.records"
 
 let ensure_dir dir = if not (Sys.file_exists dir) then Unix.mkdir dir 0o755
 
@@ -109,7 +109,7 @@ let record t ~kind ?(label = "") cols =
                 ("ts", J.Num (Unix.gettimeofday ()));
                 ("label", J.Str label);
               ]));
-      Obs.Metrics.incr (Lazy.force m_records);
+      Obs.Metrics.incr m_records;
       seq)
 
 let metrics_columns () =

@@ -38,20 +38,14 @@ module Arena = struct
     mutable n_budget_trips : int;
   }
 
-  let m_held = lazy (Obs.Metrics.gauge "arena.bytes_held")
-  let m_hits = lazy (Obs.Metrics.counter "arena.hits")
-  let m_misses = lazy (Obs.Metrics.counter "arena.misses")
-  let m_evicted = lazy (Obs.Metrics.counter "arena.evicted")
-  let m_trips = lazy (Obs.Metrics.counter "arena.budget_trips")
+  let m_held = Obs.Metrics.gauge "arena.bytes_held"
+  let m_hits = Obs.Metrics.counter "arena.hits"
+  let m_misses = Obs.Metrics.counter "arena.misses"
+  let m_evicted = Obs.Metrics.counter "arena.evicted"
+  let m_trips = Obs.Metrics.counter "arena.budget_trips"
 
   let create ?(max_bytes = 1 lsl 28) () =
     if max_bytes < 0 then invalid_arg "Tensor.Arena.create: negative max_bytes";
-    (* Intern the metrics up front so an idle arena still reports zeros. *)
-    ignore (Lazy.force m_held);
-    ignore (Lazy.force m_hits);
-    ignore (Lazy.force m_misses);
-    ignore (Lazy.force m_evicted);
-    ignore (Lazy.force m_trips);
     {
       lock = Mutex.create ();
       buckets = Hashtbl.create 32;
@@ -96,14 +90,14 @@ module Arena = struct
     in
     match reused with
     | `Reused b ->
-        Obs.Metrics.add (Lazy.force m_held) (-.float_of_int (8 * n));
-        Obs.Metrics.incr (Lazy.force m_hits);
+        Obs.Metrics.add m_held (-.float_of_int (8 * n));
+        Obs.Metrics.incr m_hits;
         b
     | `Fresh ->
-        Obs.Metrics.incr (Lazy.force m_misses);
+        Obs.Metrics.incr m_misses;
         fresh_buf n
     | `Exhausted (seq, want, budget) ->
-        Obs.Metrics.incr (Lazy.force m_trips);
+        Obs.Metrics.incr m_trips;
         Fault.Inject.record Fault.Plan.Resource_exhausted;
         raise
           (Fault.Plan.Injected
@@ -130,8 +124,8 @@ module Arena = struct
             true
           end)
     in
-    if kept then Obs.Metrics.add (Lazy.force m_held) (float_of_int (8 * n))
-    else Obs.Metrics.incr (Lazy.force m_evicted)
+    if kept then Obs.Metrics.add m_held (float_of_int (8 * n))
+    else Obs.Metrics.incr m_evicted
 
   let bytes_held a = locked a (fun () -> a.held_bytes)
   let hits a = locked a (fun () -> a.n_hits)

@@ -4,7 +4,8 @@
 # failure reproduces exactly), then check the parallel tuner's determinism
 # guarantee across process runs — the scheduler throughput bench at
 # SPACEFUSION_JOBS=1 and =4 must select byte-identical
-# (schedule, cfg, cost) picks on every case.
+# (schedule, cfg, cost) picks on every case — and the canonical
+# benchmark's same-seed determinism gate.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -235,4 +236,9 @@ if [ "$picks1" != "$picks4" ]; then
     exit 1
 fi
 
-echo "ci: OK (build, tests, serve smoke + 3x soak, deterministic chaos + fleet + pow2-batching + poison gates, batch goodput floors, shard floors, overload gates, warm-store cold-start + corruption gates, serial/parallel tuner picks identical)"
+# Benchmark determinism gate: two same-seed runs of every benchmark
+# workload must agree on each exact field — picks_md5, sim_latency_ms,
+# kernels, cfgs_considered_per_trial (exits nonzero on any difference).
+bash benchmark/check.sh
+
+echo "ci: OK (build, tests, serve smoke + 3x soak, deterministic chaos + fleet + pow2-batching + poison gates, batch goodput floors, shard floors, overload gates, warm-store cold-start + corruption gates, serial/parallel tuner picks identical, same-seed benchmark exact fields identical)"

@@ -418,10 +418,9 @@ let prop_schedules_fit_budget =
       List.for_all
         (fun { Auto_scheduler.schedule; cfgs } ->
           List.for_all
-            (fun cfg ->
-              match Auto_scheduler.feasible arch schedule cfg ~name:"p" ~tensor_of with
-              | Some k -> Gpu.Kernel.smem_bytes k <= arch.Gpu.Arch.smem_per_block
-              | None -> false)
+            (fun (cfg, k) ->
+              Gpu.Kernel.smem_bytes k <= arch.Gpu.Arch.smem_per_block
+              && Auto_scheduler.feasible arch schedule cfg ~name:"p" ~tensor_of <> None)
             cfgs)
         scheds)
 

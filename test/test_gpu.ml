@@ -157,6 +157,24 @@ let test_transfer_step_tile () =
   Alcotest.(check int) "C per-block = bm x bn tile" (8 * 8 * Arch.elt_bytes)
     c.tr_per_block
 
+let test_analytic_cost_flat () =
+  (* An Analytic walk visits segment classes, never individual blocks or
+     steps, so its allocation must not grow with the grid: a million
+     unit-block rows and a million unit-tile steps cost what a small
+     kernel does. *)
+  let m = 1 lsl 20 in
+  let dev = Device.create () in
+  Device.declare dev "A" [| m; m |];
+  Device.declare dev "B" [| 64; m |];
+  Device.declare dev "C" [| m; 64 |];
+  let k = gemm_kernel ~m ~n:64 ~k:m ~bm:1 ~bn:64 ~bk:1 in
+  let before = Gc.minor_words () in
+  let s = Exec.run ~mode:Exec.Analytic dev k in
+  let words = Gc.minor_words () -. before in
+  check_close "gemm flops" (2.0 *. float_of_int m *. 64.0 *. float_of_int m) s.ks_gemm_flops;
+  Alcotest.(check bool) (Printf.sprintf "allocation is O(kernel), not O(grid): %.0f words" words) true
+    (words < 50_000.0)
+
 let test_reg_budget_per_arch () =
   (* The register-tile budget is a per-arch constant, not a multiple of
      the thread register count: a 160 KiB accumulator fits Ampere's and
@@ -315,6 +333,7 @@ let suite =
     Alcotest.test_case "full/analytic counters agree" `Quick test_full_analytic_agree;
     Alcotest.test_case "transfer summary" `Quick test_transfer_summary;
     Alcotest.test_case "transfer step tile" `Quick test_transfer_step_tile;
+    Alcotest.test_case "analytic cost flat in grid size" `Quick test_analytic_cost_flat;
     Alcotest.test_case "resource bound enforced" `Quick test_resource_exceeded;
     Alcotest.test_case "register budget per arch" `Quick test_reg_budget_per_arch;
     Alcotest.test_case "kernel validation" `Quick test_validate_rejects;

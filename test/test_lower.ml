@@ -166,6 +166,75 @@ let test_unlowerable_blocked_batch () =
     | exception Lower.Unlowerable _ -> true
     | _ -> false)
 
+(* ------------------------------------------------------------------ *)
+(* Template lowering                                                   *)
+(* ------------------------------------------------------------------ *)
+
+(* Every schedule the auto-scheduler could build for [g]: spatial-only,
+   plus one per temporal candidate whose dependency chain simplifies. *)
+let all_schedules g =
+  let smg = Smg.build g in
+  if not (Smg.consistent smg) then []
+  else
+    let spatial = Analysis.spatial_dims smg in
+    Schedule.make smg ~spatial ~temporal:None
+    :: List.filter_map
+         (fun d ->
+           Option.map
+             (fun plan -> Schedule.make smg ~spatial ~temporal:(Some plan))
+             (Update_fn.analyze smg ~dim:d))
+         (Analysis.temporal_candidates smg ~spatial)
+
+(* [sched] with its batch dims promoted to tiled ones: cfgs that block a
+   leading tensor axis at more than 1 need 3-D tiles and are
+   unlowerable, the unit-block ones are not. *)
+let promote_batch (sched : Schedule.t) =
+  { sched with Schedule.batch_dims = []; tiled_dims = sched.batch_dims @ sched.tiled_dims }
+
+let test_lowerer_matches_lower () =
+  (* Lowering once per unit-block mask and instantiating must reproduce
+     plain lowering exactly: the same kernel, or the same Unlowerable
+     verdict, for every enumerated configuration. *)
+  let zoo =
+    [
+      ("mlp", Ir.Models.mlp ~layers:2 ~m:128 ~n:64 ~k:64);
+      ("lstm", Ir.Models.lstm_cell ~m:64 ~hidden:64 ~input:64);
+      ("layernorm", Ir.Models.layernorm_graph ~m:128 ~n:128);
+      ("softmax_gemm", Ir.Models.softmax_gemm ~m:64 ~l:64 ~n:64);
+      ("mha", Ir.Models.mha ~batch_heads:8 ~seq_q:64 ~seq_kv:64 ~head_dim:32 ());
+      ("chains", Ir.Models.independent_chains ~copies:3 ~m:64 ~n:64 ());
+    ]
+    @ List.init 24 (fun seed ->
+          let spec = { Check.Gen.sp_nodes = 3 + (seed mod 5); sp_seed = seed } in
+          (Check.Gen.spec_to_string spec, Check.Gen.graph_of_spec spec))
+  in
+  let pairs = ref 0 and unlowerable = ref 0 in
+  List.iter
+    (fun (name, g) ->
+      let tensor_of = Spacefusion.tensor_name ~name g in
+      let scheds = all_schedules g in
+      List.iter
+        (fun sched ->
+          let lower = Lower.lowerer sched ~name ~tensor_of in
+          List.iter
+            (fun cfg ->
+              let outcome f = match f () with k -> Some k | exception Lower.Unlowerable _ -> None in
+              let expected = outcome (fun () -> Lower.lower sched cfg ~name ~tensor_of) in
+              let got = outcome (fun () -> lower cfg) in
+              incr pairs;
+              if expected = None then incr unlowerable;
+              if compare expected got <> 0 then
+                Alcotest.failf "%s: %s %s: instantiated kernel differs from plain lowering" name
+                  (Schedule.describe sched) (Schedule.cfg_to_string cfg))
+            (Schedule.enum_cfgs sched))
+        (scheds @ List.map promote_batch scheds))
+    zoo;
+  Alcotest.(check bool)
+    (Printf.sprintf "covered lowerable and unlowerable cfgs (%d pairs, %d unlowerable)" !pairs
+       !unlowerable)
+    true
+    (!pairs > 500 && !unlowerable > 0 && !unlowerable < !pairs)
+
 let test_partition_error_message () =
   (* A single-segment unschedulable graph cannot be split further. *)
   let g = G.create () in
@@ -190,6 +259,8 @@ let () =
           Alcotest.test_case "idempotent" `Quick test_pooling_preserves_semantics;
           Alcotest.test_case "liveness respected" `Quick test_pooling_respects_liveness;
         ] );
+      ( "templates",
+        [ Alcotest.test_case "lowerer matches lower" `Quick test_lowerer_matches_lower ] );
       ( "errors",
         [
           Alcotest.test_case "blocked batch axis" `Quick test_unlowerable_blocked_batch;

@@ -38,8 +38,8 @@ let test_parallel_span_determinism () =
       "compile/build";
       "compile/schedule";
       "compile/schedule/auto_schedule";
+      "compile/schedule/auto_schedule/lower";
       "compile/schedule/tune";
-      "compile/schedule/tune/lower";
       "compile/select";
     ]
 

@@ -72,7 +72,7 @@ let pick ~prune arch g =
     (G.nodes g);
   let scheds = Core.Auto_scheduler.run arch (Core.Smg.build g) ~name ~tensor_of in
   let stats = Core.Cstats.create () in
-  let best = Core.Tuner.pick_best ~stats ~prune arch device ~name ~tensor_of scheds in
+  let best = Core.Tuner.pick_best ~stats ~prune arch device scheds in
   (best, stats, scheds, device)
 
 let describe_pick = function
@@ -118,30 +118,21 @@ let test_lower_bound_sound () =
   (* The bound must never exceed the true cost of the lowered kernel, or
      pruning could discard the winner. Checked over every feasible
      candidate of every whole-graph schedulable model. *)
-  let name = "t" in
   let checked = ref 0 in
   List.iter
     (fun (_, g) ->
       let _, _, scheds, device = pick ~prune:false Gpu.Arch.ampere g in
-      let tensor_of = SF.tensor_name ~name g in
       List.iter
         (fun (s : Core.Auto_scheduler.scheduled) ->
           List.iter
-            (fun cfg ->
-              match
-                Core.Auto_scheduler.feasible Gpu.Arch.ampere s.schedule cfg ~name
-                  ~tensor_of
-              with
-              | None -> ()
-              | Some kernel ->
-                  incr checked;
-                  let lb = Core.Tuner.lower_bound Gpu.Arch.ampere s.schedule cfg in
-                  let cost = Core.Tuner.kernel_cost Gpu.Arch.ampere device kernel in
-                  if lb > cost +. 1e-12 then
-                    Alcotest.failf "bound above true cost (%g > %g) for %s %s" lb
-                      cost
-                      (Core.Schedule.describe s.schedule)
-                      (Core.Schedule.cfg_to_string cfg))
+            (fun (cfg, kernel) ->
+              incr checked;
+              let lb = Core.Tuner.lower_bound Gpu.Arch.ampere s.schedule cfg in
+              let cost = Core.Tuner.kernel_cost Gpu.Arch.ampere device kernel in
+              if lb > cost +. 1e-12 then
+                Alcotest.failf "bound above true cost (%g > %g) for %s %s" lb cost
+                  (Core.Schedule.describe s.schedule)
+                  (Core.Schedule.cfg_to_string cfg))
             s.cfgs)
         scheds)
     (models ());
