@@ -1,6 +1,9 @@
 (* Benchmark harness: one generator per table/figure of the paper's
    evaluation (§6). Each generator prints the same rows/series the paper
-   reports, measured on the simulated GPUs.
+   reports, measured on the simulated GPUs. The remaining experiments
+   (sched, batch, shard, overload, verify) are the gates scripts/ci.sh
+   runs: each checks its own floors and exits nonzero on a violation.
+   Wall-clock performance lives in the canonical benchmark (benchmark/).
 
      dune exec bench/main.exe                 # everything
      dune exec bench/main.exe -- --only fig13 # one experiment
@@ -557,279 +560,12 @@ let sched () =
   if not !all_identical then exit 1
 
 (* ------------------------------------------------------------------ *)
-(* Observability: tracing overhead + profile export (JSON)             *)
-(* ------------------------------------------------------------------ *)
-
-(* Compiles one workload with tracing disabled, then enabled, and reports
-   both wall-clocks plus the captured profile as one JSON document. The
-   disabled path is the one every other experiment runs under, so the
-   overhead ratio printed here is the observability tax on the numbers in
-   this harness; the document itself is validated structurally the same
-   way scripts/ci.sh gates `spacefusion profile --check`. *)
-let obs () =
-  let arch = Gpu.Arch.ampere in
-  let g =
-    if !quick then Ir.Models.mha ~batch_heads:24 ~seq_q:128 ~seq_kv:128 ~head_dim:64 ()
-    else Ir.Models.mha ~batch_heads:96 ~seq_q:256 ~seq_kv:256 ~head_dim:64 ()
-  in
-  let reps = if !quick then 2 else 5 in
-  let avg_compile () =
-    let once () =
-      let t0 = Unix.gettimeofday () in
-      ignore (Core.Spacefusion.compile ~arch ~name:"obs" g);
-      Unix.gettimeofday () -. t0
-    in
-    let ts = List.init reps (fun _ -> once ()) in
-    List.fold_left ( +. ) 0.0 ts /. float_of_int reps
-  in
-  Obs.Trace.set_enabled false;
-  let t_off = avg_compile () in
-  Obs.Metrics.reset ();
-  Obs.Trace.set_enabled true;
-  Obs.Trace.reset ();
-  let t_on = avg_compile () in
-  Obs.Trace.set_enabled false;
-  let report = Obs.Report.capture () in
-  let json =
-    Obs.Report.to_json
-      ~extra:
-        [
-          ("experiment", Obs.Json.Str "obs");
-          ("arch", Obs.Json.Str arch.Gpu.Arch.name);
-          ("reps", Obs.Json.Num (float_of_int reps));
-          ("t_disabled_s", Obs.Json.Num t_off);
-          ("t_enabled_s", Obs.Json.Num t_on);
-          ("overhead_ratio", Obs.Json.Num (if t_off > 0.0 then t_on /. t_off else 0.0));
-        ]
-      report
-  in
-  print_endline (Obs.Json.to_string json);
-  match
-    Obs.Report.validate
-      ~required_spans:[ "compile"; "build"; "schedule"; "auto_schedule"; "tune"; "lower"; "select" ]
-      json
-  with
-  | Ok () -> ()
-  | Error msg ->
-      Printf.eprintf "obs: emitted profile failed validation: %s\n" msg;
-      exit 1
-
-(* ------------------------------------------------------------------ *)
-(* Serving runtime: throughput and tail latency vs worker count (JSON) *)
-(* ------------------------------------------------------------------ *)
-
-(* Drives lib/serve with a mixed closed-loop storm at 1, 2 and 4 worker
-   domains: ~70% of requests replay a small warm set over a pre-warmed
-   Plan_cache (cache hits, coalescing under concurrency) and ~30% are
-   cold — each a uniquely-named model whose SpaceFusion compile (~tens of
-   ms) is the heavy, parallelizable unit the worker pool exists for.
-   Reports throughput, p50/p99 latency and the warm-path share (requests
-   served without a fresh compile: plan-cache hits plus coalesced
-   followers). Accounting conservation, zero failures and the >50%
-   warm-path share are hard gates; the 1->4 scaling ratio is reported
-   alongside the machine's core count and only meaningful when cores > 1
-   (on a single-core host extra domains can only add GC-sync overhead). *)
-let serve_bench () =
-  let arch = Gpu.Arch.ampere in
-  let backends = [ B.pytorch; B.cublas; B.cublaslt ] in
-  let one name g =
-    { Ir.Models.model_name = name; subprograms = [ { Ir.Models.sp_name = "g"; graph = g; count = 1 } ] }
-  in
-  let size = if !quick then 128 else 256 in
-  let models =
-    [
-      one "ln" (Ir.Models.layernorm_graph ~m:size ~n:size);
-      one "rms" (Ir.Models.rmsnorm_graph ~m:size ~n:size);
-      one "softmax" (Ir.Models.softmax_graph ~m:size ~n:size);
-      one "mlp" (Ir.Models.mlp ~layers:2 ~m:(size / 4) ~n:128 ~k:128);
-      one "sm-gemm" (Ir.Models.softmax_gemm ~m:(size / 4) ~l:128 ~n:64);
-      one "bn" (Ir.Models.batchnorm_graph ~m:size ~n:size);
-    ]
-  in
-  let cold_graph = Ir.Models.layernorm_graph ~m:size ~n:size in
-  let n = if !quick then 120 else 300 in
-  let serve_cache = Runtime.Plan_cache.create () in
-  (* Warm-up: compile every (model, backend) combination once, outside the
-     measured window, so the storms run entirely on the warm path. *)
-  let warm = Serve.Server.start ~cache:serve_cache ~config:{ (Serve.Server.default_config ()) with Serve.Server.workers = 2 } () in
-  List.iter
-    (fun m ->
-      List.iter
-        (fun b ->
-          match Serve.Server.await (Serve.Server.submit warm ~arch b m) with
-          | Serve.Server.Done _ -> ()
-          | _ ->
-              Printf.eprintf "serve: warm-up request not served\n";
-              exit 1)
-        backends)
-    models;
-  Serve.Server.shutdown warm;
-  let storm workers =
-    let cfg =
-      { (Serve.Server.default_config ()) with Serve.Server.workers; queue_capacity = n }
-    in
-    let s = Serve.Server.start ~cache:serve_cache ~config:cfg () in
-    let rng = Random.State.make [| 42; workers |] in
-    let misses0 = Runtime.Plan_cache.misses serve_cache in
-    let t0 = Unix.gettimeofday () in
-    let tickets =
-      List.init n (fun i ->
-          if i mod 10 < 3 then
-            (* Cold 30%: unique model name -> guaranteed plan-cache miss;
-               the SpaceFusion compile is this request's real work. *)
-            Serve.Server.submit s ~arch B.spacefusion
-              (one (Printf.sprintf "cold-w%d-%d" workers i) cold_graph)
-          else
-            let m = List.nth models (Random.State.int rng (List.length models)) in
-            let b = List.nth backends (Random.State.int rng (List.length backends)) in
-            Serve.Server.submit s ~arch b m)
-    in
-    List.iter
-      (fun tk ->
-        match Serve.Server.await tk with
-        | Serve.Server.Done _ -> ()
-        | _ ->
-            Printf.eprintf "serve: storm request not served (workers=%d)\n" workers;
-            exit 1)
-      tickets;
-    let elapsed = Unix.gettimeofday () -. t0 in
-    Serve.Server.shutdown s;
-    let st = Serve.Server.stats s in
-    if not (Serve.Stats.conserved st) || st.Serve.Stats.s_failed > 0 then begin
-      Printf.eprintf "serve: accounting violated (workers=%d): %s\n" workers
-        (Format.asprintf "%a" Serve.Stats.pp_snapshot st);
-      exit 1
-    end;
-    let lat = Serve.Server.latencies s in
-    let miss_requests = Runtime.Plan_cache.misses serve_cache - misses0 in
-    let warm_share = float_of_int (st.Serve.Stats.s_done - miss_requests) /. float_of_int st.Serve.Stats.s_done in
-    ( workers,
-      float_of_int st.Serve.Stats.s_done /. elapsed,
-      Serve.Stats.percentile lat 50.0 *. 1e3,
-      Serve.Stats.percentile lat 99.0 *. 1e3,
-      st.Serve.Stats.s_coalesced,
-      warm_share )
-  in
-  let rows = List.map storm [ 1; 2; 4 ] in
-  let row_json (w, thr, p50, p99, coalesced, share) =
-    Printf.sprintf
-      "{\"workers\":%d,\"throughput_rps\":%.1f,\"p50_ms\":%.3f,\"p99_ms\":%.3f,\"coalesced\":%d,\"warm_share\":%.3f}"
-      w thr p50 p99 coalesced share
-  in
-  let thr_of (_, thr, _, _, _, _) = thr in
-  let scaling = thr_of (List.nth rows 2) /. thr_of (List.hd rows) in
-  let min_share =
-    List.fold_left (fun acc (_, _, _, _, _, share) -> Float.min acc share) infinity rows
-  in
-  Printf.printf
-    "{\"experiment\":\"serve\",\"requests_per_run\":%d,\"cores\":%d,\"rows\":[\n%s\n],\n\"scaling_1_to_4\":%.2f,\"min_warm_share\":%.3f}\n"
-    n
-    (Domain.recommended_domain_count ())
-    (String.concat ",\n" (List.map row_json rows))
-    scaling min_share;
-  if min_share < 0.5 then begin
-    Printf.eprintf "serve: warm-path share %.3f below 0.5 — cache/coalescing not engaging\n" min_share;
-    exit 1
-  end
-
-(* ------------------------------------------------------------------ *)
-(* Chaos: goodput and tail latency under injected device faults (JSON) *)
-(* ------------------------------------------------------------------ *)
-
-(* Closed-loop storms against lib/serve at increasing seeded fault rates
-   (0 / 0.1% / 1% / 5% of kernel launches), all on one shared pre-warmed
-   plan cache so the rate-0 row is the fault-free baseline of the same
-   workload. Reports goodput (done/submitted), throughput, latency
-   percentiles, degradations, retries and breaker trips per rate. Gates:
-   accounting conservation at every rate, and goodput >= 0.9 up to the 1%
-   rate — the self-healing ladder (retry, reroute, degrade) must absorb
-   realistic fault levels without dropping requests. *)
-let chaos_bench () =
-  let arch = Gpu.Arch.ampere in
-  let backend = B.spacefusion in
-  let one name g =
-    { Ir.Models.model_name = name; subprograms = [ { Ir.Models.sp_name = "g"; graph = g; count = 1 } ] }
-  in
-  let models =
-    [
-      one "ln" (Ir.Models.layernorm_graph ~m:128 ~n:128);
-      one "rms" (Ir.Models.rmsnorm_graph ~m:128 ~n:128);
-      one "softmax" (Ir.Models.softmax_graph ~m:128 ~n:128);
-      one "mlp" (Ir.Models.mlp ~layers:2 ~m:32 ~n:128 ~k:128);
-      one "sm-gemm" (Ir.Models.softmax_gemm ~m:32 ~l:128 ~n:64);
-      one "bn" (Ir.Models.batchnorm_graph ~m:128 ~n:128);
-    ]
-  in
-  let n = if !quick then 120 else 300 in
-  let chaos_cache = Runtime.Plan_cache.create () in
-  let counter name =
-    match Obs.Metrics.find name with Some (Obs.Metrics.Counter c) -> c | _ -> 0
-  in
-  let storm rate =
-    let fault_plan =
-      if rate <= 0.0 then None
-      else Some (Fault.Plan.make ~rates:(Fault.Plan.storm ~rate ()) ~seed:11 ())
-    in
-    let cfg =
-      {
-        (Serve.Server.default_config ()) with
-        Serve.Server.workers = 2;
-        queue_capacity = n;
-        max_retries = 3;
-        backoff_s = 1e-4;
-        backoff_cap_s = 1e-3;
-        fault_plan;
-        breaker = { Serve.Breaker.threshold = 2; cooldown_s = 1e-3 };
-      }
-    in
-    let s = Serve.Server.start ~cache:chaos_cache ~config:cfg () in
-    let opened0 = counter "breaker.opened" in
-    let t0 = Unix.gettimeofday () in
-    let tickets =
-      List.init n (fun i ->
-          Serve.Server.submit s ~arch backend (List.nth models (i mod List.length models)))
-    in
-    List.iter (fun tk -> ignore (Serve.Server.await tk)) tickets;
-    let elapsed = Unix.gettimeofday () -. t0 in
-    Serve.Server.shutdown s;
-    let st = Serve.Server.stats s in
-    if not (Serve.Stats.conserved st) then begin
-      Printf.eprintf "chaos: accounting violated (rate=%g): %s\n" rate
-        (Format.asprintf "%a" Serve.Stats.pp_snapshot st);
-      exit 1
-    end;
-    let goodput = float_of_int st.Serve.Stats.s_done /. float_of_int st.Serve.Stats.s_submitted in
-    if rate <= 0.01 && goodput < 0.9 then begin
-      Printf.eprintf "chaos: goodput %.3f below 0.9 at fault rate %g\n" goodput rate;
-      exit 1
-    end;
-    let lat = Serve.Server.latencies s in
-    ( rate,
-      goodput,
-      float_of_int st.Serve.Stats.s_done /. elapsed,
-      Serve.Stats.percentile lat 50.0 *. 1e3,
-      Serve.Stats.percentile lat 99.0 *. 1e3,
-      st.Serve.Stats.s_degraded,
-      st.Serve.Stats.s_retries,
-      counter "breaker.opened" - opened0 )
-  in
-  let rows = List.map storm [ 0.0; 0.001; 0.01; 0.05 ] in
-  let row_json (rate, goodput, thr, p50, p99, degraded, retries, trips) =
-    Printf.sprintf
-      "{\"fault_rate\":%g,\"goodput\":%.3f,\"throughput_rps\":%.1f,\"p50_ms\":%.3f,\"p99_ms\":%.3f,\"degraded\":%d,\"retries\":%d,\"breaker_trips\":%d}"
-      rate goodput thr p50 p99 degraded retries trips
-  in
-  Printf.printf "{\"experiment\":\"chaos\",\"requests_per_rate\":%d,\"seed\":11,\"rows\":[\n%s\n]}\n"
-    n
-    (String.concat ",\n" (List.map row_json rows))
-
-(* ------------------------------------------------------------------ *)
 (* Batch: shape classes + continuous batching on mixed-shape traffic   *)
 (* ------------------------------------------------------------------ *)
 
 (* The serving economics shape classes exist for: mixed-shape traffic
    whose leading (batch) dim varies request to request. Baseline storm —
-   the serve bench's request count under [Exact] bucketing, where every
+   120 (quick) or 300 requests under [Exact] bucketing, where every
    fresh dim is a cold SpaceFusion compile. Batched storm — 10x that
    request count under [Pow2], where one guard-protected plan per class
    serves every in-class dim and concurrent requests stack rows into
@@ -992,389 +728,6 @@ let verify () =
     Check.Fuzz.pp_report Format.err_formatter r;
     exit 1
   end
-
-(* ------------------------------------------------------------------ *)
-(* Micro: execution-engine throughput trajectory (JSON)                *)
-(* ------------------------------------------------------------------ *)
-
-(* The boxed float-array kernels the Bigarray engine replaced, kept
-   verbatim as the measurement baseline so the old-vs-new sims/sec
-   comparison stays honest across future PRs. *)
-module Boxed = struct
-  type t = { shape : Shape.t; data : float array }
-
-  let of_tensor t = { shape = Tensor.shape t; data = Tensor.data t }
-
-  let broadcast_offset ~out_shape ~src_shape =
-    let ro = Shape.rank out_shape and rs = Shape.rank src_shape in
-    let st = Shape.strides src_shape in
-    fun idx ->
-      let acc = ref 0 in
-      for i = 0 to rs - 1 do
-        let v = idx.(i + (ro - rs)) in
-        let v = if src_shape.(i) = 1 then 0 else v in
-        acc := !acc + (v * st.(i))
-      done;
-      !acc
-
-  let map2 f a b =
-    if Shape.equal a.shape b.shape then
-      { shape = a.shape; data = Array.init (Array.length a.data) (fun i -> f a.data.(i) b.data.(i)) }
-    else begin
-      let out_shape = Shape.broadcast a.shape b.shape in
-      let oa = broadcast_offset ~out_shape ~src_shape:a.shape in
-      let ob = broadcast_offset ~out_shape ~src_shape:b.shape in
-      let n = Shape.numel out_shape in
-      let out = Array.make n 0.0 in
-      for i = 0 to n - 1 do
-        let idx = Shape.unravel out_shape i in
-        out.(i) <- f a.data.(oa idx) b.data.(ob idx)
-      done;
-      { shape = out_shape; data = out }
-    end
-
-  let reduce op ~axis ~keepdims t =
-    let a = Shape.normalize_axis t.shape axis in
-    let out_shape = Shape.reduce t.shape ~axis:a ~keepdims in
-    let extent = t.shape.(a) in
-    let inner = ref 1 in
-    for i = a + 1 to Shape.rank t.shape - 1 do
-      inner := !inner * t.shape.(i)
-    done;
-    let outer = Shape.numel t.shape / (extent * !inner) in
-    let inner = !inner in
-    let out = Array.make (outer * inner) 0.0 in
-    let combine, init, finish =
-      match op with
-      | `Sum -> (( +. ), 0.0, fun x -> x)
-      | `Mean -> (( +. ), 0.0, fun x -> x /. float_of_int extent)
-      | `Max -> (Float.max, Float.neg_infinity, fun x -> x)
-      | `Min -> (Float.min, Float.infinity, fun x -> x)
-    in
-    for o = 0 to outer - 1 do
-      for i = 0 to inner - 1 do
-        let acc = ref init in
-        for k = 0 to extent - 1 do
-          acc := combine !acc t.data.((((o * extent) + k) * inner) + i)
-        done;
-        out.((o * inner) + i) <- finish !acc
-      done
-    done;
-    { shape = out_shape; data = out }
-
-  let matmul ?(trans_b = false) a b =
-    let ra = Shape.rank a.shape and rb = Shape.rank b.shape in
-    let m = a.shape.(ra - 2) and ka = a.shape.(ra - 1) in
-    let n = if trans_b then b.shape.(rb - 2) else b.shape.(rb - 1) in
-    let batch_a = Array.sub a.shape 0 (ra - 2) and batch_b = Array.sub b.shape 0 (rb - 2) in
-    let batch = Shape.broadcast batch_a batch_b in
-    let out_shape = Array.append batch [| m; n |] in
-    let nb = Shape.numel batch in
-    let oa = broadcast_offset ~out_shape:batch ~src_shape:batch_a in
-    let ob = broadcast_offset ~out_shape:batch ~src_shape:batch_b in
-    let out = Array.make (nb * m * n) 0.0 in
-    let sa = m * ka and sb = (if trans_b then n else ka) * if trans_b then ka else n in
-    for bi = 0 to nb - 1 do
-      let bidx = Shape.unravel batch bi in
-      let base_a = oa bidx * sa and base_b = ob bidx * sb in
-      let base_o = bi * m * n in
-      for i = 0 to m - 1 do
-        for j = 0 to n - 1 do
-          let acc = ref 0.0 in
-          if trans_b then
-            for k = 0 to ka - 1 do
-              acc := !acc +. (a.data.(base_a + (i * ka) + k) *. b.data.(base_b + (j * ka) + k))
-            done
-          else
-            for k = 0 to ka - 1 do
-              acc := !acc +. (a.data.(base_a + (i * ka) + k) *. b.data.(base_b + (k * n) + j))
-            done;
-          out.(base_o + (i * n) + j) <- !acc
-        done
-      done
-    done;
-    { shape = out_shape; data = out }
-end
-
-(* Sims/sec of the hot tensor kernels old-vs-new, Full/Analytic plan
-   execution rates, a warm-path serve mini-storm (p50/p99) and compile
-   latency, emitted as one Obs.Report-shaped JSON document.
-   scripts/bench_record.sh snapshots it as BENCH_<nnn>.json so every PR
-   appends a comparable trajectory point. Gates (exit nonzero): the
-   document must pass Obs.Report.validate, and a warmed `Auto model run
-   must not re-enter the functional interpreter (run.functional_execs
-   stays 0 on the second run). *)
-let micro () =
-  let arch = Gpu.Arch.ampere in
-  Obs.Metrics.reset ();
-  Obs.Trace.set_enabled false;
-  (* Doubling rate loop: reps/sec once the timed window is long enough to
-     trust the clock, best of three windows — scheduler noise only ever
-     slows a window down, and both baselines get the same treatment. *)
-  let rate f =
-    let min_time = if !quick then 0.05 else 0.2 in
-    ignore (f ());
-    let reps = ref 1 in
-    let window () =
-      let t0 = Unix.gettimeofday () in
-      for _ = 1 to !reps do
-        ignore (f ())
-      done;
-      Unix.gettimeofday () -. t0
-    in
-    let rec calibrate () =
-      let dt = window () in
-      if dt < min_time && !reps < 1_000_000 then begin
-        reps := 2 * !reps;
-        calibrate ()
-      end
-      else dt
-    in
-    let best = ref (calibrate ()) in
-    for _ = 1 to 2 do
-      let dt = window () in
-      if dt < !best then best := dt
-    done;
-    float_of_int !reps /. !best
-  in
-  (* The old/new ratio is the acceptance-gated number, so measure the two
-     sides in alternating windows and keep each side's best: host
-     contention then lands on both sides of the ratio instead of
-     whichever multi-second phase it happens to hit. *)
-  let paired_rate fa fb =
-    let min_time = if !quick then 0.05 else 0.2 in
-    let calibrate f =
-      ignore (f ());
-      let reps = ref 1 in
-      let rec go () =
-        let t0 = Unix.gettimeofday () in
-        for _ = 1 to !reps do
-          ignore (f ())
-        done;
-        let dt = Unix.gettimeofday () -. t0 in
-        if dt < min_time && !reps < 1_000_000 then begin
-          reps := 2 * !reps;
-          go ()
-        end
-        else dt
-      in
-      let dt = go () in
-      (!reps, dt)
-    in
-    let window reps f =
-      let t0 = Unix.gettimeofday () in
-      for _ = 1 to reps do
-        ignore (f ())
-      done;
-      Unix.gettimeofday () -. t0
-    in
-    let ra, da = calibrate fa in
-    let rb, db = calibrate fb in
-    let best_a = ref da and best_b = ref db in
-    let rounds = if !quick then 2 else 5 in
-    for _ = 1 to rounds do
-      let dta = window ra fa in
-      if dta < !best_a then best_a := dta;
-      let dtb = window rb fb in
-      if dtb < !best_b then best_b := dtb
-    done;
-    (float_of_int ra /. !best_a, float_of_int rb /. !best_b)
-  in
-  (* New-engine loops run under an arena and release their output each
-     iteration — the steady state a warm serving loop reaches. *)
-  let arena_rate f =
-    let arena = Tensor.Arena.create () in
-    Tensor.Arena.with_arena arena (fun () ->
-        rate (fun () ->
-            let t = f () in
-            Tensor.release arena t))
-  in
-  let rng = Rng.create 42 in
-  let elem_n = if !quick then 256 else 1024 in
-  let red_n = if !quick then 256 else 1024 in
-  let bt, mm_m, mm_n, mm_k = if !quick then (4, 32, 32, 64) else (2, 64, 1024, 64) in
-  let ea = Tensor.randn rng [| elem_n; elem_n |] and eb = Tensor.randn rng [| elem_n; elem_n |] in
-  let rt = Tensor.randn rng [| red_n; red_n |] in
-  let ma = Tensor.randn rng [| bt; mm_m; mm_k |] and mb = Tensor.randn rng [| bt; mm_k; mm_n |] in
-  let bea = Boxed.of_tensor ea
-  and beb = Boxed.of_tensor eb
-  and brt = Boxed.of_tensor rt
-  and bma = Boxed.of_tensor ma
-  and bmb = Boxed.of_tensor mb in
-  let elem_old = rate (fun () -> Boxed.map2 ( +. ) bea beb) in
-  let elem_new = arena_rate (fun () -> Tensor.add ea eb) in
-  let red_old = rate (fun () -> Boxed.reduce `Sum ~axis:(-1) ~keepdims:false brt) in
-  let red_new = arena_rate (fun () -> Tensor.reduce `Sum ~axis:(-1) ~keepdims:false rt) in
-  let mm_old, mm_new =
-    let arena = Tensor.Arena.create () in
-    Tensor.Arena.with_arena arena (fun () ->
-        paired_rate
-          (fun () -> Boxed.matmul bma bmb)
-          (fun () -> Tensor.release arena (Tensor.matmul ma mb)))
-  in
-  (* Plan execution: the engine under the serving hot path. The old
-     step-interpreting executor is gone, so this is a new-only series. *)
-  let ln_n = if !quick then 128 else 256 in
-  let g_ln = Ir.Models.layernorm_graph ~m:ln_n ~n:ln_n in
-  let plan = B.spacefusion.Policy.compile arch ~name:"micro_ln" g_ln in
-  let device = Gpu.Device.create () in
-  Gpu.Plan.declare_all plan device;
-  List.iter (fun (n, t) -> Gpu.Device.bind device n t) (Ir.Interp.random_env g_ln);
-  let exec_rate mode =
-    let arena = Tensor.Arena.create () in
-    Tensor.Arena.with_arena arena (fun () ->
-        rate (fun () ->
-            List.iter (fun k -> ignore (Gpu.Exec.run ~mode ~arch device k)) plan.Gpu.Plan.p_kernels))
-  in
-  let model_full = exec_rate Gpu.Exec.Full in
-  let model_analytic = exec_rate Gpu.Exec.Analytic in
-  (* Warm fast path, under tracing so the report has the pipeline spans:
-     a cold `Auto run executes functionally and stamps the plan verified;
-     the warmed second run must stay analytic. *)
-  Obs.Trace.reset ();
-  Obs.Trace.set_enabled true;
-  let counter name =
-    match Obs.Metrics.find name with Some (Obs.Metrics.Counter c) -> c | _ -> 0
-  in
-  let one name g =
-    { Ir.Models.model_name = name; subprograms = [ { Ir.Models.sp_name = "g"; graph = g; count = 1 } ] }
-  in
-  let wmodel = one "micro-warm" (Ir.Models.layernorm_graph ~m:ln_n ~n:ln_n) in
-  let wcache = Runtime.Plan_cache.create () in
-  let warm_arena = Tensor.Arena.create () in
-  let r_cold =
-    Runtime.Model_runner.run_model ~cache:wcache ~arena:warm_arena ~functional:`Auto ~arch
-      B.spacefusion wmodel
-  in
-  let fn_before = counter "run.functional_execs" in
-  ignore
-    (Runtime.Model_runner.run_model ~cache:wcache ~arena:warm_arena ~functional:`Auto ~arch
-       B.spacefusion wmodel);
-  let warm_fn = counter "run.functional_execs" - fn_before in
-  (* Compile latency: the fused compiler on a mid-size LayerNorm. *)
-  let creps = if !quick then 2 else 5 in
-  let g_c = Ir.Models.layernorm_graph ~m:512 ~n:512 in
-  let compile_ts =
-    List.init creps (fun i ->
-        let t0 = Unix.gettimeofday () in
-        ignore (Core.Spacefusion.compile ~arch ~name:(Printf.sprintf "micro_c%d" i) g_c);
-        Unix.gettimeofday () -. t0)
-  in
-  let compile_mean = List.fold_left ( +. ) 0.0 compile_ts /. float_of_int creps in
-  Obs.Trace.set_enabled false;
-  (* Serve mini-storm on a pre-warmed cache: warm-path p50/p99. *)
-  let n_req = if !quick then 60 else 200 in
-  let size = if !quick then 128 else 256 in
-  let smodels =
-    [
-      one "ln" (Ir.Models.layernorm_graph ~m:size ~n:size);
-      one "rms" (Ir.Models.rmsnorm_graph ~m:size ~n:size);
-      one "softmax" (Ir.Models.softmax_graph ~m:size ~n:size);
-    ]
-  in
-  let sbackends = [ B.pytorch; B.cublaslt ] in
-  let serve_cache = Runtime.Plan_cache.create () in
-  let scfg =
-    { (Serve.Server.default_config ()) with Serve.Server.workers = 2; queue_capacity = n_req }
-  in
-  let warm_srv = Serve.Server.start ~cache:serve_cache ~config:scfg () in
-  List.iter
-    (fun m ->
-      List.iter
-        (fun b ->
-          match Serve.Server.await (Serve.Server.submit warm_srv ~arch b m) with
-          | Serve.Server.Done _ -> ()
-          | _ ->
-              Printf.eprintf "micro: serve warm-up request not served\n";
-              exit 1)
-        sbackends)
-    smodels;
-  Serve.Server.shutdown warm_srv;
-  let s = Serve.Server.start ~cache:serve_cache ~config:scfg () in
-  let t0 = Unix.gettimeofday () in
-  let tickets =
-    List.init n_req (fun i ->
-        let m = List.nth smodels (i mod List.length smodels) in
-        let b = List.nth sbackends (i mod List.length sbackends) in
-        Serve.Server.submit s ~arch b m)
-  in
-  List.iter
-    (fun tk ->
-      match Serve.Server.await tk with
-      | Serve.Server.Done _ -> ()
-      | _ ->
-          Printf.eprintf "micro: serve storm request not served\n";
-          exit 1)
-    tickets;
-  let elapsed = Unix.gettimeofday () -. t0 in
-  Serve.Server.shutdown s;
-  let lat = Serve.Server.latencies s in
-  let p50 = Serve.Stats.percentile lat 50.0 *. 1e3 and p99 = Serve.Stats.percentile lat 99.0 *. 1e3 in
-  let report = Obs.Report.capture () in
-  let pair old_r new_r =
-    Obs.Json.Obj
-      [
-        ("boxed_sims_per_s", Obs.Json.Num old_r);
-        ("bigarray_sims_per_s", Obs.Json.Num new_r);
-        ("speedup", Obs.Json.Num (new_r /. old_r));
-      ]
-  in
-  let json =
-    Obs.Report.to_json
-      ~extra:
-        [
-          ("experiment", Obs.Json.Str "micro");
-          ("arch", Obs.Json.Str arch.Gpu.Arch.name);
-          ("quick", Obs.Json.Bool !quick);
-          ( "kernels",
-            Obs.Json.Obj
-              [
-                ("elementwise_add", pair elem_old elem_new);
-                ("reduce_sum", pair red_old red_new);
-                ("batched_matmul", pair mm_old mm_new);
-                ( "plan_exec",
-                  Obs.Json.Obj
-                    [
-                      ("full_sims_per_s", Obs.Json.Num model_full);
-                      ("analytic_sims_per_s", Obs.Json.Num model_analytic);
-                    ] );
-              ] );
-          ("batched_matmul_speedup", Obs.Json.Num (mm_new /. mm_old));
-          ( "serve",
-            Obs.Json.Obj
-              [
-                ("requests", Obs.Json.Num (float_of_int n_req));
-                ("throughput_rps", Obs.Json.Num (float_of_int n_req /. elapsed));
-                ("p50_ms", Obs.Json.Num p50);
-                ("p99_ms", Obs.Json.Num p99);
-              ] );
-          ( "compile",
-            Obs.Json.Obj
-              [
-                ("layernorm_mean_s", Obs.Json.Num compile_mean);
-                ( "model_cold_compile_s",
-                  Obs.Json.Num r_cold.Runtime.Model_runner.m_compile_s );
-              ] );
-          ("warm_functional_execs", Obs.Json.Num (float_of_int warm_fn));
-        ]
-      report
-  in
-  print_endline (Obs.Json.to_string json);
-  (match
-     Obs.Report.validate ~required_spans:[ "compile"; "run_model"; "subprogram"; "execute" ] json
-   with
-  | Ok () -> ()
-  | Error msg ->
-      Printf.eprintf "micro: emitted report failed validation: %s\n" msg;
-      exit 1);
-  if warm_fn <> 0 then begin
-    Printf.eprintf "micro: warmed `Auto run executed the functional interpreter %d time(s)\n"
-      warm_fn;
-    exit 1
-  end;
-  if mm_new /. mm_old < 3.0 then
-    Printf.eprintf "micro: WARNING batched-matmul speedup %.2fx below the 3x trajectory target\n"
-      (mm_new /. mm_old)
 
 (* ------------------------------------------------------------------ *)
 (* Shard: multi-device scaling + fleet soak (JSON)                     *)
@@ -1799,43 +1152,6 @@ let overload () =
     !q_quarantined
 
 (* ------------------------------------------------------------------ *)
-(* Bechamel micro-benchmarks of the compiler itself                    *)
-(* ------------------------------------------------------------------ *)
-
-let bechamel_compile () =
-  header "Bechamel: compiler micro-benchmarks (wall-clock per call)" [];
-  let open Bechamel in
-  let arch = Gpu.Arch.ampere in
-  let mha = Ir.Models.mha ~batch_heads:64 ~seq_q:256 ~seq_kv:256 ~head_dim:64 () in
-  let ln = Ir.Models.layernorm_graph ~m:2048 ~n:2048 in
-  let tests =
-    Test.make_grouped ~name:"compiler"
-      [
-        Test.make ~name:"smg-build(mha)" (Staged.stage (fun () -> ignore (Core.Smg.build mha)));
-        Test.make ~name:"update-fn(mha)"
-          (Staged.stage (fun () ->
-               let smg = Core.Smg.build mha in
-               let spatial = Core.Analysis.spatial_dims smg in
-               let d = List.hd (Core.Analysis.temporal_candidates smg ~spatial) in
-               ignore (Core.Update_fn.analyze smg ~dim:d)));
-        Test.make ~name:"compile(mha)"
-          (Staged.stage (fun () -> ignore (Core.Spacefusion.compile ~arch ~name:"m" mha)));
-        Test.make ~name:"compile(ln)"
-          (Staged.stage (fun () -> ignore (Core.Spacefusion.compile ~arch ~name:"l" ln)));
-      ]
-  in
-  let cfg = Benchmark.cfg ~limit:200 ~quota:(Time.second (if !quick then 0.2 else 1.0)) () in
-  let raw = Benchmark.all cfg Toolkit.Instance.[ monotonic_clock ] tests in
-  let ols = Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:[| Measure.run |] in
-  let results = Analyze.all ols Toolkit.Instance.monotonic_clock raw in
-  Hashtbl.iter
-    (fun name ols ->
-      match Analyze.OLS.estimates ols with
-      | Some [ est ] -> Printf.printf "%-24s %12.1f ns/call\n" name est
-      | _ -> Printf.printf "%-24s (no estimate)\n" name)
-    results
-
-(* ------------------------------------------------------------------ *)
 (* Driver                                                              *)
 (* ------------------------------------------------------------------ *)
 
@@ -1855,15 +1171,10 @@ let experiments =
     ("tab6", "Fusion-pattern census (Table 6)", tab6);
     ("ablate", "Design-choice ablations (early-quit α, buffer pooling)", ablate);
     ("sched", "Scheduler throughput: serial vs parallel auto-tuning (JSON)", sched);
-    ("obs", "Observability: tracing overhead + profile export (JSON)", obs);
-    ("serve", "Serving runtime: throughput & tail latency vs workers (JSON)", serve_bench);
-    ("chaos", "Chaos: goodput & tail latency under injected faults (JSON)", chaos_bench);
     ("batch", "Continuous batching: mixed-shape storm at 10x vs exact baseline (JSON)", batch_bench);
     ("shard", "Multi-device sharding: node scaling + fleet-death soak (JSON)", shard_bench);
     ("overload", "Overload control: shedding, batch bisection, memory budgets, quarantine (JSON)", overload);
     ("verify", "Differential verification: fuzz + seeded-defect corpus gate (JSON)", verify);
-    ("micro", "Execution engine: kernel sims/sec old-vs-new, serve p50/p99, compile latency (JSON)", micro);
-    ("bechamel", "Compiler micro-benchmarks", bechamel_compile);
   ]
 
 let () =

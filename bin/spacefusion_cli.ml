@@ -580,7 +580,10 @@ let chaos_cmd =
                 ("closed", num closed);
                 ("short_circuits", num (counter "breaker.short_circuits"));
                 ("probes", num (counter "breaker.probes"));
-                ("trips", num (Serve.Server.breaker_trips s ~arch backend));
+                ( "trips",
+                  num
+                    (Serve.Server.breaker_trips_w s
+                       (Runtime.Workload.make ~arch backend (List.hd models))) );
                 ("recovered", Obs.Json.Bool recovery);
               ] );
           ("goodput", Obs.Json.Num goodput);

@@ -108,7 +108,14 @@ let compile_impl ?(variant = Auto_scheduler.full) ?tensor_names ~arch ~name grap
      share it without locking. *)
   let device = Gpu.Device.create () in
   declare_all device name_of graph;
-  let kcount = Atomic.make 0 in
+  (* Kernel [j] is named [name.k<j>], [j] counting scheduled subgraphs in
+     serial scheduling order whatever the job count. *)
+  let kernel_name j = Printf.sprintf "%s.k%d" name j in
+  let shift_name ~by c =
+    let kn = c.kc_kernel.Gpu.Kernel.kname and prefix = String.length name + 2 in
+    let j = int_of_string (String.sub kn prefix (String.length kn - prefix)) in
+    { c with kc_kernel = { c.kc_kernel with Gpu.Kernel.kname = kernel_name (j + by) } }
+  in
   (* Per-kernel CPU dispatch overhead, so candidate plans with more kernels
      pay for their extra launches in the comparison. *)
   let dispatch_cost = 3.0e-6 in
@@ -148,11 +155,13 @@ let compile_impl ?(variant = Auto_scheduler.full) ?tensor_names ~arch ~name grap
      Memoized on the original-node subset: the recursive exploration
      revisits the same sub-SMG prefixes many times.
 
-     [st] and [memo] are per-task: independent components are scheduled on
-     parallel domains, so each worker gets its own stats record (merged
-     deterministically after the join) and its own memo table (components
-     are node-disjoint — a shared table would only buy contention). *)
-  let rec schedule_graph ~st ~memo g orig =
+     [st], [memo] and the kernel counter [kc] are per-task: independent
+     components are scheduled on parallel domains, so each worker gets its
+     own stats record (merged deterministically after the join), its own
+     memo table (components are node-disjoint — a shared table would only
+     buy contention) and its own kernel numbering (shifted after the join
+     to follow the components before it). *)
+  let rec schedule_graph ~st ~kc ~memo g orig =
     let key =
       Ir.Graph.nodes g
       |> List.filter_map (fun (n : G.node) ->
@@ -164,11 +173,11 @@ let compile_impl ?(variant = Auto_scheduler.full) ?tensor_names ~arch ~name grap
     match Hashtbl.find_opt memo key with
     | Some ks -> ks
     | None ->
-        let ks = schedule_graph_uncached ~st ~memo g orig in
+        let ks = schedule_graph_uncached ~st ~kc ~memo g orig in
         Hashtbl.replace memo key ks;
         ks
 
-  and schedule_graph_uncached ~st ~memo g orig =
+  and schedule_graph_uncached ~st ~kc ~memo g orig =
     let tensor_of nid = name_of (orig nid) in
     (* Disconnected fusion groups (no shared tensors at all) have no common
        spatial dimension: schedule each weakly-connected component on its
@@ -183,23 +192,32 @@ let compile_impl ?(variant = Auto_scheduler.full) ?tensor_names ~arch ~name grap
           Parallel.map
             (fun comp ->
               let part = Partition.subgraph g ~keep:comp ~name_of:tensor_of in
-              let cst = Cstats.create () in
+              let cst = Cstats.create () and ckc = ref 0 in
               let choice =
                 best_of
-                  (schedule_graph ~st:cst ~memo:(Hashtbl.create 16) part.Partition.part_graph
+                  (schedule_graph ~st:cst ~kc:ckc ~memo:(Hashtbl.create 16)
+                     part.Partition.part_graph
                      (fun nid -> orig (part.Partition.part_orig nid)))
               in
-              (choice, cst))
+              (choice, cst, !ckc))
             (first :: rest)
         in
-        List.iter (fun (_, cst) -> Cstats.add st cst) per_comp;
-        [ List.concat (List.map fst per_comp) ]
-    | _ -> schedule_connected ~st ~memo g orig
+        [
+          List.concat_map
+            (fun (choice, cst, n) ->
+              Cstats.add st cst;
+              let by = !kc in
+              kc := by + n;
+              List.map (shift_name ~by) choice)
+            per_comp;
+        ]
+    | _ -> schedule_connected ~st ~kc ~memo g orig
 
-  and schedule_connected ~st ~memo g orig =
+  and schedule_connected ~st ~kc ~memo g orig =
     let tensor_of nid = name_of (orig nid) in
     let smg = Obs.Trace.with_span "build" (fun () -> Smg.build g) in
-    let kname = Printf.sprintf "%s.k%d" name (Atomic.fetch_and_add kcount 1) in
+    let kname = kernel_name !kc in
+    incr kc;
     let fused =
       (* One beam candidate per schedule family (spatial-only, temporal):
          the tuner's per-kernel metric cannot anticipate cross-kernel cache
@@ -221,13 +239,14 @@ let compile_impl ?(variant = Auto_scheduler.full) ?tensor_names ~arch ~name grap
     let compose (gf : Partition.part) (gl : Partition.part option) =
       (* Cartesian product of the two sides' beams. *)
       let fs =
-        schedule_graph ~st ~memo gf.Partition.part_graph (fun nid -> orig (gf.Partition.part_orig nid))
+        schedule_graph ~st ~kc ~memo gf.Partition.part_graph
+          (fun nid -> orig (gf.Partition.part_orig nid))
       in
       let ls =
         match gl with
         | None -> [ [] ]
         | Some gl ->
-            schedule_graph ~st ~memo gl.Partition.part_graph
+            schedule_graph ~st ~kc ~memo gl.Partition.part_graph
               (fun nid -> orig (gl.Partition.part_orig nid))
       in
       List.concat_map (fun f -> List.map (fun l -> f @ l) ls) fs
@@ -285,7 +304,7 @@ let compile_impl ?(variant = Auto_scheduler.full) ?tensor_names ~arch ~name grap
   let choices =
     let candidates =
       Obs.Trace.with_span "schedule" (fun () ->
-          schedule_graph ~st:stats ~memo:(Hashtbl.create 32) graph (fun nid -> nid))
+          schedule_graph ~st:stats ~kc:(ref 0) ~memo:(Hashtbl.create 32) graph (fun nid -> nid))
     in
     Obs.Trace.with_span "select" (fun () -> best_of candidates)
   in

@@ -1,7 +1,6 @@
 (** Capturing and validating a whole profile: the flame-style span tree
     plus the flat metrics snapshot, as one JSON document or one human
-    report. This is the payload of [spacefusion profile] and of the bench
-    harness's [--only obs] experiment. *)
+    report. This is the payload of [spacefusion profile]. *)
 
 type t = {
   rp_spans : Trace.agg list;

@@ -16,11 +16,6 @@ let m_runs = Obs.Metrics.counter "model.runs"
 let m_latency = Obs.Metrics.histogram "model.latency_seconds"
 let m_compile = Obs.Metrics.histogram "model.compile_seconds"
 let m_warm_fast = Obs.Metrics.counter "run.warm_fast_path"
-
-(* Full (interpreter-backed) executions: a warmed server serving in-class
-   shapes from verified plans must leave this flat — the soak and the
-   batch bench gate on its delta. *)
-let m_functional = Obs.Metrics.counter "run.functional_execs"
 let m_class_hits = Obs.Metrics.counter "shape_class.hits"
 
 (* A classed lookup that still compiled: its bucket had no plan yet. The
@@ -99,7 +94,6 @@ let run_workload_r ?cache ?inject ?arena ?(functional = `Never) (w : Workload.t)
                 end
                 else Gpu.Exec.Full
           in
-          if mode = Gpu.Exec.Full then Obs.Metrics.incr m_functional;
           let device = Gpu.Device.create () in
           (match inject with Some inj -> Gpu.Device.attach_faults device inj | None -> ());
           let r = Runner.run_plan ~mode ~arch ~dispatch_us:backend.dispatch_us device plan in

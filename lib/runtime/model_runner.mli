@@ -51,11 +51,12 @@ val run_workload_r :
     paper-scale benchmarks need. [`Always] forces the functional
     interpreter every time (the oracle/fuzz bypass flag: measurements stay
     honest even for verified plans). [`Auto] is the serving policy: a plan
-    runs functionally ([run.functional_execs]) until one complete
-    execution stamps its cache entry verified; from then on warm hits skip
-    functional re-execution and take the analytic walk
-    ([run.warm_fast_path]). [`Auto] without [cache] (or on a miss) always
-    runs functionally.
+    runs functionally until one complete execution stamps its cache entry
+    verified; from then on warm hits skip functional re-execution and take
+    the analytic walk. Each subprogram that runs functionally counts one
+    [run.functional_execs] (in {!Runner.run_plan}); each warm hit that
+    skips it counts one [run.warm_fast_path]. [`Auto] without [cache] (or
+    on a miss) always runs functionally.
 
     With [arena] (installed for the whole run via
     {!Tensor.Arena.with_arena}), device buffers and kernel tile stores are

@@ -3,6 +3,11 @@ type result = Exec_stats.t
 let m_plans = Obs.Metrics.counter "run.plans"
 let m_kernels = Obs.Metrics.counter "run.kernels"
 let m_sim = Obs.Metrics.histogram "run.sim_seconds"
+
+(* Full (interpreter-backed) plan executions, counted once per run here
+   where they execute: a warmed server serving in-class shapes from
+   verified plans must leave this flat — the soak and the batch bench
+   gate on its delta. *)
 let m_functional = Obs.Metrics.counter "run.functional_execs"
 
 let run_plan ?(mode = Gpu.Exec.Analytic) ~arch ~dispatch_us device (plan : Gpu.Plan.t) =

@@ -18,7 +18,8 @@ val run_plan :
 (** [mode] defaults to [Analytic] (benchmarking); use [Full] to also
     compute real values on the device. Declares the plan's tensors.
     Emits an [execute] span when tracing is enabled and feeds the
-    [run.plans] / [run.kernels] / [run.sim_seconds] metrics.
+    [run.plans] / [run.kernels] / [run.sim_seconds] metrics; a [Full] run
+    also counts one [run.functional_execs].
 
     With a fault injector attached to [device], each launch may raise
     {!Fault.Plan.Injected} (propagated to the caller mid-plan), and

@@ -11,7 +11,6 @@ type config = {
   clock : unit -> float;
   fault_plan : Fault.Plan.t option;
   breaker : Breaker.config;
-  verify_cold : bool;
   devices : int;
   shapes : Runtime.Shape_class.policy;
   batch_window_s : float;
@@ -33,7 +32,6 @@ let default_config () =
     clock = Unix.gettimeofday;
     fault_plan = None;
     breaker = Breaker.default_config;
-    verify_cold = true;
     devices = 1;
     shapes = Runtime.Shape_class.Exact;
     batch_window_s = 2e-3;
@@ -266,16 +264,13 @@ let budgeted t (b : Backends.Policy.t) =
             plan);
       }
 
-(* Cold-path verification policy: with [verify_cold] every plan's first
-   run executes the functional interpreter end to end, and only
-   verified warm hits take the analytic fast path (see
-   {!Runtime.Model_runner.run_model_r}). *)
-let functional t = if t.cfg.verify_cold then `Auto else `Never
-
+(* Every run is [`Auto]: a plan's first run executes the functional
+   interpreter end to end, and only verified warm hits take the analytic
+   fast path (see {!Runtime.Model_runner.run_workload_r}). *)
 let baseline_run t rq ~inject =
   let w = rq.rq_work in
   match
-    Runtime.Model_runner.run_workload_r ~cache:t.cache ?inject ~functional:(functional t)
+    Runtime.Model_runner.run_workload_r ~cache:t.cache ?inject ~functional:`Auto
       { w with Runtime.Workload.backend = Backends.Baselines.pytorch }
   with
   | Ok r -> `Served (r, true)
@@ -321,7 +316,7 @@ let fused_run t rq ~key ~inject ~batched =
   let w = rq.rq_work in
   match
     with_request_budget t (fun () ->
-        Runtime.Model_runner.run_workload_r ~cache:t.cache ?inject ~functional:(functional t)
+        Runtime.Model_runner.run_workload_r ~cache:t.cache ?inject ~functional:`Auto
           { w with Runtime.Workload.backend = budgeted t w.Runtime.Workload.backend })
   with
   | Ok r -> `Served (r, false)
@@ -349,8 +344,8 @@ let fused_run t rq ~key ~inject ~batched =
    not open the breaker of another architecture's. In fleet mode the key
    also names the device, so one dying device trips its own breaker while
    the rest of the fleet keeps its fused path. *)
-let breaker_key rq ~device =
-  Runtime.Workload.path_key rq.rq_work
+let breaker_key work ~device =
+  Runtime.Workload.path_key work
   ^ match device with Some i -> "|dev" ^ string_of_int i | None -> ""
 
 (* One serving attempt. The fused path runs under its circuit breaker:
@@ -373,7 +368,7 @@ let serve_once t rq ~key ~device ~inject ~batched =
     (* From here a cold attempt holds a compile slot and must release it
        on every path. *)
     let end_cold ~ok = if cold then Shed.end_compile t.shed ~ok in
-    let bkey = breaker_key rq ~device in
+    let bkey = breaker_key rq.rq_work ~device in
     match Breaker.acquire t.breakers ~key:bkey with
     | `Short_circuit ->
         end_cold ~ok:true;
@@ -495,6 +490,15 @@ let confirm_poison t ~key =
 
 let mode_rows_of = function Batcher.Shared -> 0 | Batcher.Sliced { rows; _ } -> rows
 
+(* Whether a batch follower handed [served] goes back into the queue (once,
+   see [handle]): the leader failed transiently or abandoned at its own
+   deadline, or was poisoned in a [Shared] batch, which runs only the
+   leader's payload. *)
+let requeueable mode = function
+  | S_failed (_, `Transient) | S_expired -> true
+  | S_poisoned _ -> ( match mode with Batcher.Shared -> true | Batcher.Sliced _ -> false)
+  | S_done _ | S_rejected _ | S_failed (_, `Permanent) | S_pressure _ -> false
+
 (* EWMA service-time feed for admission control: simulated execution
    seconds (deterministic), scaled to this request's share of the run's
    rows so batch-sized runs don't inflate per-request estimates. *)
@@ -554,14 +558,8 @@ let handle t (p : request Queue.popped) =
         finish_served t rq ~queue_s:p.p_queued_s ~coalesced:false ~batch:s.sl_members ?rows
           s.sl_result
       else
-        let shared = match mode with Batcher.Shared -> true | Batcher.Sliced _ -> false in
         match s.sl_result with
-        | (S_failed (_, `Transient) | S_expired) when not rq.rq_requeued ->
-            rq.rq_requeued <- true;
-            Stats.record t.stats Stats.Requeued;
-            if not (Queue.push t.queue ~priority:p.p_priority ?deadline:p.p_deadline rq) then
-              finish t rq (Rejected "queue full on requeue")
-        | S_poisoned _ when shared && not rq.rq_requeued ->
+        | r when requeueable mode r && not rq.rq_requeued ->
             rq.rq_requeued <- true;
             Stats.record t.stats Stats.Requeued;
             if not (Queue.push t.queue ~priority:p.p_priority ?deadline:p.p_deadline rq) then
@@ -655,20 +653,10 @@ let handle t (p : request Queue.popped) =
           let served =
             if poisoned_stream t rq.rq_stream then confirm_poison t ~key
             else begin
-              (* Members stacked rows past the leader's own dim: execute
-                 the workload rebatched to the batch total (one class up —
-                 see {!Runtime.Workload.batch_space}), so every member's
-                 slice lies inside the run's row space. A singleton batch
-                 executes the leader's workload untouched. *)
-              let rq_run =
-                match mode with
-                | Batcher.Sliced { rows; _ } when Batcher.rows b > rows ->
-                    { rq with rq_work = Runtime.Workload.rebatch rq.rq_work ~rows:(Batcher.rows b) }
-                | _ -> rq
-              in
-              let key_run = if rq_run == rq then key else request_key rq_run in
+              (* A sealed one-member [Sliced] batch holds only the leader's
+                 own rows, so the leader's workload runs untouched. *)
               let served =
-                try serve_with_retries t rq_run ~key:key_run ~deadline ~batched:false
+                try serve_with_retries t rq ~key ~deadline ~batched:false
                 with e -> S_failed (Printexc.to_string e, `Permanent)
               in
               observe_service t ~key ~own_rows:(mode_rows_of mode)
@@ -808,21 +796,8 @@ let batch_cap_shift t = Atomic.get t.cap_shift
 let pause t = Queue.pause t.queue
 let resume t = Queue.resume t.queue
 
-let breaker_key_w work ~device =
-  Runtime.Workload.path_key work
-  ^ match device with Some i -> "|dev" ^ string_of_int i | None -> ""
-
-let breaker_state_w t ?device work =
-  Breaker.state t.breakers ~key:(breaker_key_w work ~device)
-
-let breaker_trips_w t ?device work =
-  Breaker.trips t.breakers ~key:(breaker_key_w work ~device)
-
-let breaker_state t ~arch (backend : Backends.Policy.t) =
-  Breaker.state t.breakers ~key:(backend.Backends.Policy.be_name ^ "|" ^ arch.Gpu.Arch.name)
-
-let breaker_trips t ~arch (backend : Backends.Policy.t) =
-  Breaker.trips t.breakers ~key:(backend.Backends.Policy.be_name ^ "|" ^ arch.Gpu.Arch.name)
+let breaker_state_w t ?device work = Breaker.state t.breakers ~key:(breaker_key work ~device)
+let breaker_trips_w t ?device work = Breaker.trips t.breakers ~key:(breaker_key work ~device)
 
 let fleet_devices t = Option.map Fleet.devices t.fleet
 let fleet_alive t = Option.map Fleet.alive_count t.fleet

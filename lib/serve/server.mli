@@ -5,7 +5,10 @@
     of worker domains, each request compiled through a shared
     {!Runtime.Plan_cache} (the paper's §5 repetitive-subprogram caching is
     exactly what makes a serving workload cheap after warm-up) and
-    simulated on its own device.
+    simulated on its own device. Every run is [`Auto]
+    ({!Runtime.Model_runner.run_workload_r}): a plan's first execution
+    goes through the functional interpreter, and verified warm hits take
+    the analytic fast path.
 
     Request lifecycle — every submitted request resolves to {e exactly
     one} outcome:
@@ -93,11 +96,6 @@ type config = {
   fault_plan : Fault.Plan.t option;
       (** deterministic fault injection for every serving attempt *)
   breaker : Breaker.config;  (** per-(backend, arch) circuit breakers *)
-  verify_cold : bool;
-      (** run each plan's first (unverified) execution through the
-          functional interpreter; verified warm hits then skip it and take
-          the analytic fast path (see {!Runtime.Model_runner.run_model_r}'s
-          [`Auto]). With [false] every request runs analytically. *)
   devices : int;
       (** simulated devices behind the server. With [devices > 1] the
           server becomes a device-fleet router: each request is placed on
@@ -139,7 +137,7 @@ val default_config : unit -> config
     [max_retries = 2], [backoff_s = 1e-3], [backoff_cap_s = 0.05],
     [compile_budget_s = None], [clock = Unix.gettimeofday],
     [fault_plan = None], [breaker = Breaker.default_config],
-    [verify_cold = true], [devices = 1], [shapes = Exact],
+    [devices = 1], [shapes = Exact],
     [batch_window_s = 2e-3], [shed_deadlines = false],
     [quarantine_threshold = 3], [cold_compile_cap = 0],
     [arena_budget_bytes = None]. *)
@@ -231,12 +229,6 @@ val breaker_state_w : t -> ?device:int -> Runtime.Workload.t -> Breaker.state
 
 val breaker_trips_w : t -> ?device:int -> Runtime.Workload.t -> int
 (** How many times that path's breaker has opened. *)
-
-val breaker_state : t -> arch:Gpu.Arch.t -> Backends.Policy.t -> Breaker.state
-(** Legacy spelling of {!breaker_state_w} without a device. *)
-
-val breaker_trips : t -> arch:Gpu.Arch.t -> Backends.Policy.t -> int
-(** Legacy spelling of {!breaker_trips_w} without a device. *)
 
 val fleet_devices : t -> int option
 (** Fleet size; [None] on a single-device server. *)

@@ -1,14 +1,44 @@
 #!/bin/sh
-# CI entry point: build, run the test suite, run a bounded differential
-# verification pass (fuzz + seeded-defect corpus gate, fixed seed so any
-# failure reproduces exactly), then check the parallel tuner's determinism
-# guarantee across process runs — the scheduler throughput bench at
-# SPACEFUSION_JOBS=1 and =4 must select byte-identical
-# (schedule, cfg, cost) picks on every case — and the canonical
-# benchmark's same-seed determinism gate.
+# CI entry point: build and run the test suite, then the gates the unit
+# tests cannot express — a bounded differential verification pass (fuzz +
+# seeded-defect corpus, fixed seed so any failure reproduces exactly), the
+# profile, serve and stress smokes, same-seed replay of the chaos, pow2,
+# overload, poison and fleet storms, the batch and shard floors, the
+# warm-store cold-start and corruption gates, the parallel tuner's
+# serial-vs-parallel pick identity, and the canonical benchmark's
+# same-seed exact fields.
 set -eu
 
 cd "$(dirname "$0")/.."
+
+# extract_objects FILE KEY...: the flat JSON object under each KEY, one a line.
+extract_objects() {
+    f=$1
+    shift
+    for k in "$@"; do grep -o "\"$k\":{[^}]*}" "$f"; done
+}
+
+# same_seed_gate LABEL "KEY..." CMD...: run CMD twice; each run gates
+# itself and must exit 0. Then the objects under each KEY must agree
+# byte-for-byte across the two runs: the replay guarantee the seeded
+# fault model exists for.
+same_seed_gate() {
+    label=$1 keys=$2
+    shift 2
+    run1=$(mktemp) && run2=$(mktemp)
+    for f in "$run1" "$run2"; do
+        "$@" > "$f" || {
+            echo "ci: $label failed its gates" >&2; cat "$f" >&2; exit 1; }
+    done
+    # $keys is split on purpose: one argument per key.
+    if [ "$(extract_objects "$run1" $keys)" != "$(extract_objects "$run2" $keys)" ]; then
+        echo "ci: $label not deterministic across same-seed runs" >&2
+        echo "--- run 1 ---" >&2; extract_objects "$run1" $keys >&2
+        echo "--- run 2 ---" >&2; extract_objects "$run2" $keys >&2
+        exit 1
+    fi
+    rm -f "$run1" "$run2"
+}
 
 dune build
 dune runtest
@@ -16,17 +46,6 @@ dune runtest
 # Differential oracle gate: exits nonzero if any interp/Full/Analytic
 # divergence is found or a seeded defect goes undetected.
 dune exec bench/main.exe -- --quick --only verify > /dev/null
-
-# Perf smoke: the execution-engine micro bench validates its own
-# Obs.Report document in-process (exits nonzero on a malformed report),
-# and a warmed `Auto model run must never re-enter the functional
-# interpreter — run.functional_execs stays 0 on the second run.
-micro_out=$(mktemp)
-dune exec bench/main.exe -- --quick --only micro > "$micro_out"
-grep -q '"warm_functional_execs":0' "$micro_out" || {
-    echo "ci: micro bench warm run executed the functional interpreter" >&2
-    cat "$micro_out" >&2; exit 1; }
-rm -f "$micro_out"
 
 # Observability smoke: a profiled run must emit JSON that parses and
 # contains every pipeline phase span (--check makes the CLI re-validate
@@ -57,45 +76,20 @@ done
 # hold goodput above the floor, and demonstrate at least one breaker
 # open -> half-open -> closed recovery (the CLI exits nonzero on any of
 # those), and two same-seed runs must report byte-identical terminal
-# outcome and injected-fault counts — the deterministic-replay guarantee
-# the fault model exists for.
-chaos1=$(mktemp) && chaos2=$(mktemp)
-for f in "$chaos1" "$chaos2"; do
+# outcome and injected-fault counts.
+same_seed_gate "chaos soak" "outcomes faults" \
     dune exec bin/spacefusion_cli.exe -- chaos -n 300 --rate 0.01 --seed 11 \
-        --require-recovery --check > "$f" || {
-        echo "ci: chaos soak failed its gates" >&2; cat "$f" >&2; exit 1; }
-done
-extract_counts() {
-    grep -o '"outcomes":{[^}]*}' "$1"
-    grep -o '"faults":{[^}]*}' "$1"
-}
-if [ "$(extract_counts "$chaos1")" != "$(extract_counts "$chaos2")" ]; then
-    echo "ci: chaos soak not deterministic across same-seed runs" >&2
-    echo "--- run 1 ---" >&2; extract_counts "$chaos1" >&2
-    echo "--- run 2 ---" >&2; extract_counts "$chaos2" >&2
-    exit 1
-fi
-rm -f "$chaos1" "$chaos2"
+    --require-recovery --check
 
 # Batching determinism gate: two same-seed chaos storms under pow2 shape
 # bucketing (workers=1, so batch formation is a pure function of the seed)
 # must agree byte-for-byte on terminal outcomes and injected faults — the
 # continuous-batching admitter must not make replay schedule-dependent.
-batch1=$(mktemp) && batch2=$(mktemp)
-for f in "$batch1" "$batch2"; do
+same_seed_gate "pow2 chaos storm" "outcomes faults" \
     dune exec bin/spacefusion_cli.exe -- chaos -n 300 --rate 0.01 --seed 11 \
-        --workers 1 --bucket pow2 --check > "$f" || {
-        echo "ci: pow2 chaos storm failed its gates" >&2; cat "$f" >&2; exit 1; }
-done
-if [ "$(extract_counts "$batch1")" != "$(extract_counts "$batch2")" ]; then
-    echo "ci: pow2 chaos storm not deterministic across same-seed runs" >&2
-    echo "--- run 1 ---" >&2; extract_counts "$batch1" >&2
-    echo "--- run 2 ---" >&2; extract_counts "$batch2" >&2
-    exit 1
-fi
-rm -f "$batch1" "$batch2"
+    --workers 1 --bucket pow2 --check
 
-# Batching goodput gate: the batch bench storms 10x the serve bench's
+# Batching goodput gate: the batch bench storms 10x the exact baseline's
 # request count through pow2 shape classes and enforces its own floors
 # in-process (>= 5x the exact-bucketing baseline's throughput, warm-path
 # share >= 0.5, zero guard-miss compiles and zero functional executions
@@ -116,58 +110,23 @@ dune exec bench/main.exe -- --quick --only shard > /dev/null
 # offense threshold). Two runs must agree byte-for-byte on the storm's
 # outcome (including shed/quarantined counts) and fault objects — the
 # overload response must replay exactly.
-ov1=$(mktemp) && ov2=$(mktemp)
-for f in "$ov1" "$ov2"; do
-    dune exec bench/main.exe -- --quick --only overload > "$f" || {
-        echo "ci: overload bench failed its gates" >&2; cat "$f" >&2; exit 1; }
-done
-if [ "$(extract_counts "$ov1")" != "$(extract_counts "$ov2")" ]; then
-    echo "ci: overload storm not deterministic across same-seed runs" >&2
-    echo "--- run 1 ---" >&2; extract_counts "$ov1" >&2
-    echo "--- run 2 ---" >&2; extract_counts "$ov2" >&2
-    exit 1
-fi
-rm -f "$ov1" "$ov2"
+same_seed_gate "overload storm" "outcomes faults" \
+    dune exec bench/main.exe -- --quick --only overload
 
 # Poison determinism gate: a same-seed chaos storm with per-request
 # poison faults must replay byte-identically — poison draws are keyed to
 # the request stream, so the poisoned set is a pure function of the seed.
-pz1=$(mktemp) && pz2=$(mktemp)
-for f in "$pz1" "$pz2"; do
+same_seed_gate "poison chaos storm" "outcomes faults" \
     dune exec bin/spacefusion_cli.exe -- chaos -n 300 --rate 0.01 --poison 0.01 \
-        --seed 11 --workers 1 --goodput-floor 0.8 --check > "$f" || {
-        echo "ci: poison chaos storm failed its gates" >&2; cat "$f" >&2; exit 1; }
-done
-if [ "$(extract_counts "$pz1")" != "$(extract_counts "$pz2")" ]; then
-    echo "ci: poison chaos storm not deterministic across same-seed runs" >&2
-    echo "--- run 1 ---" >&2; extract_counts "$pz1" >&2
-    echo "--- run 2 ---" >&2; extract_counts "$pz2" >&2
-    exit 1
-fi
-rm -f "$pz1" "$pz2"
+    --seed 11 --workers 1 --goodput-floor 0.8 --check
 
 # Fleet determinism gate: same-seed chaos storms against a 4-device fleet
 # must agree byte-for-byte on terminal outcomes, injected faults AND the
 # fleet snapshot (which devices died, per-device served counts, reroutes).
 # workers=1 keeps placement order a pure function of the seed.
-fleet1=$(mktemp) && fleet2=$(mktemp)
-for f in "$fleet1" "$fleet2"; do
+same_seed_gate "fleet chaos soak" "outcomes faults fleet" \
     dune exec bin/spacefusion_cli.exe -- chaos -n 200 --rate 0.01 --seed 11 \
-        --devices 4 --workers 1 --check > "$f" || {
-        echo "ci: fleet chaos soak failed its gates" >&2; cat "$f" >&2; exit 1; }
-done
-extract_fleet() {
-    grep -o '"outcomes":{[^}]*}' "$1"
-    grep -o '"faults":{[^}]*}' "$1"
-    grep -o '"fleet":{[^}]*}' "$1"
-}
-if [ "$(extract_fleet "$fleet1")" != "$(extract_fleet "$fleet2")" ]; then
-    echo "ci: fleet chaos soak not deterministic across same-seed runs" >&2
-    echo "--- run 1 ---" >&2; extract_fleet "$fleet1" >&2
-    echo "--- run 2 ---" >&2; extract_fleet "$fleet2" >&2
-    exit 1
-fi
-rm -f "$fleet1" "$fleet2"
+    --devices 4 --workers 1 --check
 
 # Plan-store gate: `warm` populates the on-disk store and proves in-process
 # that a simulated restart compiles nothing; then a genuinely separate serve
@@ -241,4 +200,4 @@ fi
 # kernels, cfgs_considered_per_trial (exits nonzero on any difference).
 bash benchmark/check.sh
 
-echo "ci: OK (build, tests, serve smoke + 3x soak, deterministic chaos + fleet + pow2-batching + poison gates, batch goodput floors, shard floors, overload gates, warm-store cold-start + corruption gates, serial/parallel tuner picks identical, same-seed benchmark exact fields identical)"
+echo "ci: OK (build, tests, verify fuzz + defect corpus, profile spans, serve smoke + 3x soak, deterministic chaos + pow2-batching + overload + poison + fleet gates, batch goodput floors, shard floors, warm-store cold-start + corruption gates, serial/parallel tuner picks identical, same-seed benchmark exact fields identical)"

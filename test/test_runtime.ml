@@ -112,6 +112,31 @@ let test_plan_cache () =
   ignore (Runtime.Model_runner.run_model ~cache ~arch B.spacefusion albert);
   Alcotest.(check int) "albert compiles its own plans" 8 (Runtime.Plan_cache.misses cache)
 
+let counter name =
+  match Obs.Metrics.find name with Some (Obs.Metrics.Counter c) -> c | _ -> 0
+
+let test_warm_fast_path () =
+  (* `Auto: the cold run executes each of Bert's four subprograms
+     functionally, once each, and stamps its plans verified; the warm rerun
+     takes the analytic walk for all four and never re-enters the
+     interpreter. Both runs report the same simulated numbers. *)
+  let cache = Runtime.Plan_cache.create () in
+  let w = Runtime.Workload.make ~arch B.spacefusion (Ir.Models.bert ~batch:1 ~seq:64) in
+  let run () =
+    let f0 = counter "run.functional_execs" and w0 = counter "run.warm_fast_path" in
+    match Runtime.Model_runner.run_workload_r ~cache ~functional:`Auto w with
+    | Ok r -> (r, counter "run.functional_execs" - f0, counter "run.warm_fast_path" - w0)
+    | Error e -> Alcotest.fail (Core.Spacefusion.Error.to_string e)
+  in
+  let cold, cold_fn, cold_fast = run () in
+  Alcotest.(check int) "cold: one functional run per subprogram" 4 cold_fn;
+  Alcotest.(check int) "cold: no warm fast path" 0 cold_fast;
+  let warm, warm_fn, warm_fast = run () in
+  Alcotest.(check int) "warm: no functional run" 0 warm_fn;
+  Alcotest.(check int) "warm: fast path per subprogram" 4 warm_fast;
+  Alcotest.(check bool) "warm exec stats equal cold" true
+    (cold.Runtime.Model_runner.m_exec = warm.Runtime.Model_runner.m_exec)
+
 (* ------------------------------------------------------------------ *)
 (* Verify                                                              *)
 (* ------------------------------------------------------------------ *)
@@ -185,6 +210,7 @@ let () =
           Alcotest.test_case "unsupported arch" `Quick test_model_runner_unsupported;
           Alcotest.test_case "latency scales with count" `Quick test_latency_scales_with_count;
           Alcotest.test_case "plan cache" `Quick test_plan_cache;
+          Alcotest.test_case "warm fast path" `Quick test_warm_fast_path;
         ] );
       ( "verify",
         [

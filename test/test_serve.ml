@@ -543,9 +543,10 @@ let test_server_breaker_recovery () =
   Serve.Server.shutdown s;
   Alcotest.(check int) "two retries on the response" 2 r.Serve.Server.r_retries;
   Alcotest.(check bool) "probe served the fused path" false r.Serve.Server.r_degraded;
-  Alcotest.(check int) "breaker tripped once" 1 (Serve.Server.breaker_trips s ~arch flaky);
+  let path = Runtime.Workload.make ~arch flaky (ln 32) in
+  Alcotest.(check int) "breaker tripped once" 1 (Serve.Server.breaker_trips_w s path);
   Alcotest.(check bool) "breaker recovered closed" true
-    (Serve.Server.breaker_state s ~arch flaky = Serve.Breaker.Closed)
+    (Serve.Server.breaker_state_w s path = Serve.Breaker.Closed)
 
 let test_server_deadline_aware_backoff () =
   (* A retry whose backoff would sleep past the request's absolute deadline

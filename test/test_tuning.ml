@@ -1,7 +1,8 @@
 (* Determinism and pruning tests for the parallel auto-tuner:
 
-   - serial and parallel compiles pick identical (schedule, cfg, cost) and
-     simulate to identical run times, on every model x architecture pair;
+   - serial and parallel compiles pick identical (schedule, cfg, cost),
+     build identical plans (kernel names included) and simulate to
+     identical run times, on every model x architecture pair;
    - pruned and unpruned [Tuner.pick_best] select the same candidate, and
      pruning genuinely skips work (nonzero [n_early_quit]);
    - the analytic pruning bound never exceeds the true lowered cost;
@@ -52,6 +53,9 @@ let test_parallel_matches_serial () =
           in
           Alcotest.(check string)
             (label ^ ": identical picks") (signature ser) (signature par);
+          Alcotest.(check bool)
+            (label ^ ": identical plan, kernel names included")
+            true (ser.SF.c_plan = par.SF.c_plan);
           Alcotest.(check (float 0.0))
             (label ^ ": identical simulated time")
             (sim_time arch ser) (sim_time arch par))
