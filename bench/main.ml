@@ -1,8 +1,8 @@
 (* Benchmark harness: one generator per table/figure of the paper's
    evaluation (§6). Each generator prints the same rows/series the paper
    reports, measured on the simulated GPUs. The remaining experiments
-   (sched, batch, shard, overload, verify) are the gates scripts/ci.sh
-   runs: each checks its own floors and exits nonzero on a violation.
+   (batch, shard, overload, verify) are the gates scripts/ci.sh runs:
+   each checks its own floors and exits nonzero on a violation.
    Wall-clock performance lives in the canonical benchmark (benchmark/).
 
      dune exec bench/main.exe                 # everything
@@ -476,88 +476,6 @@ let ablate () =
       let p = footprint true and u = footprint false in
       Printf.printf "L=%-4d %10s %12s %14s %16s\n" layers (show p) (show u) (fits p) (fits u))
     (if !quick then [ 4 ] else [ 2; 4; 8; 16; 20 ])
-
-(* ------------------------------------------------------------------ *)
-(* Scheduler throughput: serial vs parallel auto-tuning (JSON)         *)
-(* ------------------------------------------------------------------ *)
-
-(* Compiles each workload twice — domain pool forced to 1, then at the
-   configured job count (SPACEFUSION_JOBS or the machine default) — and
-   reports wall-clock compile time, the tuner's pruning counters and a
-   digest of the selected (schedule, cfg, cost) picks as JSON. Exits
-   nonzero if the parallel run picks differently from the serial run or
-   the compiled plans simulate to different run times: the determinism
-   guarantee is part of the contract, not best-effort. scripts/ci.sh
-   additionally diffs the picks_md5 lines across SPACEFUSION_JOBS=1 and =4
-   process runs. *)
-let sched () =
-  let arch = Gpu.Arch.ampere in
-  let cases =
-    if !quick then
-      [
-        ("indep_norms_4x", Ir.Models.independent_chains ~copies:4 ~m:256 ~n:256 ());
-        ("mha", Ir.Models.mha ~batch_heads:24 ~seq_q:128 ~seq_kv:128 ~head_dim:64 ());
-      ]
-    else
-      [
-        ("indep_norms_8x", Ir.Models.independent_chains ~copies:8 ~m:1024 ~n:1024 ());
-        ("indep_rms_8x", Ir.Models.independent_chains ~kind:`Rmsnorm ~copies:8 ~m:1024 ~n:1024 ());
-        ("mha", Ir.Models.mha ~batch_heads:(32 * 12) ~seq_q:512 ~seq_kv:512 ~head_dim:64 ());
-        ("mlp", Ir.Models.mlp ~layers:8 ~m:512 ~n:256 ~k:256);
-      ]
-  in
-  let jobs_par = Core.Parallel.default_jobs () in
-  let pick_sig (c : Core.Spacefusion.compiled) =
-    String.concat ";"
-      (List.map
-         (fun (kc : Core.Spacefusion.kernel_choice) ->
-           Printf.sprintf "%s|%s|%.12e"
-             (Core.Schedule.describe kc.kc_schedule)
-             (Core.Schedule.cfg_to_string kc.kc_cfg)
-             kc.kc_cost)
-         c.Core.Spacefusion.c_choices)
-  in
-  let sim_time (c : Core.Spacefusion.compiled) =
-    let device = Gpu.Device.create () in
-    (Runner.run_plan ~arch ~dispatch_us:3.0 device c.Core.Spacefusion.c_plan).Runtime.Exec_stats.x_time
-  in
-  let compile_timed ~jobs name g =
-    Core.Parallel.with_jobs jobs (fun () ->
-        let t0 = Unix.gettimeofday () in
-        let c = Core.Spacefusion.compile ~arch ~name g in
-        (Unix.gettimeofday () -. t0, c))
-  in
-  let all_identical = ref true in
-  let rows =
-    List.map
-      (fun (name, g) ->
-        let t_ser, c_ser = compile_timed ~jobs:1 name g in
-        let t_par, c_par = compile_timed ~jobs:jobs_par name g in
-        let sig_ser = pick_sig c_ser and sig_par = pick_sig c_par in
-        let sim_ser = sim_time c_ser and sim_par = sim_time c_par in
-        let identical = sig_ser = sig_par && sim_ser = sim_par in
-        if not identical then begin
-          all_identical := false;
-          Printf.eprintf "sched: DIVERGENT picks on %s\n  serial:   %s\n  parallel: %s\n%!" name
-            sig_ser sig_par
-        end;
-        let s = c_par.Core.Spacefusion.c_stats in
-        Printf.sprintf
-          "  {\"name\":%S, \"t_serial_s\":%.6f, \"t_parallel_s\":%.6f, \"speedup\":%.3f, \
-           \"identical_picks\":%b, \"sim_time_serial_us\":%.4f, \"sim_time_parallel_us\":%.4f, \
-           \"n_cfgs\":%d, \"n_early_quit\":%d, \"picks_md5\":%S}"
-          name t_ser t_par
-          (if t_par > 0.0 then t_ser /. t_par else 0.0)
-          identical (sim_ser *. 1e6) (sim_par *. 1e6) s.Core.Cstats.n_cfgs
-          s.Core.Cstats.n_early_quit
-          (Digest.to_hex (Digest.string sig_par)))
-      cases
-  in
-  Printf.printf
-    "{\"experiment\":\"sched\", \"jobs_serial\":1, \"jobs_parallel\":%d, \"cases\":[\n%s\n], \
-     \"all_identical\":%b}\n"
-    jobs_par (String.concat ",\n" rows) !all_identical;
-  if not !all_identical then exit 1
 
 (* ------------------------------------------------------------------ *)
 (* Batch: shape classes + continuous batching on mixed-shape traffic   *)
@@ -1170,7 +1088,6 @@ let experiments =
     ("tab5", "Model compile time (Table 5)", tab5);
     ("tab6", "Fusion-pattern census (Table 6)", tab6);
     ("ablate", "Design-choice ablations (early-quit α, buffer pooling)", ablate);
-    ("sched", "Scheduler throughput: serial vs parallel auto-tuning (JSON)", sched);
     ("batch", "Continuous batching: mixed-shape storm at 10x vs exact baseline (JSON)", batch_bench);
     ("shard", "Multi-device sharding: node scaling + fleet-death soak (JSON)", shard_bench);
     ("overload", "Overload control: shedding, batch bisection, memory budgets, quarantine (JSON)", overload);

@@ -8,8 +8,8 @@ let env_jobs () =
 
 let override : int option Atomic.t = Atomic.make None
 
-(* The OCaml runtime caps live domains at 128; stay well under it so helper
-   spawns can never fail even if callers ask for absurd job counts. *)
+(* The OCaml runtime caps live domains at 128; stay well under it so a
+   caller sizing a domain pool from this can never make a spawn fail. *)
 let max_jobs = 64
 
 let default_jobs () =
@@ -27,85 +27,3 @@ let with_jobs n f =
   let prev = Atomic.get override in
   Atomic.set override (Some (max 1 n));
   Fun.protect ~finally:(fun () -> Atomic.set override prev) f
-
-let in_worker : bool Domain.DLS.key = Domain.DLS.new_key (fun () -> false)
-let inside_worker () = Domain.DLS.get in_worker
-
-let as_worker f =
-  let prev = Domain.DLS.get in_worker in
-  Domain.DLS.set in_worker true;
-  Fun.protect ~finally:(fun () -> Domain.DLS.set in_worker prev) f
-
-(* Process-wide budget of live helper domains. Concurrent [map] calls from
-   independent domains (the serve runtime runs one request per worker
-   domain, and each request may compile) would otherwise each spawn up to
-   [jobs - 1] helpers and collectively blow past the runtime's 128-domain
-   cap, making [Domain.spawn] raise mid-pool. Acquisition is non-blocking —
-   a caller takes whatever is free and runs the rest itself — so a pool can
-   never wait on another pool's helpers and no nesting can deadlock. *)
-let helper_capacity = 96 (* + main + bounded worker domains stays under 128 *)
-let helper_slots_free = Atomic.make helper_capacity
-
-let rec take_helper_slots want =
-  if want <= 0 then 0
-  else
-    let free = Atomic.get helper_slots_free in
-    let grant = min want free in
-    if grant <= 0 then 0
-    else if Atomic.compare_and_set helper_slots_free free (free - grant) then grant
-    else take_helper_slots want
-
-let release_helper_slots n = if n > 0 then ignore (Atomic.fetch_and_add helper_slots_free n)
-let helper_slots () = Atomic.get helper_slots_free
-
-let map ?jobs f l =
-  let jobs = match jobs with Some j -> max 1 (min max_jobs j) | None -> default_jobs () in
-  let n = List.length l in
-  if jobs <= 1 || n <= 1 || inside_worker () then List.map f l
-  else begin
-    let items = Array.of_list l in
-    let results = Array.make n None in
-    let next = Atomic.make 0 in
-    (* Keep worker-side spans attached to the logical caller: capture the
-       spawning domain's trace cursor and re-install it around every item.
-       With tracing disabled both calls are a single atomic load. *)
-    let tctx = Obs.Trace.current () in
-    let work () =
-      let prev = Domain.DLS.get in_worker in
-      Domain.DLS.set in_worker true;
-      let rec loop () =
-        let i = Atomic.fetch_and_add next 1 in
-        if i < n then begin
-          results.(i) <-
-            Some
-              (match Obs.Trace.with_ctx tctx (fun () -> f items.(i)) with
-              | v -> Ok v
-              | exception e -> Error (e, Printexc.get_raw_backtrace ()));
-          loop ()
-        end
-      in
-      loop ();
-      Domain.DLS.set in_worker prev
-    in
-    let granted = take_helper_slots (min (jobs - 1) (n - 1)) in
-    let helpers = ref [] in
-    (* Join every helper that actually spawned even if a later spawn raises:
-       helpers drain the shared item counter and terminate on their own, so
-       the join always completes and no domain leaks past the call. *)
-    Fun.protect
-      ~finally:(fun () ->
-        List.iter Domain.join !helpers;
-        release_helper_slots granted)
-      (fun () ->
-        for _ = 1 to granted do
-          helpers := Domain.spawn work :: !helpers
-        done;
-        work ());
-    Array.to_list
-      (Array.map
-         (function
-           | Some (Ok v) -> v
-           | Some (Error (e, bt)) -> Printexc.raise_with_backtrace e bt
-           | None -> assert false)
-         results)
-  end

@@ -1,60 +1,23 @@
-(** Work-pool over OCaml 5 domains for the compile-time hot paths.
+(** The default domain count: serving workers, and tuner costing domains.
 
-    The pool is deliberately structured, not global: each {!map} call spawns
-    up to [jobs - 1] helper domains, the calling domain participates, and
-    everything joins before the call returns. Nested calls (a worker that
-    itself calls {!map}) degrade to serial execution, so the total number of
-    live domains never exceeds the configured job count no matter how the
-    scheduler recursion nests.
+    This count sizes the pools of callers that run whole requests
+    concurrently ([Serve.Server]'s worker domains, the CLI's [--workers]
+    default). A compile called from the main domain also costs a large
+    candidate set on up to this many domains ({!Tuner.pick_best}); a
+    compile inside any other domain, such as a serving worker, stays on
+    that domain.
 
-    Job-count resolution, in priority order:
-    + an explicit [?jobs] argument;
-    + a {!with_jobs} override installed by the caller (used by the bench
-      harness to compare serial vs parallel compiles in one process);
-    + the [SPACEFUSION_JOBS] environment variable (>= 1);
-    + [Domain.recommended_domain_count ()].
-
-    With a resolved job count of 1 every entry point runs serially in the
-    calling domain — no domains are spawned, no atomics are touched. *)
+    Resolution, in priority order:
+    + a {!with_jobs} override installed by the caller;
+    + the [SPACEFUSION_JOBS] environment variable (>= 1; anything else is
+      ignored);
+    + [Domain.recommended_domain_count ()]. *)
 
 val default_jobs : unit -> int
-(** The job count {!map} will use when [?jobs] is omitted (see resolution
-    order above). Always >= 1. *)
+(** The resolved count (see resolution order above), clamped to
+    [\[1, 64\]]. *)
 
 val with_jobs : int -> (unit -> 'a) -> 'a
-(** [with_jobs n f] runs [f] with the default job count forced to
-    [max 1 n], restoring the previous setting afterwards (also on raise).
-    The override is process-global: install it from the main domain only. *)
-
-val inside_worker : unit -> bool
-(** True while executing inside a {!map} worker (including the calling
-    domain's own work loop). Nested {!map} calls use this to degrade to
-    serial execution. *)
-
-val as_worker : (unit -> 'a) -> 'a
-(** [as_worker f] runs [f] with the calling domain marked as a pool worker
-    (restoring the previous mark afterwards, also on raise), so every
-    {!map} reached from [f] degrades to serial execution. Long-lived
-    domains that are themselves a parallelism axis — the serve runtime's
-    request workers — run their work loop under this so a request's
-    compile cannot multiply domain pools underneath them. *)
-
-val helper_slots : unit -> int
-(** Helper-domain slots currently free in the process-wide spawn budget.
-    Every {!map} call draws its helpers from this budget (non-blocking: a
-    call granted fewer slots than [jobs - 1] runs the remainder itself),
-    so concurrent pools from independent domains can never exceed the
-    OCaml runtime's live-domain cap nor block each other. Exposed for the
-    regression tests, which assert the budget is conserved. *)
-
-val map : ?jobs:int -> ('a -> 'b) -> 'a list -> 'b list
-(** Order-preserving parallel map. Work is distributed by atomic
-    work-stealing over the items, so uneven item costs balance across
-    domains. Every item is always processed; if one or more applications
-    raise, the exception of the lowest-indexed failing item is re-raised
-    (with its backtrace) after all domains have joined — deterministic
-    regardless of scheduling.
-
-    Tracing: the caller's {!Obs.Trace.current} context is re-installed in
-    every worker, so spans opened inside items attach to the span that was
-    open at the [map] call, whatever domain they ran on. *)
+(** [with_jobs n f] runs [f] with the default count forced to [max 1 n],
+    restoring the previous setting afterwards (also on raise). The
+    override is process-global: install it from the main domain only. *)

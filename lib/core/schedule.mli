@@ -32,7 +32,7 @@ val enum_cfgs : t -> cfg list
 
     The returned order is deterministic (a pure function of the schedule)
     and duplicate-free, and downstream stages preserve it: it is the tuner's
-    tie-break order, which is what makes parallel and serial tuning select
+    tie-break order, which is what makes pruned and unpruned tuning select
     the same configuration (see {!Tuner.pick_best}). *)
 
 val compare_cfg : cfg -> cfg -> int

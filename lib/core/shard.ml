@@ -2,7 +2,7 @@
    strategy); its cost is analytic compute time (the same Cost.kernel_time
    the tuner trusts, over scaled per-device kstats) plus collective time
    from the Node interconnect model. The pick reuses the tuner discipline:
-   Parallel.map evaluation, pure-fold argmin, lower-bound pruning. *)
+   pure-fold argmin, lower-bound pruning. *)
 
 module E = Gpu.Exec
 
@@ -208,8 +208,7 @@ let best ?(reps = 1) ?(dispatch_us = 3.0) (node : Gpu.Node.t) (plan : Gpu.Plan.t
   in
   (* Collective time is exact and cheap: if it alone beats the baseline's
      total, the candidate cannot win — prune before paying for the
-     per-kernel compute evaluation. The bound is deterministic, so serial
-     and parallel sweeps prune identically. *)
+     per-kernel compute evaluation. *)
   let collective_lb d =
     List.fold_left
       (fun a gb ->
@@ -217,7 +216,7 @@ let best ?(reps = 1) ?(dispatch_us = 3.0) (node : Gpu.Node.t) (plan : Gpu.Plan.t
       0.0 gbytes
   in
   let evaluated =
-    Parallel.map
+    List.map
       (fun (strat, d) ->
         match strat with
         | Data_parallel when collective_lb d >= base_comp -> `Pruned

@@ -4,9 +4,8 @@
     strategy) candidates, cost each as compute + collective time — the
     collective priced exactly like any other space mapping, one memory
     tier further out — and pick the cheapest with the same machinery the
-    single-device tuner uses: deterministic under serial and parallel
-    evaluation, with analytic lower-bound pruning against the exact
-    one-device baseline.
+    single-device tuner uses: a deterministic argmin, with analytic
+    lower-bound pruning against the exact one-device baseline.
 
     Two sharding strategies:
     - [Data_parallel]: every kernel's block grid is split round-robin
@@ -56,15 +55,13 @@ val best :
 (** Enumerate device counts (powers of two up to the node size, plus the
     node size itself) crossed with strategies, cost each candidate
     analytically, and return the deterministic argmin (ties break toward
-    fewer devices, then [Data_parallel]). Candidates are evaluated with
-    {!Parallel.map}; the pick is a pure left fold so serial and parallel
-    runs agree bit-for-bit. A candidate whose collective time alone
-    (exact, cheap to compute) already exceeds the one-device baseline is
-    pruned before its compute cost is evaluated. [reps] (default 1) is
-    the subprogram repetition count — it only affects [Pipeline], whose
-    fill cost amortizes over repetitions. [dispatch_us] (default 3.0)
-    is the per-launch CPU overhead, as in {!Spacefusion.compile}'s plan
-    comparison. Emits [shard.*] metrics. *)
+    fewer devices, then [Data_parallel]). A candidate whose collective
+    time alone (exact, cheap to compute) already exceeds the one-device
+    baseline is pruned before its compute cost is evaluated. [reps]
+    (default 1) is the subprogram repetition count — it only affects
+    [Pipeline], whose fill cost amortizes over repetitions. [dispatch_us]
+    (default 3.0) is the per-launch CPU overhead, as in
+    {!Spacefusion.compile}'s plan comparison. Emits [shard.*] metrics. *)
 
 val run_functional : ?arch:Gpu.Arch.t -> Gpu.Device.t -> Gpu.Plan.t -> devices:int -> unit
 (** Execute the plan functionally as [devices] data-parallel devices

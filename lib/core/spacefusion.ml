@@ -103,19 +103,14 @@ let compile_impl ?(variant = Auto_scheduler.full) ?tensor_names ~arch ~name grap
   let name_of =
     match tensor_names with Some f -> f | None -> tensor_name ~name graph
   in
-  (* Shape context for cost evaluation: every original tensor. Declared up
-     front and read-only from here on, so parallel component workers can
-     share it without locking. *)
+  (* Shape context for cost evaluation: every original tensor, declared up
+     front and read-only from here on. *)
   let device = Gpu.Device.create () in
   declare_all device name_of graph;
   (* Kernel [j] is named [name.k<j>], [j] counting scheduled subgraphs in
-     serial scheduling order whatever the job count. *)
+     scheduling order. *)
+  let kc = ref 0 in
   let kernel_name j = Printf.sprintf "%s.k%d" name j in
-  let shift_name ~by c =
-    let kn = c.kc_kernel.Gpu.Kernel.kname and prefix = String.length name + 2 in
-    let j = int_of_string (String.sub kn prefix (String.length kn - prefix)) in
-    { c with kc_kernel = { c.kc_kernel with Gpu.Kernel.kname = kernel_name (j + by) } }
-  in
   (* Per-kernel CPU dispatch overhead, so candidate plans with more kernels
      pay for their extra launches in the comparison. *)
   let dispatch_cost = 3.0e-6 in
@@ -153,15 +148,8 @@ let compile_impl ?(variant = Auto_scheduler.full) ?tensor_names ~arch ~name grap
      split plan — because kernels couple through the L2 model: a locally
      second-best sub-plan can compose into the globally cheapest plan.
      Memoized on the original-node subset: the recursive exploration
-     revisits the same sub-SMG prefixes many times.
-
-     [st], [memo] and the kernel counter [kc] are per-task: independent
-     components are scheduled on parallel domains, so each worker gets its
-     own stats record (merged deterministically after the join), its own
-     memo table (components are node-disjoint — a shared table would only
-     buy contention) and its own kernel numbering (shifted after the join
-     to follow the components before it). *)
-  let rec schedule_graph ~st ~kc ~memo g orig =
+     revisits the same sub-SMG prefixes many times. *)
+  let rec schedule_graph ~memo g orig =
     let key =
       Ir.Graph.nodes g
       |> List.filter_map (fun (n : G.node) ->
@@ -173,47 +161,33 @@ let compile_impl ?(variant = Auto_scheduler.full) ?tensor_names ~arch ~name grap
     match Hashtbl.find_opt memo key with
     | Some ks -> ks
     | None ->
-        let ks = schedule_graph_uncached ~st ~kc ~memo g orig in
+        let ks = schedule_graph_uncached ~memo g orig in
         Hashtbl.replace memo key ks;
         ks
 
-  and schedule_graph_uncached ~st ~kc ~memo g orig =
+  and schedule_graph_uncached ~memo g orig =
     let tensor_of nid = name_of (orig nid) in
     (* Disconnected fusion groups (no shared tensors at all) have no common
        spatial dimension: schedule each weakly-connected component on its
-       own — concurrently, they share nothing but the read-only device. At
-       nesting depth > 0 (already inside a worker) Parallel.map degrades to
-       serial, bounding the domain count. Components sharing only a kernel
-       input stay together (split-K style fusion of sibling projections can
-       profit from the shared stream). *)
+       own, in order. Each gets a fresh memo table, so its kernel numbering
+       depends only on the component, not on which of its sub-SMGs the
+       enclosing exploration already visited. Components sharing only a
+       kernel input stay together (split-K style fusion of sibling
+       projections can profit from the shared stream). *)
     match components g with
-    | first :: (_ :: _ as rest) ->
-        let per_comp =
-          Parallel.map
-            (fun comp ->
-              let part = Partition.subgraph g ~keep:comp ~name_of:tensor_of in
-              let cst = Cstats.create () and ckc = ref 0 in
-              let choice =
-                best_of
-                  (schedule_graph ~st:cst ~kc:ckc ~memo:(Hashtbl.create 16)
-                     part.Partition.part_graph
-                     (fun nid -> orig (part.Partition.part_orig nid)))
-              in
-              (choice, cst, !ckc))
-            (first :: rest)
-        in
+    | _ :: _ :: _ as comps ->
         [
           List.concat_map
-            (fun (choice, cst, n) ->
-              Cstats.add st cst;
-              let by = !kc in
-              kc := by + n;
-              List.map (shift_name ~by) choice)
-            per_comp;
+            (fun comp ->
+              let part = Partition.subgraph g ~keep:comp ~name_of:tensor_of in
+              best_of
+                (schedule_graph ~memo:(Hashtbl.create 16) part.Partition.part_graph
+                   (fun nid -> orig (part.Partition.part_orig nid))))
+            comps;
         ]
-    | _ -> schedule_connected ~st ~kc ~memo g orig
+    | _ -> schedule_connected ~memo g orig
 
-  and schedule_connected ~st ~kc ~memo g orig =
+  and schedule_connected ~memo g orig =
     let tensor_of nid = name_of (orig nid) in
     let smg = Obs.Trace.with_span "build" (fun () -> Smg.build g) in
     let kname = kernel_name !kc in
@@ -222,13 +196,13 @@ let compile_impl ?(variant = Auto_scheduler.full) ?tensor_names ~arch ~name grap
       (* One beam candidate per schedule family (spatial-only, temporal):
          the tuner's per-kernel metric cannot anticipate cross-kernel cache
          effects, so composition must get to weigh both. *)
-      match Auto_scheduler.run ~variant ~stats:st arch smg ~name:kname ~tensor_of with
+      match Auto_scheduler.run ~variant ~stats arch smg ~name:kname ~tensor_of with
       | [] -> None
       | scheds -> (
           let per_schedule =
             List.filter_map
               (fun sched ->
-                match Tuner.pick_best ~stats:st arch device [ sched ] with
+                match Tuner.pick_best ~stats arch device [ sched ] with
                 | None -> None
                 | Some (schedule, cfg, kernel, cost) ->
                     Some [ { kc_kernel = kernel; kc_schedule = schedule; kc_cfg = cfg; kc_cost = cost } ])
@@ -239,14 +213,14 @@ let compile_impl ?(variant = Auto_scheduler.full) ?tensor_names ~arch ~name grap
     let compose (gf : Partition.part) (gl : Partition.part option) =
       (* Cartesian product of the two sides' beams. *)
       let fs =
-        schedule_graph ~st ~kc ~memo gf.Partition.part_graph
+        schedule_graph ~memo gf.Partition.part_graph
           (fun nid -> orig (gf.Partition.part_orig nid))
       in
       let ls =
         match gl with
         | None -> [ [] ]
         | Some gl ->
-            schedule_graph ~st ~kc ~memo gl.Partition.part_graph
+            schedule_graph ~memo gl.Partition.part_graph
               (fun nid -> orig (gl.Partition.part_orig nid))
       in
       List.concat_map (fun f -> List.map (fun l -> f @ l) ls) fs
@@ -272,7 +246,7 @@ let compile_impl ?(variant = Auto_scheduler.full) ?tensor_names ~arch ~name grap
               | Error msg -> raise (Unschedulable (Printf.sprintf "%s: %s" name msg))
               | Ok candidates -> List.filter (fun (_, glopt) -> glopt <> None) candidates)
         in
-        if candidates <> [] then st.Cstats.n_partitions <- st.Cstats.n_partitions + 1;
+        if candidates <> [] then stats.Cstats.n_partitions <- stats.Cstats.n_partitions + 1;
         let plans =
           List.concat_map
             (fun (gf, glopt) ->
@@ -304,7 +278,7 @@ let compile_impl ?(variant = Auto_scheduler.full) ?tensor_names ~arch ~name grap
   let choices =
     let candidates =
       Obs.Trace.with_span "schedule" (fun () ->
-          schedule_graph ~st:stats ~kc:(ref 0) ~memo:(Hashtbl.create 32) graph (fun nid -> nid))
+          schedule_graph ~memo:(Hashtbl.create 32) graph (fun nid -> nid))
     in
     Obs.Trace.with_span "select" (fun () -> best_of candidates)
   in

@@ -45,60 +45,77 @@ let lower_bound arch schedule cfg =
   let gemm_flops, bytes = graph_work (Smg.graph schedule.Schedule.smg) in
   Gpu.Cost.time_lower_bound arch ~blocks:(config_blocks schedule cfg) ~gemm_flops ~bytes
 
-type outcome = Pruned | Costed of float
+(* Fewest candidates per costing domain: spawning and joining a helper
+   domain costs about as much as costing fifteen candidates. *)
+let per_domain = 32
+
+(* [cost i] is [kernel_cost] of [kernels.(i)]. Called from the main domain
+   with enough candidates, [costs] costs every kernel up front on
+   [Parallel.default_jobs ()] domains taking indices from one counter, so
+   that one slowed core does not set the compile's pace; otherwise each
+   kernel is costed when asked. A serving worker's compile stays on its
+   worker: the server already runs that many requests at once. Costing is
+   pure, so both ways give the same floats, and an exception is raised
+   only when its candidate's cost is asked for. *)
+let costs arch device kernels =
+  let n = Array.length kernels in
+  let jobs = min (Parallel.default_jobs ()) (n / per_domain) in
+  if jobs <= 1 || not (Domain.is_main_domain ()) then fun i -> kernel_cost arch device kernels.(i)
+  else begin
+    let out = Array.make n (Ok nan) in
+    let next = Atomic.make 0 in
+    let rec work () =
+      let i = Atomic.fetch_and_add next 1 in
+      if i < n then begin
+        out.(i) <-
+          (match kernel_cost arch device kernels.(i) with
+          | c -> Ok c
+          | exception e -> Error (e, Printexc.get_raw_backtrace ()));
+        work ()
+      end
+    in
+    let helpers = List.init (jobs - 1) (fun _ -> Domain.spawn work) in
+    work ();
+    List.iter Domain.join helpers;
+    fun i -> match out.(i) with Ok c -> c | Error (e, bt) -> Printexc.raise_with_backtrace e bt
+  end
 
 let pick_best ?stats ?(prune = true) arch device (scheds : Auto_scheduler.scheduled list) =
   let cstats = match stats with Some s -> s | None -> Cstats.create () in
   Obs.Trace.with_span "tune" @@ fun () ->
   Cstats.timed cstats Cstats.Tune (fun () ->
       (* Candidates in the stable enumeration order: schedule order as given,
-         then Schedule.enum_cfgs order. This order is the tie-break rule —
-         of equal-cost candidates the earliest wins — so serial, parallel,
-         pruned and unpruned runs all select the same (schedule, cfg). *)
+         then Schedule.enum_cfgs order. Of equal-cost candidates the earliest
+         wins. Pruning skips a candidate only when its lower bound strictly
+         exceeds the best cost so far, so a pruned candidate costs strictly
+         more than the winner: pruned and unpruned runs select the same
+         (schedule, cfg). The fold runs on this domain whoever computed the
+         costs, so what it counts as costed and pruned is exact. *)
       let candidates =
-        List.concat_map
-          (fun { Auto_scheduler.schedule; cfgs } ->
-            let gemm_flops, bytes = graph_work (Smg.graph schedule.Schedule.smg) in
-            List.map (fun (cfg, kernel) -> (schedule, cfg, kernel, gemm_flops, bytes)) cfgs)
-          scheds
+        Array.of_list
+          (List.concat_map
+             (fun { Auto_scheduler.schedule; cfgs } ->
+               let gemm_flops, bytes = graph_work (Smg.graph schedule.Schedule.smg) in
+               List.map (fun (cfg, kernel) -> (schedule, cfg, kernel, gemm_flops, bytes)) cfgs)
+             scheds)
       in
-      (* Cross-domain incumbent: workers prune against the best cost seen so
-         far by anyone. Pruning only ever skips candidates whose lower bound
-         strictly exceeds the incumbent, and the incumbent only decreases, so
-         a pruned candidate's true cost is strictly above the final best —
-         the selected winner (and any cost tie with it) is never pruned,
-         whatever the interleaving. *)
-      let best_now = Atomic.make infinity in
-      let outcomes =
-        Parallel.map
-          (fun (schedule, cfg, kernel, gemm_flops, bytes) ->
-            let lb =
-              if not prune then neg_infinity
-              else
-                Gpu.Cost.time_lower_bound arch ~blocks:(config_blocks schedule cfg) ~gemm_flops
-                  ~bytes
-            in
-            if lb > Atomic.get best_now then Pruned
-            else begin
-              let cost = kernel_cost arch device kernel in
-              let rec relax () =
-                let cur = Atomic.get best_now in
-                if cost < cur && not (Atomic.compare_and_set best_now cur cost) then relax ()
-              in
-              relax ();
-              Costed cost
-            end)
-          candidates
-      in
+      let cost = costs arch device (Array.map (fun (_, _, kernel, _, _) -> kernel) candidates) in
       let best = ref None in
-      List.iter2
-        (fun (schedule, cfg, kernel, _, _) outcome ->
-          match outcome with
-          | Pruned -> cstats.Cstats.n_early_quit <- cstats.Cstats.n_early_quit + 1
-          | Costed cost -> (
-              cstats.Cstats.n_cfgs <- cstats.Cstats.n_cfgs + 1;
-              match !best with
-              | Some (_, _, _, best_cost) when best_cost <= cost -> ()
-              | _ -> best := Some (schedule, cfg, kernel, cost)))
-        candidates outcomes;
+      Array.iteri
+        (fun i (schedule, cfg, kernel, gemm_flops, bytes) ->
+          let incumbent = match !best with Some (_, _, _, c) -> c | None -> infinity in
+          if
+            prune
+            && Gpu.Cost.time_lower_bound arch ~blocks:(config_blocks schedule cfg) ~gemm_flops
+                 ~bytes
+               > incumbent
+          then cstats.Cstats.n_early_quit <- cstats.Cstats.n_early_quit + 1
+          else begin
+            cstats.Cstats.n_cfgs <- cstats.Cstats.n_cfgs + 1;
+            let cost = cost i in
+            match !best with
+            | Some (_, _, _, best_cost) when best_cost <= cost -> ()
+            | _ -> best := Some (schedule, cfg, kernel, cost)
+          end)
+        candidates;
       !best)

@@ -4,20 +4,29 @@
     The candidates arrive already lowered: {!Auto_scheduler.run} lowers
     once per (schedule, unit-block mask) and instantiates every feasible
     configuration's kernel from that ({!Lower.lowerer}), so tuning never
-    lowers. Candidates are costed in parallel ({!Parallel.map}) with a
-    shared atomic incumbent cost used for cross-domain pruning: before
-    costing a configuration, an analytic lower bound
+    lowers. Candidates are folded one after another against a running
+    best: before taking a configuration's cost, an analytic lower bound
     ({!Gpu.Cost.time_lower_bound} over the graph's mandatory DRAM traffic,
     GEMM flops and the configuration's grid size) is compared against the
-    incumbent, and configurations that provably cannot beat it are skipped
-    without being costed — these are what {!Cstats.t.n_early_quit} counts.
+    best cost so far, and configurations that provably cannot beat it are
+    skipped — these are what {!Cstats.t.n_early_quit} counts.
+
+    Called from the main domain with at least 64 candidates, the tuner
+    first costs all of them on up to {!Parallel.default_jobs} domains
+    (helpers spawned and joined within the call), then runs the same fold
+    over those costs on the calling domain; elsewhere, and for smaller
+    sets, it costs each candidate when the fold reaches it. Costs are pure,
+    so the selection and the costed/pruned counts are the same either way,
+    and the tuning phase still runs on the calling domain between the
+    others. Spreading the costing over domains keeps a cold compile's wall
+    time steady on a host whose cores slow down one at a time.
 
     Determinism guarantee: the selected (schedule, cfg) is identical across
-    serial, parallel, pruned and unpruned runs. Ties are broken by the
-    stable candidate order (schedule order, then {!Schedule.enum_cfgs}
-    order), never by arrival order; and because pruning requires the lower
-    bound to {i strictly} exceed a monotonically decreasing incumbent, no
-    candidate costing as little as the final best is ever pruned. *)
+    pruned and unpruned runs and across job counts. Ties go to the
+    earliest candidate in the stable order (schedule order, then
+    {!Schedule.enum_cfgs} order); and because pruning requires the lower
+    bound to {i strictly} exceed the best cost so far, no candidate
+    costing as little as the final best is ever pruned. *)
 
 val alpha : float
 (** α = 0.25, the paper's §6.5 early-quit threshold: sequential hardware
@@ -43,7 +52,8 @@ val pick_best :
   Auto_scheduler.scheduled list ->
   (Schedule.t * Schedule.cfg * Gpu.Kernel.t * float) option
 (** Best candidate over every schedule's feasible configurations and their
-    kernels. The device must have every touched tensor's shape declared.
+    kernels. The device must have every touched tensor's shape declared,
+    and must not change while the call runs: helper domains read it.
     [prune] (default true) enables lower-bound pruning; disabling it costs
     every candidate (used to validate that pruning never changes the
     selection). *)

@@ -1,7 +1,7 @@
 (** Minimal JSON values for the observability exports.
 
     The repo deliberately carries no JSON dependency; every machine-readable
-    surface (fuzz reports, the sched bench, profiles) prints JSON by hand.
+    surface (fuzz reports, the bench gates, profiles) prints JSON by hand.
     This module centralizes that for the observability subsystem and — so
     the emitted reports can be validated in-process (tests, the profile
     [--check] smoke in CI) — also provides the inverse: a small

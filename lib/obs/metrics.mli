@@ -6,11 +6,10 @@
     interned by name — asking twice for the same counter returns the same
     cell — and updates are lock-free for counters/gauges (atomics) and a
     per-histogram mutex otherwise, so instrumented code may update from any
-    {!Core.Parallel} worker.
+    domain (the serving tier's workers update concurrently).
 
     Unlike tracing there is no off switch: a metric update is an atomic
-    add, cheap enough to leave on everywhere (the sched bench's
-    serial-vs-parallel numbers are unaffected).
+    add, cheap enough to leave on everywhere.
 
     Naming convention (see DESIGN.md's metric table): dot-separated,
     [<subsystem>.<quantity>], seconds suffixed [_seconds]. *)

@@ -25,8 +25,7 @@ let reset () =
   epoch := Unix.gettimeofday ();
   Mutex.unlock lock
 
-(* The open span the current domain is inside of, if any. Worker domains
-   spawned by Core.Parallel get theirs installed via [with_ctx]. *)
+(* The open span the current domain is inside of, if any. *)
 let cursor : span option Domain.DLS.key = Domain.DLS.new_key (fun () -> None)
 
 let attach parent sp =
@@ -58,18 +57,6 @@ let with_span ?attrs name f =
         Domain.DLS.set cursor parent;
         attach parent sp)
       f
-  end
-
-type ctx = span option
-
-let current () = if Atomic.get enabled_flag then Domain.DLS.get cursor else None
-
-let with_ctx c f =
-  if not (Atomic.get enabled_flag) then f ()
-  else begin
-    let prev = Domain.DLS.get cursor in
-    Domain.DLS.set cursor c;
-    Fun.protect ~finally:(fun () -> Domain.DLS.set cursor prev) f
   end
 
 let roots () =

@@ -7,12 +7,8 @@
 
     When enabled, each domain keeps its own current-span cursor (domain-
     local storage), and completed spans attach to their parent under one
-    collector mutex, so the tracer is safe under {!Core.Parallel} workers.
-    Work fanned out over the domain pool stays attached to the logical
-    parent: the pool captures {!current} before spawning and re-installs it
-    in every worker via {!with_ctx}. A consequence worth remembering when
-    reading profiles: a parent's children may sum to {e more} wall-clock
-    than the parent, because children from different domains overlap. *)
+    collector mutex, so concurrent serving workers can trace at once: each
+    worker's spans nest under that worker's own open span. *)
 
 type span = {
   sp_name : string;
@@ -34,15 +30,6 @@ val with_span : ?attrs:(string * string) list -> string -> (unit -> 'a) -> 'a
     root list) when the thunk returns, also on raise. Disabled mode calls
     the thunk directly. *)
 
-type ctx
-(** An opaque capture of "the span under which work should attach". *)
-
-val current : unit -> ctx
-val with_ctx : ctx -> (unit -> 'a) -> 'a
-(** Domain-pool integration: capture {!current} on the spawning domain,
-    run each work item under {!with_ctx} on the worker. Both are no-ops
-    when tracing is disabled. *)
-
 val roots : unit -> span list
 (** Completed top-level spans, oldest first. *)
 
@@ -58,7 +45,7 @@ val roots : unit -> span list
 type agg = {
   a_name : string;
   a_count : int;  (** spans folded into this node *)
-  a_total_s : float;  (** summed duration (may overlap across domains) *)
+  a_total_s : float;  (** summed duration (concurrent workers' roots may overlap) *)
   a_children : agg list;  (** sorted by name *)
 }
 

@@ -730,12 +730,7 @@ let start ?cache ?config () =
       worker_domains = [];
     }
   in
-  (* The request pool is the parallelism axis: workers run marked as pool
-     workers so a request's compile degrades to serial instead of spawning
-     a nested domain pool per worker (see Core.Parallel.as_worker). *)
-  t.worker_domains <-
-    List.init workers (fun _ ->
-        Domain.spawn (fun () -> Core.Parallel.as_worker (fun () -> worker_main t)));
+  t.worker_domains <- List.init workers (fun _ -> Domain.spawn (fun () -> worker_main t));
   t
 
 let submit_w t ?(priority = 0) ?deadline_s work =

@@ -80,9 +80,8 @@
     cap (recovering one doubling per 32 clean batched runs), and
     [cold_compile_cap] runs an AIMD gate on concurrent cold compiles.
 
-    Worker domains run under {!Core.Parallel.as_worker}: the pool of
-    requests is the parallelism axis, so a request's compile never spawns
-    a nested domain pool underneath a worker. *)
+    The pool of worker domains is the only parallelism axis: a request's
+    compile runs on the worker domain that took it. *)
 
 type config = {
   workers : int;  (** worker domains, clamped to [\[1, 24\]] *)

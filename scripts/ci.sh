@@ -4,9 +4,8 @@
 # seeded-defect corpus, fixed seed so any failure reproduces exactly), the
 # profile, serve and stress smokes, same-seed replay of the chaos, pow2,
 # overload, poison and fleet storms, the batch and shard floors, the
-# warm-store cold-start and corruption gates, the parallel tuner's
-# serial-vs-parallel pick identity, and the canonical benchmark's
-# same-seed exact fields.
+# warm-store cold-start and corruption gates, and the canonical
+# benchmark's same-seed exact fields (which include the tuner's picks).
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -167,37 +166,9 @@ grep -q '"quarantined":1' "$warm_out" || {
     echo "ci: corrupted entry was not quarantined" >&2; cat "$warm_out" >&2; exit 1; }
 rm -rf "$store_dir" "$warm_out"
 
-out1=$(mktemp) && out4=$(mktemp)
-trap 'rm -f "$out1" "$out4"' EXIT
-
-SPACEFUSION_JOBS=1 dune exec bench/main.exe -- --quick --only sched > "$out1"
-SPACEFUSION_JOBS=4 dune exec bench/main.exe -- --quick --only sched > "$out4"
-
-# Each case line carries wall-clock timings too; compare only the case
-# name and its picks digest.
-extract_picks() {
-    sed -n 's/.*"name":\("[^"]*"\).*"picks_md5":\("[^"]*"\).*/\1 \2/p' "$1"
-}
-picks1=$(extract_picks "$out1")
-picks4=$(extract_picks "$out4")
-
-if [ -z "$picks1" ]; then
-    echo "ci: sched bench produced no picks_md5 lines" >&2
-    exit 1
-fi
-
-if [ "$picks1" != "$picks4" ]; then
-    echo "ci: tuner picks diverge between SPACEFUSION_JOBS=1 and =4" >&2
-    echo "--- JOBS=1 ---" >&2
-    echo "$picks1" >&2
-    echo "--- JOBS=4 ---" >&2
-    echo "$picks4" >&2
-    exit 1
-fi
-
 # Benchmark determinism gate: two same-seed runs of every benchmark
 # workload must agree on each exact field — picks_md5, sim_latency_ms,
 # kernels, cfgs_considered_per_trial (exits nonzero on any difference).
 bash benchmark/check.sh
 
-echo "ci: OK (build, tests, verify fuzz + defect corpus, profile spans, serve smoke + 3x soak, deterministic chaos + pow2-batching + overload + poison + fleet gates, batch goodput floors, shard floors, warm-store cold-start + corruption gates, serial/parallel tuner picks identical, same-seed benchmark exact fields identical)"
+echo "ci: OK (build, tests, verify fuzz + defect corpus, profile spans, serve smoke + 3x soak, deterministic chaos + pow2-batching + overload + poison + fleet gates, batch goodput floors, shard floors, warm-store cold-start + corruption gates, same-seed benchmark exact fields identical)"

@@ -424,127 +424,6 @@ let prop_schedules_fit_budget =
             cfgs)
         scheds)
 
-(* ------------------------------------------------------------------ *)
-(* Parallel.map failure paths                                          *)
-(* ------------------------------------------------------------------ *)
-
-let test_parallel_raise_propagates () =
-  (* A worker raising mid-map must not hang the pool or drop items: every
-     non-failing item still runs, all domains join, and the exception of
-     the lowest-indexed failing item is the one re-raised. *)
-  let ran = Atomic.make 0 in
-  let f i =
-    if i = 3 || i = 11 then failwith (Printf.sprintf "boom %d" i)
-    else begin
-      Atomic.incr ran;
-      i * 2
-    end
-  in
-  Alcotest.check_raises "lowest-index failure wins" (Failure "boom 3") (fun () ->
-      ignore (Parallel.map ~jobs:4 f (List.init 16 Fun.id)));
-  Alcotest.(check int) "no item dropped" 14 (Atomic.get ran)
-
-let test_parallel_nested_with_jobs1 () =
-  (* Under with_jobs 1 even nested maps run serially in the calling
-     domain: applications never overlap and order is preserved. *)
-  let live = Atomic.make 0 in
-  let max_live = Atomic.make 0 in
-  let order = ref [] in
-  let enter i =
-    let l = Atomic.fetch_and_add live 1 + 1 in
-    let rec bump () =
-      let m = Atomic.get max_live in
-      if l > m && not (Atomic.compare_and_set max_live m l) then bump ()
-    in
-    bump ();
-    order := i :: !order
-  in
-  let result =
-    Parallel.with_jobs 1 (fun () ->
-        Parallel.map
-          (fun i ->
-            enter i;
-            let inner = Parallel.map (fun j -> j + i) [ 10; 20 ] in
-            ignore (Atomic.fetch_and_add live (-1));
-            List.fold_left ( + ) 0 inner)
-          [ 0; 1; 2; 3 ])
-  in
-  Alcotest.(check (list int)) "results in order" [ 30; 32; 34; 36 ] result;
-  Alcotest.(check int) "never concurrent" 1 (Atomic.get max_live);
-  Alcotest.(check (list int)) "applications in list order" [ 0; 1; 2; 3 ]
-    (List.rev !order)
-
-let test_parallel_nested_in_worker_serial () =
-  (* A map issued from inside a worker must degrade to serial execution
-     (inside_worker is set), so nesting can never oversubscribe domains. *)
-  let saw_worker = Atomic.make true in
-  let result =
-    Parallel.map ~jobs:2
-      (fun i ->
-        let inner =
-          Parallel.map
-            (fun j ->
-              if not (Parallel.inside_worker ()) then Atomic.set saw_worker false;
-              i + j)
-            [ 1; 2; 3 ]
-        in
-        List.fold_left ( + ) 0 inner)
-      [ 0; 10; 20; 30 ]
-  in
-  Alcotest.(check (list int)) "nested results" [ 6; 36; 66; 96 ] result;
-  Alcotest.(check bool) "inner applications ran inside a worker" true
-    (Atomic.get saw_worker)
-
-let test_parallel_as_worker_serial () =
-  (* as_worker marks the calling domain as a pool worker: maps issued under
-     it degrade to serial in-domain execution (the serving runtime relies
-     on this so a request's compile never spawns a nested pool per serve
-     worker), and the flag is restored on exit. *)
-  let self = Domain.self () in
-  Alcotest.(check bool) "not a worker outside" false (Parallel.inside_worker ());
-  let result =
-    Parallel.as_worker (fun () ->
-        Alcotest.(check bool) "marked inside" true (Parallel.inside_worker ());
-        Parallel.map
-          ~jobs:8
-          (fun i ->
-            Alcotest.(check bool) "ran in the calling domain" true (Domain.self () = self);
-            i * 2)
-          [ 1; 2; 3; 4 ])
-  in
-  Alcotest.(check (list int)) "serial map correct and ordered" [ 2; 4; 6; 8 ] result;
-  Alcotest.(check bool) "flag restored" false (Parallel.inside_worker ());
-  (* Restored even when the body raises. *)
-  (try Parallel.as_worker (fun () -> failwith "boom") with Failure _ -> ());
-  Alcotest.(check bool) "flag restored after raise" false (Parallel.inside_worker ())
-
-let test_parallel_helper_budget () =
-  (* Regression for the serving runtime's crash mode: several independent
-     domains (serve workers used to be exactly this before as_worker) each
-     opening a Parallel.map at once must share the process-wide helper
-     budget — never racing past the OCaml runtime's domain cap — and every
-     slot must come back, including when a map raises. *)
-  let free0 = Parallel.helper_slots () in
-  let outer = 6 in
-  let domains =
-    List.init outer (fun d ->
-        Domain.spawn (fun () ->
-            Parallel.map ~jobs:16 (fun i -> (d * 100) + (i * i)) (List.init 32 Fun.id)))
-  in
-  let results = List.map Domain.join domains in
-  List.iteri
-    (fun d r ->
-      Alcotest.(check (list int))
-        (Printf.sprintf "domain %d results intact" d)
-        (List.init 32 (fun i -> (d * 100) + (i * i)))
-        r)
-    results;
-  Alcotest.(check int) "all helper slots returned" free0 (Parallel.helper_slots ());
-  (* A failing map must also release what it took. *)
-  (try ignore (Parallel.map ~jobs:8 (fun i -> if i = 5 then failwith "boom" else i) (List.init 16 Fun.id))
-   with Failure _ -> ());
-  Alcotest.(check int) "slots returned after a failing map" free0 (Parallel.helper_slots ())
-
 let props =
   List.map QCheck_alcotest.to_alcotest [ prop_mha_fused_matches_reference; prop_schedules_fit_budget ]
 
@@ -601,19 +480,6 @@ let () =
           Alcotest.test_case "swiglu" `Quick test_run_swiglu;
           Alcotest.test_case "ablation variants correct" `Quick test_variants_agree;
           Alcotest.test_case "resource budgets respected" `Quick test_resource_respected;
-        ] );
-      ( "parallel",
-        [
-          Alcotest.test_case "worker exception propagates" `Quick
-            test_parallel_raise_propagates;
-          Alcotest.test_case "with_jobs 1 stays serial" `Quick
-            test_parallel_nested_with_jobs1;
-          Alcotest.test_case "nested map in worker is serial" `Quick
-            test_parallel_nested_in_worker_serial;
-          Alcotest.test_case "as_worker scope degrades maps to serial" `Quick
-            test_parallel_as_worker_serial;
-          Alcotest.test_case "cross-domain helper budget conserved" `Quick
-            test_parallel_helper_budget;
         ] );
       ("properties", props);
     ]

@@ -1,6 +1,6 @@
-(* Tests for the observability subsystem: span nesting determinism under
-   the domain pool, the disabled-mode hot path, metrics registry
-   concurrency, and JSON round-tripping of a captured profile. *)
+(* Tests for the observability subsystem: span nesting determinism, the
+   disabled-mode hot path, metrics registry concurrency, and JSON
+   round-tripping of a captured profile. *)
 
 let arch = Gpu.Arch.ampere
 
@@ -8,28 +8,23 @@ let arch = Gpu.Arch.ampere
 (* Tracing                                                             *)
 (* ------------------------------------------------------------------ *)
 
-let traced_compile_paths ~jobs g =
+let traced_compile_paths g =
   Obs.Trace.set_enabled true;
   Obs.Trace.reset ();
   Fun.protect
     ~finally:(fun () -> Obs.Trace.set_enabled false)
     (fun () ->
-      Core.Parallel.with_jobs jobs (fun () ->
-          ignore (Core.Spacefusion.compile ~arch ~name:"obs" g));
+      ignore (Core.Spacefusion.compile ~arch ~name:"obs" g);
       Obs.Trace.agg_paths (Obs.Trace.aggregate (Obs.Trace.roots ())))
 
 let test_parallel_span_determinism () =
-  (* Independent components fan out over the domain pool; worker spans must
-     attach under the logical parent, so the aggregated path set is the
-     same however the work was scheduled — and the same as a serial run.
-     Path *sets* are the guarantee: per-candidate span counts may differ
-     because the tuner's cross-domain pruning is timing-dependent. *)
+  (* Independent components are scheduled one after another; their spans
+     must attach under the compile's schedule span, and two compiles of the
+     same graph must trace the same aggregated path set. *)
   let g = Ir.Models.independent_chains ~copies:4 ~m:64 ~n:64 () in
-  let p1 = traced_compile_paths ~jobs:4 g in
-  let p2 = traced_compile_paths ~jobs:4 g in
-  let ps = traced_compile_paths ~jobs:1 g in
-  Alcotest.(check (list string)) "two parallel runs agree" p1 p2;
-  Alcotest.(check (list string)) "serial run agrees" ps p1;
+  let p1 = traced_compile_paths g in
+  let p2 = traced_compile_paths g in
+  Alcotest.(check (list string)) "two runs agree" p1 p2;
   List.iter
     (fun path ->
       Alcotest.(check bool) (path ^ " present") true (List.mem path p1))
@@ -94,14 +89,13 @@ let test_metrics_concurrency () =
   let c = Obs.Metrics.counter "test.obs.counter" in
   let h = Obs.Metrics.histogram "test.obs.histo" in
   let per_worker = 10_000 in
-  ignore
-    (Core.Parallel.map ~jobs:4
-       (fun _ ->
-         for i = 1 to per_worker do
-           Obs.Metrics.incr c;
-           Obs.Metrics.observe h (float_of_int i)
-         done)
-       [ 0; 1; 2; 3 ]);
+  List.iter Domain.join
+    (List.init 4 (fun _ ->
+         Domain.spawn (fun () ->
+             for i = 1 to per_worker do
+               Obs.Metrics.incr c;
+               Obs.Metrics.observe h (float_of_int i)
+             done)));
   Alcotest.(check int) "every increment lands" (4 * per_worker) (Obs.Metrics.counter_value c);
   (match Obs.Metrics.find "test.obs.histo" with
   | Some (Obs.Metrics.Histogram { h_count; h_min; h_max; _ }) ->
@@ -124,12 +118,11 @@ let test_metrics_concurrency () =
   Alcotest.(check int) "old handle still live after reset" 1 (Obs.Metrics.counter_value c)
 
 let test_histogram_parallel_consistency () =
-  (* 8 raw domains (twice the pool test above, and no Parallel harness in
-     between) hammer one histogram with integer-valued observations whose
-     aggregate is exactly representable in a float — so count, sum, min and
-     max must all be *exact* afterwards: a lost update, torn read or
-     non-atomic (count, sum) pair would show up as a wrong number, not as
-     rounding noise. *)
+  (* 8 domains (twice the test above) hammer one histogram with
+     integer-valued observations whose aggregate is exactly representable
+     in a float — so count, sum, min and max must all be *exact*
+     afterwards: a lost update, torn read or non-atomic (count, sum) pair
+     would show up as a wrong number, not as rounding noise. *)
   Obs.Metrics.reset ();
   let h = Obs.Metrics.histogram "test.obs.histo8" in
   let domains = 8 and per_domain = 5_000 in

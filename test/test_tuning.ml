@@ -1,8 +1,11 @@
-(* Determinism and pruning tests for the parallel auto-tuner:
+(* Determinism and pruning tests for the auto-tuner:
 
-   - serial and parallel compiles pick identical (schedule, cfg, cost),
-     build identical plans (kernel names included) and simulate to
-     identical run times, on every model x architecture pair;
+   - compiles at one and at four jobs pick identical (schedule, cfg,
+     cost), build identical plans (kernel names included), simulate to
+     identical run times and cost and prune the same candidates, on every
+     model x architecture pair;
+   - a compile's phase times fit inside its total, and repeated compiles
+     cost and prune exactly the same candidates;
    - pruned and unpruned [Tuner.pick_best] select the same candidate, and
      pruning genuinely skips work (nonzero [n_early_quit]);
    - the analytic pruning bound never exceeds the true lowered cost;
@@ -39,28 +42,36 @@ let sim_time arch (c : SF.compiled) =
   (Runtime.Runner.run_plan ~arch ~dispatch_us:3.0 device c.SF.c_plan)
     .Runtime.Exec_stats.x_time
 
-let test_parallel_matches_serial () =
+let test_compile_accounting_exact () =
+  (* Compile phases run one after another on the calling domain (helper
+     domains only compute costs inside the tuning phase), so their times
+     cannot overlap and must fit inside the total. *)
   List.iter
-    (fun (aname, arch) ->
+    (fun (copies, n) ->
+      let g = Ir.Models.independent_chains ~copies ~m:n ~n () in
+      let s = (SF.compile ~arch:Gpu.Arch.ampere ~name:"chains" g).SF.c_stats in
+      let phases = s.Core.Cstats.t_ss +. s.t_ts +. s.t_enum +. s.t_tune in
+      if phases > s.t_total then
+        Alcotest.failf "chains %dx%d: phases sum to %.6f s, over the %.6f s total" copies n phases
+          s.t_total)
+    [ (4, 64); (8, 256) ];
+  (* The tuner's costed/pruned split is a pure function of the input. *)
+  List.iter
+    (fun (m : Ir.Models.model) ->
       List.iter
-        (fun (mname, g) ->
-          let label = Printf.sprintf "%s/%s" mname aname in
-          let ser =
-            Core.Parallel.with_jobs 1 (fun () -> SF.compile ~arch ~name:label g)
+        (fun (sp : Ir.Models.subprogram) ->
+          let counts () =
+            let s = (SF.compile ~arch:Gpu.Arch.ampere ~name:sp.sp_name sp.graph).SF.c_stats in
+            (s.Core.Cstats.n_cfgs, s.n_early_quit)
           in
-          let par =
-            Core.Parallel.with_jobs 4 (fun () -> SF.compile ~arch ~name:label g)
-          in
-          Alcotest.(check string)
-            (label ^ ": identical picks") (signature ser) (signature par);
-          Alcotest.(check bool)
-            (label ^ ": identical plan, kernel names included")
-            true (ser.SF.c_plan = par.SF.c_plan);
-          Alcotest.(check (float 0.0))
-            (label ^ ": identical simulated time")
-            (sim_time arch ser) (sim_time arch par))
-        (models ()))
-    archs
+          let c1 = counts () in
+          Alcotest.(check (pair int int))
+            (Printf.sprintf "%s/%s: costed and pruned repeat" m.model_name sp.sp_name)
+            c1 (counts ()))
+        m.subprograms)
+    (List.concat_map
+       (fun batch -> [ Ir.Models.bert ~batch ~seq:128; Ir.Models.llama2_7b ~batch ~seq:128 ])
+       [ 1; 32 ])
 
 (* Drive [Tuner.pick_best] directly on a whole-graph SMG so the pruned and
    unpruned paths see the exact same candidate list. *)
@@ -86,6 +97,44 @@ let describe_pick = function
         (Core.Schedule.describe sched)
         (Core.Schedule.cfg_to_string cfg)
         cost
+
+(* The larger candidate sets here (LSTM, LayerNorm) are costed on helper
+   domains at four jobs; the fold over the costs stays on the caller. A
+   whole compile can discard a whole-graph pick in favour of a partitioned
+   plan, so the whole-graph picks are also compared directly. *)
+let test_parallel_matches_serial () =
+  List.iter
+    (fun (aname, arch) ->
+      List.iter
+        (fun (mname, g) ->
+          let label = Printf.sprintf "%s/%s" mname aname in
+          let ser =
+            Core.Parallel.with_jobs 1 (fun () -> SF.compile ~arch ~name:label g)
+          in
+          let par =
+            Core.Parallel.with_jobs 4 (fun () -> SF.compile ~arch ~name:label g)
+          in
+          Alcotest.(check string)
+            (label ^ ": identical picks") (signature ser) (signature par);
+          Alcotest.(check bool)
+            (label ^ ": identical plan, kernel names included")
+            true (ser.SF.c_plan = par.SF.c_plan);
+          Alcotest.(check (float 0.0))
+            (label ^ ": identical simulated time")
+            (sim_time arch ser) (sim_time arch par);
+          let counts (s : Core.Cstats.t) = (s.n_cfgs, s.n_early_quit) in
+          Alcotest.(check (pair int int))
+            (label ^ ": identical costed and pruned counts")
+            (counts ser.SF.c_stats) (counts par.SF.c_stats);
+          let whole jobs =
+            let best, stats, _, _ = Core.Parallel.with_jobs jobs (fun () -> pick ~prune:true arch g) in
+            (describe_pick best, counts stats)
+          in
+          Alcotest.(check (pair string (pair int int)))
+            (label ^ ": identical whole-graph pick and counts")
+            (whole 1) (whole 4))
+        (models ()))
+    archs
 
 let test_pruned_matches_unpruned () =
   let some_pick = ref false in
@@ -163,6 +212,8 @@ let () =
         [
           Alcotest.test_case "parallel matches serial" `Quick
             test_parallel_matches_serial;
+          Alcotest.test_case "compile accounting is exact" `Quick
+            test_compile_accounting_exact;
           Alcotest.test_case "pruned matches unpruned" `Quick
             test_pruned_matches_unpruned;
           Alcotest.test_case "pruning skips work" `Quick test_pruning_skips_work;
