@@ -511,20 +511,64 @@ let exec_cop ~full ~(c : compiled) ~device ~(bufs : rbuf array) ~(scratch : Tens
       acc.gemm_flops <- acc.gemm_flops +. (ctx.mult *. float_of_int (2 * r * c_ * ka));
       if full then begin
         let sa = ba.store and sb = bb.store and sd = d.store in
-        if trans_b then
-          (* C += A·Bᵀ: rows of both operands are contiguous. *)
-          for i = 0 to r - 1 do
-            let pa = i * ka in
-            let po = i * c_ in
-            for j = 0 to c_ - 1 do
-              let pb = j * ka in
-              let s = ref 0.0 in
+        if trans_b then begin
+          (* C = A·Bᵀ, or C += A·Bᵀ with [accumulate]; rows of both
+             operands are contiguous. A 2×4 block of outputs runs as eight
+             independent chains, each summing from 0.0 in ascending k and,
+             when accumulating, added to C last, so results match the
+             one-dot-at-a-time order bit for bit. Past the last row or
+             column the block re-reads the last one and skips its stores.
+             Deliberately not shared with [Tensor.matmul]: the oracle
+             compares the two. *)
+          let i = ref 0 in
+          while !i < r do
+            let pa0 = !i * ka in
+            let pa1 = if !i + 1 < r then pa0 + ka else pa0 in
+            let j = ref 0 in
+            while !j < c_ do
+              let j0 = !j in
+              let pb0 = j0 * ka in
+              let pb1 = if j0 + 1 < c_ then pb0 + ka else pb0 in
+              let pb2 = if j0 + 2 < c_ then pb1 + ka else pb1 in
+              let pb3 = if j0 + 3 < c_ then pb2 + ka else pb2 in
+              let s00 = ref 0.0 and s01 = ref 0.0 and s02 = ref 0.0 and s03 = ref 0.0 in
+              let s10 = ref 0.0 and s11 = ref 0.0 and s12 = ref 0.0 and s13 = ref 0.0 in
               for kk = 0 to ka - 1 do
-                s := !s +. (unsafe_get sa (pa + kk) *. unsafe_get sb (pb + kk))
+                let a0 = unsafe_get sa (pa0 + kk) and a1 = unsafe_get sa (pa1 + kk) in
+                let b0 = unsafe_get sb (pb0 + kk) and b1 = unsafe_get sb (pb1 + kk) in
+                let b2 = unsafe_get sb (pb2 + kk) and b3 = unsafe_get sb (pb3 + kk) in
+                s00 := !s00 +. (a0 *. b0);
+                s01 := !s01 +. (a0 *. b1);
+                s02 := !s02 +. (a0 *. b2);
+                s03 := !s03 +. (a0 *. b3);
+                s10 := !s10 +. (a1 *. b0);
+                s11 := !s11 +. (a1 *. b1);
+                s12 := !s12 +. (a1 *. b2);
+                s13 := !s13 +. (a1 *. b3)
               done;
-              unsafe_set sd (po + j) (if accumulate then unsafe_get sd (po + j) +. !s else !s)
-            done
+              let po = (!i * c_) + j0 in
+              unsafe_set sd po (if accumulate then unsafe_get sd po +. !s00 else !s00);
+              if j0 + 1 < c_ then
+                unsafe_set sd (po + 1) (if accumulate then unsafe_get sd (po + 1) +. !s01 else !s01);
+              if j0 + 2 < c_ then
+                unsafe_set sd (po + 2) (if accumulate then unsafe_get sd (po + 2) +. !s02 else !s02);
+              if j0 + 3 < c_ then
+                unsafe_set sd (po + 3) (if accumulate then unsafe_get sd (po + 3) +. !s03 else !s03);
+              if !i + 1 < r then begin
+                let po = po + c_ in
+                unsafe_set sd po (if accumulate then unsafe_get sd po +. !s10 else !s10);
+                if j0 + 1 < c_ then
+                  unsafe_set sd (po + 1) (if accumulate then unsafe_get sd (po + 1) +. !s11 else !s11);
+                if j0 + 2 < c_ then
+                  unsafe_set sd (po + 2) (if accumulate then unsafe_get sd (po + 2) +. !s12 else !s12);
+                if j0 + 3 < c_ then
+                  unsafe_set sd (po + 3) (if accumulate then unsafe_get sd (po + 3) +. !s13 else !s13)
+              end;
+              j := j0 + 4
+            done;
+            i := !i + 2
           done
+        end
         else if accumulate then
           (* Keep the dot-then-add association so accumulated results stay
              bit-identical to the reference executor. *)
@@ -541,7 +585,9 @@ let exec_cop ~full ~(c : compiled) ~device ~(bufs : rbuf array) ~(scratch : Tens
           done
         else begin
           (* C = A·B: i-k-j order streams B and C rows instead of striding
-             B column-wise; per output element the additions still run in
+             B column-wise, with k unrolled 4-wide so each pass over j
+             amortizes the C load/store over four multiply-adds; per
+             output element the additions still run left to right in
              ascending k, so results match the dot-product order bit for
              bit. *)
           for i = 0 to (r * c_) - 1 do
@@ -550,12 +596,31 @@ let exec_cop ~full ~(c : compiled) ~device ~(bufs : rbuf array) ~(scratch : Tens
           for i = 0 to r - 1 do
             let pa = i * ka in
             let po = i * c_ in
-            for kk = 0 to ka - 1 do
-              let aik = unsafe_get sa (pa + kk) in
-              let pb = kk * c_ in
+            let kk = ref 0 in
+            while !kk + 3 < ka do
+              let pk = pa + !kk in
+              let a0 = unsafe_get sa pk
+              and a1 = unsafe_get sa (pk + 1)
+              and a2 = unsafe_get sa (pk + 2)
+              and a3 = unsafe_get sa (pk + 3) in
+              let pb = !kk * c_ in
+              for j = 0 to c_ - 1 do
+                unsafe_set sd (po + j)
+                  (unsafe_get sd (po + j)
+                  +. (a0 *. unsafe_get sb (pb + j))
+                  +. (a1 *. unsafe_get sb (pb + c_ + j))
+                  +. (a2 *. unsafe_get sb (pb + (2 * c_) + j))
+                  +. (a3 *. unsafe_get sb (pb + (3 * c_) + j)))
+              done;
+              kk := !kk + 4
+            done;
+            while !kk < ka do
+              let aik = unsafe_get sa (pa + !kk) in
+              let pb = !kk * c_ in
               for j = 0 to c_ - 1 do
                 unsafe_set sd (po + j) (unsafe_get sd (po + j) +. (aik *. unsafe_get sb (pb + j)))
-              done
+              done;
+              incr kk
             done
           done
         end

@@ -118,6 +118,9 @@ let validate k =
       | Store { idx; tensor; _ } -> check_idx ("store of " ^ tensor) idx
       | RowReduce { op = Ir.Op.Rmean; _ } | ColReduce { op = Ir.Op.Rmean; _ } ->
           fail "reductions of Rmean must be lowered to Rsum"
+      (* A GEMM overwrites its output while still reading its operands. *)
+      | Gemm { dst; a; b; _ } when dst = a || dst = b ->
+          fail "gemm writes %S, one of its own operands" dst
       | _ -> ())
     (instrs k);
   (* An IStep transfer outside the loop would be meaningless. *)

@@ -70,6 +70,7 @@ val reg_bytes : t -> int
 val validate : t -> unit
 (** Structural checks: buffer names unique and referenced instructions
     resolve; grid/temporal dims named by [Blk]/[Tile]/[IGrid]/[IStep]
-    exist. Raises [Invalid_argument]. *)
+    exist; no [Gemm] writes one of its own operands. Raises
+    [Invalid_argument]. *)
 
 val pp : Format.formatter -> t -> unit

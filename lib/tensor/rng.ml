@@ -1,17 +1,28 @@
-type t = { mutable state : int64 }
+(* The splitmix64 state lives in a one-element int64 Bigarray, so
+   advancing it stores an unboxed int64: a mutable record field would box
+   every new state. *)
+type t = (int64, Bigarray.int64_elt, Bigarray.c_layout) Bigarray.Array1.t
+
+external get : t -> int -> int64 = "%caml_ba_unsafe_ref_1"
+external set : t -> int -> int64 -> unit = "%caml_ba_unsafe_set_1"
 
 let golden = 0x9E3779B97F4A7C15L
 
-let create seed = { state = Int64.of_int seed }
+let of_state s =
+  let t = Bigarray.Array1.create Bigarray.Int64 Bigarray.C_layout 1 in
+  set t 0 s;
+  t
 
-let next_int64 t =
-  t.state <- Int64.add t.state golden;
-  let z = t.state in
+let create seed = of_state (Int64.of_int seed)
+
+let[@inline] next_int64 t =
+  let z = Int64.add (get t 0) golden in
+  set t 0 z;
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
   Int64.logxor z (Int64.shift_right_logical z 31)
 
-let float t =
+let[@inline] float t =
   (* 53 random bits into the mantissa. *)
   let bits = Int64.shift_right_logical (next_int64 t) 11 in
   Int64.to_float bits /. 9007199254740992.0
@@ -26,4 +37,4 @@ let normal t =
   let u2 = float t in
   sqrt (-2.0 *. log !u1) *. cos (2.0 *. Float.pi *. u2)
 
-let split t = { state = next_int64 t }
+let split t = of_state (next_int64 t)

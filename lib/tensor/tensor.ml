@@ -582,20 +582,58 @@ let matmul ?(trans_b = false) a b =
     let base_a = Shape.offset_with ~strides:bsa bidx * sa in
     let base_b = Shape.offset_with ~strides:bsb bidx * sb in
     let base_o = bi * m * n in
-    if trans_b then
-      (* C = A·Bᵀ: rows of both operands are contiguous, so the k-inner
-         dot product is already a streaming access on both sides. *)
-      for i = 0 to m - 1 do
-        let pa = base_a + (i * ka) in
-        for j = 0 to n - 1 do
-          let pb = base_b + (j * ka) in
-          let acc = ref 0.0 in
+    if trans_b then begin
+      (* C = A·Bᵀ: rows of both operands are contiguous. One dot product
+         is a serial chain of float adds, bound by add latency, so a 2×4
+         block of outputs runs as eight independent chains that share
+         each loaded A and B element. Every chain still sums from 0.0 in
+         ascending k, so results are bit-identical to the dot-product
+         order. Past the last row or column the block re-reads the last
+         one and skips its stores. *)
+      let i = ref 0 in
+      while !i < m do
+        let pa0 = base_a + (!i * ka) in
+        let pa1 = if !i + 1 < m then pa0 + ka else pa0 in
+        let po0 = base_o + (!i * n) in
+        let j = ref 0 in
+        while !j < n do
+          let j0 = !j in
+          let pb0 = base_b + (j0 * ka) in
+          let pb1 = if j0 + 1 < n then pb0 + ka else pb0 in
+          let pb2 = if j0 + 2 < n then pb1 + ka else pb1 in
+          let pb3 = if j0 + 3 < n then pb2 + ka else pb2 in
+          let s00 = ref 0.0 and s01 = ref 0.0 and s02 = ref 0.0 and s03 = ref 0.0 in
+          let s10 = ref 0.0 and s11 = ref 0.0 and s12 = ref 0.0 and s13 = ref 0.0 in
           for k = 0 to ka - 1 do
-            acc := !acc +. (unsafe_get da (pa + k) *. unsafe_get db (pb + k))
+            let a0 = unsafe_get da (pa0 + k) and a1 = unsafe_get da (pa1 + k) in
+            let b0 = unsafe_get db (pb0 + k) and b1 = unsafe_get db (pb1 + k) in
+            let b2 = unsafe_get db (pb2 + k) and b3 = unsafe_get db (pb3 + k) in
+            s00 := !s00 +. (a0 *. b0);
+            s01 := !s01 +. (a0 *. b1);
+            s02 := !s02 +. (a0 *. b2);
+            s03 := !s03 +. (a0 *. b3);
+            s10 := !s10 +. (a1 *. b0);
+            s11 := !s11 +. (a1 *. b1);
+            s12 := !s12 +. (a1 *. b2);
+            s13 := !s13 +. (a1 *. b3)
           done;
-          unsafe_set out (base_o + (i * n) + j) !acc
-        done
+          let po = po0 + j0 in
+          unsafe_set out po !s00;
+          if j0 + 1 < n then unsafe_set out (po + 1) !s01;
+          if j0 + 2 < n then unsafe_set out (po + 2) !s02;
+          if j0 + 3 < n then unsafe_set out (po + 3) !s03;
+          if !i + 1 < m then begin
+            let po = po + n in
+            unsafe_set out po !s10;
+            if j0 + 1 < n then unsafe_set out (po + 1) !s11;
+            if j0 + 2 < n then unsafe_set out (po + 2) !s12;
+            if j0 + 3 < n then unsafe_set out (po + 3) !s13
+          end;
+          j := j0 + 4
+        done;
+        i := !i + 2
       done
+    end
     else begin
       (* C = A·B: i-k-j order streams B and C rows instead of striding B
          column-wise. k is unrolled 4-wide so each pass over j amortizes

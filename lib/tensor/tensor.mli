@@ -150,7 +150,8 @@ val matmul : ?trans_b:bool -> t -> t -> t
 (** Batched matrix multiply over the last two axes with broadcast batch
     dims. With [trans_b] the RHS is interpreted as [[...; n; k]] so the
     contraction reads rows of both operands (the paper's GEMM convention
-    [C = A·Bᵀ]). *)
+    [C = A·Bᵀ]). Every output is bit-identical to a naive dot product:
+    a sum from [0.0] over ascending k. *)
 
 val softmax : axis:int -> t -> t
 (** Numerically-stable softmax (max-subtraction), the MHA reference. *)

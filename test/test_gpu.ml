@@ -7,29 +7,40 @@ let check_close msg expected actual =
   Alcotest.(check bool) (Printf.sprintf "%s (%g vs %g)" msg expected actual) true
     (Float.abs (expected -. actual) <= 1e-9 *. (1.0 +. Float.abs expected))
 
-(* A plain tiled GEMM kernel: C[M,N] = A[M,K] · B[N,K]ᵀ. *)
-let gemm_kernel ~m ~n ~k ~bm ~bn ~bk : Kernel.t =
+(* A tiled GEMM kernel: C[M,N] = A[M,K] · B[N,K]ᵀ (or · B[K,N]), one
+   accumulating GEMM per step of a temporal loop over [bk]-wide
+   contraction tiles; without [accumulate], one GEMM per block over the
+   whole contraction. *)
+let gemm_kernel ?(trans_b = true) ?(accumulate = true) ~m ~n ~k ~bm ~bn ~bk () : Kernel.t =
+  let kidx : Kernel.tindex = if accumulate then IStep else IAll in
+  let kdim : Kernel.dimsize = if accumulate then Tile else Lit k in
+  let body =
+    [
+      Kernel.Load { tensor = "A"; dst = "a"; idx = [| IGrid "M"; kidx |] };
+      Load
+        {
+          tensor = "B";
+          dst = "b";
+          idx = (if trans_b then [| IGrid "N"; kidx |] else [| kidx; IGrid "N" |]);
+        };
+      Gemm { dst = "acc"; a = "a"; b = "b"; trans_b; accumulate };
+    ]
+  in
+  let store = Kernel.Store { src = "acc"; tensor = "C"; idx = [| IGrid "M"; IGrid "N" |] } in
   {
     kname = "gemm";
     grid = [ { gdim = "M"; extent = m; block = bm }; { gdim = "N"; extent = n; block = bn } ];
-    temporal = Some ("K", k, bk);
+    temporal = (if accumulate then Some ("K", k, bk) else None);
     bufs =
       [
-        { bname = "a"; scope = Smem; brows = Blk "M"; bcols = Tile };
-        { bname = "b"; scope = Smem; brows = Blk "N"; bcols = Tile };
+        { bname = "a"; scope = Smem; brows = Blk "M"; bcols = kdim };
+        (if trans_b then { bname = "b"; scope = Smem; brows = Blk "N"; bcols = kdim }
+         else { bname = "b"; scope = Smem; brows = kdim; bcols = Blk "N" });
         { bname = "acc"; scope = Reg; brows = Blk "M"; bcols = Blk "N" };
       ];
     stages =
-      [
-        Once [ Fill ("acc", 0.0) ];
-        ForEachStep
-          [
-            Load { tensor = "A"; dst = "a"; idx = [| IGrid "M"; IStep |] };
-            Load { tensor = "B"; dst = "b"; idx = [| IGrid "N"; IStep |] };
-            Gemm { dst = "acc"; a = "a"; b = "b"; trans_b = true; accumulate = true };
-          ];
-        Once [ Store { src = "acc"; tensor = "C"; idx = [| IGrid "M"; IGrid "N" |] } ];
-      ];
+      (if accumulate then [ Once [ Fill ("acc", 0.0) ]; ForEachStep body; Once [ store ] ]
+       else [ Once (body @ [ store ]) ]);
     tags = [];
   }
 
@@ -68,18 +79,67 @@ let test_gemm_full () =
   Device.bind dev "A" a;
   Device.bind dev "B" b;
   Device.declare dev "C" [| 13; 11 |];
-  let k = gemm_kernel ~m:13 ~n:11 ~k:17 ~bm:4 ~bn:4 ~bk:8 in
+  let k = gemm_kernel ~m:13 ~n:11 ~k:17 ~bm:4 ~bn:4 ~bk:8 () in
   let _ = Exec.run dev k in
   let expected = Tensor.matmul ~trans_b:true a b in
   Alcotest.(check bool) "gemm matches reference" true
     (Tensor.allclose ~rtol:1e-9 ~atol:1e-9 expected (Device.tensor dev "C"))
+
+(* Every [trans_b] × [accumulate] GEMM's Full walk, bit for bit against
+   an index-at-a-time reference: each output sums from 0.0 in ascending k
+   over one contraction tile, and an accumulating GEMM adds that sum to C
+   last, tile after tile. Tile rows 1–5, columns 1–9 and contraction
+   tiles 1–67 reach every remainder of the blocked loops; each grid dim
+   adds a narrower edge block, and each temporal loop a 1-wide last step. *)
+let test_gemm_variants_bitexact () =
+  let bits t = Array.map Int64.bits_of_float (Tensor.data t) in
+  List.iter
+    (fun (trans_b, accumulate) ->
+      List.iter
+        (fun (bm, bn, bk) ->
+          let m = bm + 1 and n = bn + 2 in
+          let k = if accumulate then (2 * bk) + 1 else bk in
+          let rng = Rng.create ((100 * bm) + (10 * bn) + bk) in
+          let a = Tensor.randn rng [| m; k |] in
+          let b = Tensor.randn rng (if trans_b then [| n; k |] else [| k; n |]) in
+          let dev = Device.create () in
+          Device.bind dev "A" a;
+          Device.bind dev "B" b;
+          Device.declare dev "C" [| m; n |];
+          ignore (Exec.run dev (gemm_kernel ~trans_b ~accumulate ~m ~n ~k ~bm ~bn ~bk ()));
+          let expected =
+            Tensor.init [| m; n |] (fun idx ->
+                let i = idx.(0) and j = idx.(1) in
+                let c = ref 0.0 in
+                let k0 = ref 0 in
+                while !k0 < k do
+                  let s = ref 0.0 in
+                  for kk = !k0 to min k (!k0 + bk) - 1 do
+                    let bv = Tensor.get b (if trans_b then [| j; kk |] else [| kk; j |]) in
+                    s := !s +. (Tensor.get a [| i; kk |] *. bv)
+                  done;
+                  c := if accumulate then !c +. !s else !s;
+                  k0 := !k0 + bk
+                done;
+                !c)
+          in
+          Alcotest.(check (array int64))
+            (Printf.sprintf "trans_b=%b accumulate=%b tile %dx%dx%d" trans_b accumulate bm bn bk)
+            (bits expected)
+            (bits (Device.tensor dev "C")))
+        (List.concat_map
+           (fun bm ->
+             List.concat_map (fun bn -> List.map (fun bk -> (bm, bn, bk)) [ 1; 3; 4; 5; 67 ])
+               (List.init 9 succ))
+           [ 1; 2; 3; 5 ]))
+    [ (false, false); (false, true); (true, false); (true, true) ]
 
 let test_gemm_flops () =
   let dev = Device.create () in
   Device.declare dev "A" [| 16; 32 |];
   Device.declare dev "B" [| 8; 32 |];
   Device.declare dev "C" [| 16; 8 |];
-  let k = gemm_kernel ~m:16 ~n:8 ~k:32 ~bm:8 ~bn:8 ~bk:16 in
+  let k = gemm_kernel ~m:16 ~n:8 ~k:32 ~bm:8 ~bn:8 ~bk:16 () in
   let s = Exec.run ~mode:Exec.Analytic dev k in
   check_close "gemm flops" (2.0 *. 16.0 *. 8.0 *. 32.0) s.ks_gemm_flops
 
@@ -101,7 +161,7 @@ let test_full_analytic_agree () =
   Device.declare dev "A" [| 13; 19 |];
   Device.declare dev "B" [| 7; 19 |];
   Device.declare dev "C" [| 13; 7 |];
-  let k = gemm_kernel ~m:13 ~n:7 ~k:19 ~bm:4 ~bn:3 ~bk:8 in
+  let k = gemm_kernel ~m:13 ~n:7 ~k:19 ~bm:4 ~bn:3 ~bk:8 () in
   Device.bind dev "A" (Tensor.ones [| 13; 19 |]);
   Device.bind dev "B" (Tensor.ones [| 7; 19 |]);
   let full = Exec.run ~mode:Exec.Full dev k in
@@ -116,7 +176,7 @@ let test_transfer_summary () =
   Device.declare dev "B" [| 8; 32 |];
   Device.declare dev "C" [| 16; 8 |];
   (* 2 M-blocks x 1 N-block; B is re-requested by each M-block. *)
-  let k = gemm_kernel ~m:16 ~n:8 ~k:32 ~bm:8 ~bn:8 ~bk:32 in
+  let k = gemm_kernel ~m:16 ~n:8 ~k:32 ~bm:8 ~bn:8 ~bk:32 () in
   let s = Exec.run ~mode:Exec.Analytic dev k in
   let tr name = List.find (fun (t : Exec.transfer) -> t.tr_tensor = name) s.ks_reads in
   Alcotest.(check int) "A requested once" (16 * 32 * Arch.elt_bytes) (tr "A").tr_requested;
@@ -136,7 +196,7 @@ let test_transfer_step_tile () =
   Device.declare dev "A" [| 16; 32 |];
   Device.declare dev "B" [| 8; 32 |];
   Device.declare dev "C" [| 16; 8 |];
-  let k = gemm_kernel ~m:16 ~n:8 ~k:32 ~bm:8 ~bn:8 ~bk:8 in
+  let k = gemm_kernel ~m:16 ~n:8 ~k:32 ~bm:8 ~bn:8 ~bk:8 () in
   let s = Exec.run ~mode:Exec.Analytic dev k in
   let tr name = List.find (fun (t : Exec.transfer) -> t.tr_tensor = name) s.ks_reads in
   let a = tr "A" in
@@ -167,7 +227,7 @@ let test_analytic_cost_flat () =
   Device.declare dev "A" [| m; m |];
   Device.declare dev "B" [| 64; m |];
   Device.declare dev "C" [| m; 64 |];
-  let k = gemm_kernel ~m ~n:64 ~k:m ~bm:1 ~bn:64 ~bk:1 in
+  let k = gemm_kernel ~m ~n:64 ~k:m ~bm:1 ~bn:64 ~bk:1 () in
   let before = Gc.minor_words () in
   let s = Exec.run ~mode:Exec.Analytic dev k in
   let words = Gc.minor_words () -. before in
@@ -208,7 +268,7 @@ let test_resource_exceeded () =
   Device.declare dev "A" [| 4096; 4096 |];
   Device.declare dev "B" [| 4096; 4096 |];
   Device.declare dev "C" [| 4096; 4096 |];
-  let k = gemm_kernel ~m:4096 ~n:4096 ~k:4096 ~bm:1024 ~bn:1024 ~bk:64 in
+  let k = gemm_kernel ~m:4096 ~n:4096 ~k:4096 ~bm:1024 ~bn:1024 ~bk:64 () in
   Alcotest.check_raises "smem budget enforced"
     (Exec.Resource_exceeded
        (Printf.sprintf "kernel gemm: %d B shared memory > %d B budget on Volta"
@@ -243,7 +303,29 @@ let test_validate_rejects () =
   in
   Alcotest.check_raises "unknown buffer rejected"
     (Invalid_argument "Kernel bad: instruction references unknown buffer \"ghost\"") (fun () ->
-      Kernel.validate bad)
+      Kernel.validate bad);
+  (* A Full walk of an aliased GEMM would read output it already wrote. *)
+  List.iter
+    (fun (a, b) ->
+      let aliased : Kernel.t =
+        {
+          kname = "aliased";
+          grid = [];
+          temporal = None;
+          bufs =
+            [
+              { bname = "x"; scope = Smem; brows = Lit 4; bcols = Lit 4 };
+              { bname = "y"; scope = Smem; brows = Lit 4; bcols = Lit 4 };
+            ];
+          stages = [ Once [ Gemm { dst = "x"; a; b; trans_b = true; accumulate = false } ] ];
+          tags = [];
+        }
+      in
+      Alcotest.check_raises
+        (Printf.sprintf "gemm x <- %s·%sᵀ rejected" a b)
+        (Invalid_argument "Kernel aliased: gemm writes \"x\", one of its own operands") (fun () ->
+          Kernel.validate aliased))
+    [ ("x", "y"); ("y", "x"); ("x", "x") ]
 
 let test_cost_monotone () =
   (* More DRAM traffic must not make a kernel faster. *)
@@ -252,7 +334,7 @@ let test_cost_monotone () =
   Device.declare dev "B" [| 1024; 1024 |];
   Device.declare dev "C" [| 1024; 1024 |];
   let time bn =
-    let k = gemm_kernel ~m:1024 ~n:1024 ~k:1024 ~bm:64 ~bn ~bk:64 in
+    let k = gemm_kernel ~m:1024 ~n:1024 ~k:1024 ~bm:64 ~bn ~bk:64 () in
     let s = Exec.run ~mode:Exec.Analytic dev k in
     let cache = Cost.fresh_cache Arch.ampere in
     (Cost.kernel_time Arch.ampere cache s).Cost.time
@@ -328,6 +410,7 @@ let test_arch_lookup () =
 let suite =
   [
     Alcotest.test_case "gemm full execution" `Quick test_gemm_full;
+    Alcotest.test_case "gemm variants bit-exact" `Quick test_gemm_variants_bitexact;
     Alcotest.test_case "gemm flop count" `Quick test_gemm_flops;
     Alcotest.test_case "softmax full execution" `Quick test_softmax_full;
     Alcotest.test_case "full/analytic counters agree" `Quick test_full_analytic_agree;

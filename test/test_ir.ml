@@ -96,6 +96,32 @@ let test_interp_mlp_depth () =
   let[@warning "-8"] [ out ] = Interp.eval g env in
   check_tensor "mlp(1)" (Tensor.relu (Tensor.add (Tensor.matmul ~trans_b:true x w) b)) out
 
+(* The oracle's reference side, pinned bit for bit: an md5 of the Int64
+   bits of every drawn input and every output, at the oracle's seeds.
+   No plan is involved, so compiler changes cannot move it. *)
+let test_interp_pinned () =
+  List.iter
+    (fun (name, g, expected) ->
+      let buf = Buffer.create (1 lsl 20) in
+      let add t =
+        Array.iter (fun x -> Buffer.add_int64_le buf (Int64.bits_of_float x)) (Tensor.data t)
+      in
+      List.iter
+        (fun seed ->
+          let env = Interp.random_env ~seed g in
+          List.iter (fun (_, t) -> add t) env;
+          List.iter add (Interp.eval g env))
+        [ 42; 137; 9001 ];
+      Alcotest.(check string) name expected (Digest.to_hex (Digest.string (Buffer.contents buf))))
+    [
+      ( "ffn_ln",
+        Models.ffn_ln ~m:64 ~hidden:256 ~ffn:1024 ~act:`Gelu ~norm:`Layernorm,
+        "6962ce3d79835797fba5ffdb9033d24b" );
+      ( "mha",
+        Models.mha ~batch_heads:4 ~seq_q:64 ~seq_kv:64 ~head_dim:64 (),
+        "15ab7c060b91f52a01c9af6807b1d2f2" );
+    ]
+
 (* ------------------------------------------------------------------ *)
 (* Model zoo structure                                                 *)
 (* ------------------------------------------------------------------ *)
@@ -180,6 +206,7 @@ let () =
           Alcotest.test_case "mha" `Quick test_interp_mha;
           Alcotest.test_case "missing binding" `Quick test_interp_missing_binding;
           Alcotest.test_case "mlp" `Quick test_interp_mlp_depth;
+          Alcotest.test_case "pinned outputs" `Quick test_interp_pinned;
         ] );
       ( "zoo",
         [

@@ -50,6 +50,47 @@ let test_rng_deterministic () =
   let c = Rng.split a in
   Alcotest.(check bool) "split differs" true (Rng.float c <> Rng.float a)
 
+(* The streams every seeded input in the repository is drawn from: the
+   first eight draws of fresh generators, pinned bit for bit. *)
+let test_rng_pinned () =
+  let draws f r = List.init 8 (fun _ -> f r) in
+  let check_floats msg expected actual =
+    Alcotest.(check (list int64)) msg
+      (List.map Int64.bits_of_float expected)
+      (List.map Int64.bits_of_float actual)
+  in
+  List.iter
+    (fun (seed, ints, floats, normals) ->
+      Alcotest.(check (list int64))
+        (Printf.sprintf "seed %d next_int64" seed)
+        ints
+        (draws Rng.next_int64 (Rng.create seed));
+      check_floats (Printf.sprintf "seed %d float" seed) floats
+        (draws Rng.float (Rng.create seed));
+      check_floats (Printf.sprintf "seed %d normal" seed) normals
+        (draws Rng.normal (Rng.create seed)))
+    [
+      ( 0,
+        [ 0xe220a8397b1dcdafL; 0x6e789e6aa1b965f4L; 0x06c45d188009454fL; 0xf88bb8a8724c81ecL;
+          0x1b39896a51a8749bL; 0x53cb9f0c747ea2eaL; 0x2c829abe1f4532e1L; 0xc584133ac916ab3cL ],
+        [ 0x1.c4415072f63b9p-1; 0x1.b9e279aa86e58p-2; 0x1.b1174620025p-6; 0x1.f1177150e499p-1;
+          0x1.b39896a51a87p-4; 0x1.4f2e7c31d1fa8p-2; 0x1.6414d5f0fa298p-3; 0x1.8b082675922d5p-1 ],
+        [ -0x1.cf9fb99cfab92p-2; 0x1.53470d1ebc1f5p+1; -0x1.fa2a51dfe785dp-1; 0x1.0285969ebe6b7p-2;
+          0x1.99992ecac5d52p+0; 0x1.81fae2d6ddccbp-4; -0x1.11c125d48b7fep+0; -0x1.a66ed714dc55fp-1 ] );
+      ( 42,
+        [ 0xbdd732262feb6e95L; 0x28efe333b266f103L; 0x47526757130f9f52L; 0x581ce1ff0e4ae394L;
+          0x09bc585a244823f2L; 0xde4431fa3c80db06L; 0x37e9671c45376d5dL; 0xccf635ee9e9e2fa4L ],
+        [ 0x1.7bae644c5fd6dp-1; 0x1.477f199d93378p-3; 0x1.1d499d5c4c3e6p-2; 0x1.607387fc392b8p-2;
+          0x1.378b0b448904p-5; 0x1.bc8863f47901bp-1; 0x1.bf4b38e229bb4p-3; 0x1.99ec6bdd3d3c5p-1 ],
+        [ 0x1.a8ac4b546f509p-2; -0x1.c8a54f4e91a7cp-1; 0x1.bac69cd4142bfp+0; 0x1.175b8fd2de8bap-1;
+          -0x1.1495f183d321dp+0; -0x1.c76296a7a60e6p+0; -0x1.25473fd96d151p+0; 0x1.0ab38bced1168p-2 ] );
+    ];
+  Alcotest.(check (list int64))
+    "split of seed 42"
+    [ 0x57e1faba65107204L; 0xf4abd143feb24055L; 0x7c816738c12903b2L; 0x113e5dec6f8fd8a8L;
+      0xad4a599062fd1739L; 0x11485b98a7ea20b7L; 0x32028f50341ebd74L; 0xbc16a3d4cc48678eL ]
+    (draws Rng.next_int64 (Rng.split (Rng.create 42)))
+
 let test_rng_range () =
   let r = Rng.create 1 in
   for _ = 1 to 1000 do
@@ -306,7 +347,26 @@ let test_diff_reduce () =
         [ false; true ])
     cases
 
+(* Matmul must reproduce the dot-product order exactly, so compare the
+   bits. m, n and k sweep every remainder of the 2×4 output blocks and the
+   4-wide k unrolling, in both orientations. *)
 let test_diff_matmul () =
+  let check_bits msg expected actual =
+    Alcotest.(check (array int64)) msg
+      (Array.map Int64.bits_of_float (Tensor.data expected))
+      (Array.map Int64.bits_of_float (Tensor.data actual))
+  in
+  let sweep ~trans_b =
+    List.concat_map
+      (fun m ->
+        List.concat_map
+          (fun n ->
+            List.map
+              (fun k -> ([| m; k |], if trans_b then [| n; k |] else [| k; n |]))
+              [ 1; 3; 4; 5; 67 ])
+          (List.init 9 succ))
+      [ 1; 2; 3; 5 ]
+  in
   let plain =
     [
       ([| 1; 1 |], [| 1; 1 |]);
@@ -317,6 +377,7 @@ let test_diff_matmul () =
       ([| 2; 1; 3; 4 |], [| 6; 4; 2 |]);
       ([| 3; 5 |], [| 5; 5 |]);
     ]
+    @ sweep ~trans_b:false
   and transposed =
     [
       ([| 3; 4 |], [| 5; 4 |]);
@@ -324,19 +385,21 @@ let test_diff_matmul () =
       ([| 2; 3; 4 |], [| 2; 5; 4 |]);
       ([| 4; 2; 3 |], [| 5; 3 |]);
       ([| 2; 1; 3; 4 |], [| 6; 2; 4 |]);
+      ([| 3; 1; 5; 7 |], [| 2; 7; 7 |]);
     ]
+    @ sweep ~trans_b:true
   in
   List.iteri
     (fun si (sa, sb) ->
       let rng = Rng.create (500 + si) in
       let a = Tensor.randn rng sa and b = Tensor.randn rng sb in
-      check_tensor (Printf.sprintf "matmul case %d" si) (Naive.matmul a b) (Tensor.matmul a b))
+      check_bits (Printf.sprintf "matmul case %d" si) (Naive.matmul a b) (Tensor.matmul a b))
     plain;
   List.iteri
     (fun si (sa, sb) ->
       let rng = Rng.create (600 + si) in
       let a = Tensor.randn rng sa and b = Tensor.randn rng sb in
-      check_tensor
+      check_bits
         (Printf.sprintf "matmul trans_b case %d" si)
         (Naive.matmul ~trans_b:true a b)
         (Tensor.matmul ~trans_b:true a b))
@@ -485,6 +548,7 @@ let () =
       ( "rng",
         [
           Alcotest.test_case "deterministic" `Quick test_rng_deterministic;
+          Alcotest.test_case "pinned streams" `Quick test_rng_pinned;
           Alcotest.test_case "range" `Quick test_rng_range;
         ] );
       ( "tensor",
