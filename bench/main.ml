@@ -33,6 +33,14 @@ let run_backend arch (b : Policy.t) name g =
 
 let time_backend arch b name g = (run_backend arch b name g).Runtime.Exec_stats.x_time
 
+(* One end-to-end model run; a typed error is fatal to the experiment. *)
+let run_e2e ?cache arch b model =
+  Core.Spacefusion.Error.get
+    (Runtime.Model_runner.run_workload_r ?cache (Runtime.Workload.make ~arch b model))
+
+let time_e2e arch b model =
+  (run_e2e ~cache arch b model).Runtime.Model_runner.m_exec.Runtime.Exec_stats.x_time
+
 let header title columns =
   Printf.printf "\n### %s\n%s\n" title (String.concat "  " columns);
   Printf.printf "%s\n" (String.make (String.length (String.concat "  " columns)) '-')
@@ -169,7 +177,7 @@ let fig14 () =
               List.iter
                 (fun (b : Policy.t) ->
                   if Runtime.Model_runner.supported ~arch b then begin
-                    let r = Runtime.Model_runner.run_model ~cache ~arch b model in
+                    let r = run_e2e ~cache arch b model in
                     let su =
                       match !base with
                       | None ->
@@ -253,10 +261,7 @@ let fig16a () =
       in
       List.iter
         (fun (model : Ir.Models.model) ->
-          let lat vname variant =
-            let b = B.spacefusion_variant ~name:vname variant in
-            (Runtime.Model_runner.run_model ~cache ~arch b model).Runtime.Model_runner.m_exec.Runtime.Exec_stats.x_time
-          in
+          let lat vname variant = time_e2e arch (B.spacefusion_variant ~name:vname variant) model in
           let ls = List.map (fun (vn, v) -> lat vn v) variants in
           let full = List.nth ls 3 in
           Printf.printf "b=%-3d %-10s %s\n" batch model.model_name
@@ -290,9 +295,7 @@ let fig16b () =
             List.map
               (fun seq ->
                 let model = build batch seq in
-                let l b =
-                  (Runtime.Model_runner.run_model ~cache ~arch b model).Runtime.Model_runner.m_exec.Runtime.Exec_stats.x_time
-                in
+                let l b = time_e2e arch b model in
                 l B.pytorch /. l B.spacefusion)
               seqs
           in
@@ -316,7 +319,7 @@ let fig16c () =
   List.iter
     (fun (model : Ir.Models.model) ->
       let per_arch arch =
-        let l b = (Runtime.Model_runner.run_model ~cache ~arch b model).Runtime.Model_runner.m_exec.Runtime.Exec_stats.x_time in
+        let l b = time_e2e arch b model in
         let sf = l B.spacefusion in
         (1.0 /. sf, l B.pytorch /. sf)
       in
@@ -365,7 +368,7 @@ let tab5 () =
     (fun (model : Ir.Models.model) ->
       let compile_s b =
         (* No cache here: this experiment measures compile wall-clock. *)
-        (Runtime.Model_runner.run_model ~arch b model).Runtime.Model_runner.m_compile_s
+        (run_e2e arch b model).Runtime.Model_runner.m_compile_s
       in
       Printf.printf "%-10s %10.3f %10.3f %10.3f\n" model.model_name (compile_s B.bladedisc)
         (compile_s B.tensorrt) (compile_s B.spacefusion))

@@ -225,7 +225,9 @@ let profile_cmd =
     Obs.Trace.reset ();
     let cache = Runtime.Plan_cache.create () in
     let r =
-      or_die (Runtime.Model_runner.run_model_r ~cache ~arch Backends.Baselines.spacefusion model)
+      or_die
+        (Runtime.Model_runner.run_workload_r ~cache
+           (Runtime.Workload.make ~arch Backends.Baselines.spacefusion model))
     in
     let report = Obs.Report.capture () in
     let json =
@@ -741,7 +743,10 @@ let warm_cmd =
         (fun (b : Backends.Policy.t) ->
           List.iter
             (fun (m : Ir.Models.model) ->
-              match Runtime.Model_runner.run_model_r ~cache ~functional:`Auto ~arch b m with
+              match
+                Runtime.Model_runner.run_workload_r ~cache ~functional:`Auto
+                  (Runtime.Workload.make ~arch b m)
+              with
               | Ok _ -> ()
               | Error (Core.Spacefusion.Error.Unsupported _) -> ()
               | Error e ->

@@ -17,7 +17,10 @@ let () =
       List.iter
         (fun (b : Backends.Policy.t) ->
           if Runtime.Model_runner.supported ~arch b then begin
-            let r = Runtime.Model_runner.run_model ~arch b model in
+            let r =
+              Core.Spacefusion.Error.get
+                (Runtime.Model_runner.run_workload_r (Runtime.Workload.make ~arch b model))
+            in
             let su =
               match !base with
               | None ->

@@ -24,15 +24,17 @@ module Error = struct
     | Unschedulable of string
     | Unsupported of { backend : string; arch : string }
 
-  (* The Unsupported text matches the historical Invalid_argument message
-     raised by Model_runner.run_model, which tests pin. *)
+  (* The Unsupported text is the Invalid_argument message that [get]
+     raises for a model run on an unsupported architecture, which tests
+     pin. *)
   let to_string = function
     | Unschedulable msg -> "unschedulable: " ^ msg
     | Unsupported { backend; arch } -> Printf.sprintf "%s does not support %s" backend arch
 
   (* The one exception mapping for the whole pipeline. Every raising
-     wrapper (Spacefusion.compile, Policy.compile, Model_runner.run_model)
-     is [get] over its [_r] twin — the mapping lives here and nowhere
+     wrapper (Spacefusion.compile, Policy.compile) is [get] over its [_r]
+     twin, and a caller of Model_runner.run_workload_r that wants an
+     exception applies [get] itself — the mapping lives here and nowhere
      else. *)
   let raise_exn = function
     | Unschedulable msg -> raise_unschedulable msg

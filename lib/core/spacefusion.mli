@@ -24,8 +24,9 @@ type compiled = {
 exception Unschedulable of string
 
 (** Typed pipeline errors: the one error surface shared by {!compile_r},
-    {!Backends.Policy.compile_r} and {!Runtime.Model_runner.run_model_r},
-    so call sites match on constructors instead of catching exceptions.
+    {!Backends.Policy.compile_r} and
+    {!Runtime.Model_runner.run_workload_r}, so call sites match on
+    constructors instead of catching exceptions.
 
     The [result]-typed [_r] entry points are the canonical API at every
     layer; each raising twin is exactly [Error.get] over it, so the

@@ -168,15 +168,6 @@ let classify_exn = function
       | Fault.Plan.Poisoned -> Isolate)
   | _ -> No_fault
 
-(* Legacy positional entry points: thin wrappers over the workload API.
-   The raising variant maps errors through the single exception mapping in
-   {!Core.Spacefusion.Error}. *)
-let run_model_r ?cache ?inject ?arena ?functional ~arch backend model =
-  run_workload_r ?cache ?inject ?arena ?functional (Workload.make ~arch backend model)
-
-let run_model ?cache ?arena ?functional ~arch backend model =
-  Core.Spacefusion.Error.get (run_model_r ?cache ?arena ?functional ~arch backend model)
-
 let to_json r =
   Obs.Json.Obj
     [

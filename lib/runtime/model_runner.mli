@@ -76,31 +76,6 @@ val classify_exn : exn -> fault_action
 (** Map an exception escaping a model run to the serving layer's recovery
     action (severity of {!Fault.Plan.Injected}; [No_fault] otherwise). *)
 
-val run_model_r :
-  ?cache:Plan_cache.t ->
-  ?inject:Fault.Inject.t ->
-  ?arena:Tensor.Arena.t ->
-  ?functional:[ `Auto | `Always | `Never ] ->
-  arch:Gpu.Arch.t ->
-  Backends.Policy.t ->
-  Ir.Models.model ->
-  (result, Core.Spacefusion.Error.t) Stdlib.result
-(** Deprecated positional spelling: exactly {!run_workload_r} on
-    [Workload.make ~arch backend model] (a single-device workload). *)
-
-val run_model :
-  ?cache:Plan_cache.t ->
-  ?arena:Tensor.Arena.t ->
-  ?functional:[ `Auto | `Always | `Never ] ->
-  arch:Gpu.Arch.t ->
-  Backends.Policy.t ->
-  Ir.Models.model ->
-  result
-(** {!run_model_r} through {!Core.Spacefusion.Error.get} — the one
-    exception mapping: [Invalid_argument] for [Unsupported] (message
-    unchanged from the historical API) and {!Core.Spacefusion.Unschedulable}
-    for [Unschedulable]. *)
-
 val supported : arch:Gpu.Arch.t -> Backends.Policy.t -> bool
 
 val to_json : result -> Obs.Json.t

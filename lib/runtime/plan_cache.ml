@@ -137,10 +137,6 @@ let key_of ?(devices = 1) ?cls (backend : Backends.Policy.t) arch ~name graph =
     k_class = (match cls with None -> "-" | Some c -> Shape_class.id c);
   }
 
-let mem t ?devices ?cls backend arch ~name graph =
-  let key = key_of ?devices ?cls backend arch ~name graph in
-  locked t (fun () -> Hashtbl.mem t.table key)
-
 let compile_hit_verified t ?devices ?cls (backend : Backends.Policy.t) arch ~name graph =
   (* Hash the canonical DSL outside the lock: it is the expensive part of
      the key, and it needs no cache state. *)

@@ -11,7 +11,11 @@
     compilation itself runs outside the lock so distinct misses overlap),
     and optionally bounded: with [capacity] set, the least-recently-used
     plan is evicted once the table exceeds it. Hit/miss/eviction counters
-    are reported through {!Core.Cstats}. *)
+    are reported through {!Core.Cstats}.
+
+    A caller tells warm from cold only through the lookup that also
+    hands it the plan ({!compile_hit}), so each request builds each key
+    once. *)
 
 type t
 
@@ -99,20 +103,6 @@ val mark_verified :
     the graph — the stamp survives eviction and in-flight recompiles,
     re-applying itself on the next insert of the same key instead of
     being silently dropped. Persisted when the cache has a store. *)
-
-val mem :
-  t ->
-  ?devices:int ->
-  ?cls:Shape_class.t ->
-  Backends.Policy.t ->
-  Gpu.Arch.t ->
-  name:string ->
-  Ir.Graph.t ->
-  bool
-(** Whether a plan for this key is resident right now. Pure probe: no LRU
-    touch, no hit/miss accounting, no compile. The serve runtime uses it
-    to decide whether a request known to blow its compile budget can still
-    take the fused path (another request has compiled it since). *)
 
 val hits : t -> int
 val misses : t -> int

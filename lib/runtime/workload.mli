@@ -5,9 +5,9 @@
     triple was repeated at every layer — runner, server, breaker
     accessors, cache digests, store stamps — each with its own argument
     order. A workload is built once at the edge and threaded through
-    {!Model_runner.run_workload_r} and [Serve.Server.submit_w]; the
-    legacy positional entry points remain as thin wrappers (deprecated —
-    see DESIGN.md "Multi-device node & fleet routing"). *)
+    {!Model_runner.run_workload_r} and [Serve.Server.submit_w]; the one
+    positional spelling left, [Serve.Server.submit], is a thin wrapper
+    (see DESIGN.md "Multi-device node & fleet routing"). *)
 
 type placement =
   | Auto  (** the fleet router picks by plan locality and device load *)
@@ -41,9 +41,10 @@ val make :
 val digest : t -> string
 (** Hex MD5 identity of the workload: policy, architecture, device count
     and the digest of every subprogram — two workloads with equal digests
-    are interchangeable end to end. This is the serving layer's
-    coalescing/blown-budget key (the same identity a warm plan cache
-    sees). Under [Pow2], sliceable subprograms contribute their
+    are interchangeable end to end. This is the serving layer's request
+    key — batching, service-time estimates, quarantine and fleet
+    locality all use it (the same identity a warm plan cache sees).
+    Under [Pow2], sliceable subprograms contribute their
     (shape class, canonical graph) instead of the concrete shape, so
     every in-class shape shares one digest — the batch-admission key. *)
 

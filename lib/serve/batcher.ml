@@ -50,7 +50,6 @@ type 'r t = {
   lock : Mutex.t;
   table : (string, 'r batch) Hashtbl.t;
   window_s : float;
-  max_members : int;
   clock : unit -> float;
 }
 
@@ -58,10 +57,9 @@ let m_batches = Obs.Metrics.counter "batch.closed"
 let m_joined = Obs.Metrics.counter "batch.joined"
 let m_boundary = Obs.Metrics.counter "batch.boundary_closes"
 
-let create ?(window_s = 2e-3) ?(max_members = max_int) ?(clock = Unix.gettimeofday) () =
+let create ?(window_s = 2e-3) ?(clock = Unix.gettimeofday) () =
   if window_s < 0.0 then invalid_arg "Batcher.create: window_s < 0";
-  if max_members < 1 then invalid_arg "Batcher.create: max_members < 1";
-  { lock = Mutex.create (); table = Hashtbl.create 16; window_s; max_members; clock }
+  { lock = Mutex.create (); table = Hashtbl.create 16; window_s; clock }
 
 let locked t f =
   Mutex.lock t.lock;
@@ -77,7 +75,7 @@ let mode_rows = function Shared -> 0 | Sliced { rows; _ } -> rows
    in-flight run for free. A [Sliced] batch only grows while open: its
    members' rows are stacked into one execution, so nobody may join once
    the leader started running. *)
-let joinable t b mode =
+let joinable b mode =
   match (b.bt_state, mode) with
   | Delivered, _ -> false
   | (Open | Sealed), Shared -> ( match b.bt_mode with Shared -> true | Sliced _ -> false)
@@ -85,7 +83,7 @@ let joinable t b mode =
       match b.bt_mode with
       | Shared -> false
       | Sliced { cap = cap'; _ } ->
-          cap = cap' && b.bt_rows + rows <= cap && members b < t.max_members)
+          cap = cap' && b.bt_rows + rows <= cap)
   | Sealed, Sliced _ -> false
 
 let admit t ~key ~mode ?deadline ?(tag = 0) cb =
@@ -114,7 +112,7 @@ let admit t ~key ~mode ?deadline ?(tag = 0) cb =
         `Lead b
       in
       match Hashtbl.find_opt t.table key with
-      | Some b when joinable t b mode ->
+      | Some b when joinable b mode ->
           b.bt_members <-
             {
               mb_cb = cb;
@@ -128,7 +126,7 @@ let admit t ~key ~mode ?deadline ?(tag = 0) cb =
           (* Shape-class boundary: the bucket is full — seal so the
              leader's grow loop returns without waiting out the window. *)
           (match mode with
-          | Sliced { cap; _ } when b.bt_rows >= cap || members b >= t.max_members ->
+          | Sliced { cap; _ } when b.bt_rows >= cap ->
               b.bt_state <- Sealed;
               Obs.Metrics.incr m_boundary
           | _ -> ());

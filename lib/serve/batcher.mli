@@ -45,11 +45,11 @@ type 'r slot = {
 type 'r t
 type 'r batch
 
-val create : ?window_s:float -> ?max_members:int -> ?clock:(unit -> float) -> unit -> 'r t
+val create : ?window_s:float -> ?clock:(unit -> float) -> unit -> 'r t
 (** [window_s] (default 2 ms) bounds how long a [Sliced] leader's {!grow}
-    waits for joiners; [max_members] (default unbounded) additionally
-    caps [Sliced] batch size. [clock] is for tests. Raises
-    [Invalid_argument] on a negative window or [max_members < 1]. *)
+    waits for joiners; the server keeps the default, so it is a test
+    seam, like [clock] (the server passes its own). Raises
+    [Invalid_argument] on a negative window. *)
 
 val admit :
   'r t ->

@@ -7,16 +7,13 @@ type config = {
   max_retries : int;
   backoff_s : float;
   backoff_cap_s : float;
-  compile_budget_s : float option;
   clock : unit -> float;
   fault_plan : Fault.Plan.t option;
   breaker : Breaker.config;
   devices : int;
   shapes : Runtime.Shape_class.policy;
-  batch_window_s : float;
   shed_deadlines : bool;
   quarantine_threshold : int;
-  cold_compile_cap : int;
   arena_budget_bytes : int option;
 }
 
@@ -28,16 +25,13 @@ let default_config () =
     max_retries = 2;
     backoff_s = 1e-3;
     backoff_cap_s = 0.05;
-    compile_budget_s = None;
     clock = Unix.gettimeofday;
     fault_plan = None;
     breaker = Breaker.default_config;
     devices = 1;
     shapes = Runtime.Shape_class.Exact;
-    batch_window_s = 2e-3;
     shed_deadlines = false;
     quarantine_threshold = 3;
-    cold_compile_cap = 0;
     arena_budget_bytes = None;
   }
 
@@ -106,8 +100,6 @@ type t = {
   shed : Shed.t;
   fleet : Fleet.t option;  (* Some iff cfg.devices > 1 *)
   stream : int Atomic.t;
-  blown_lock : Mutex.t;
-  blown : (string, unit) Hashtbl.t;  (* request keys whose fused compile blew the budget *)
   (* Memory-pressure response: each resource_exhausted trip halves the
      Sliced batch-admission cap (cap lsr shift); sustained clean batched
      runs walk it back one doubling at a time. *)
@@ -122,8 +114,6 @@ let m_cap_shift = Obs.Metrics.gauge "serve.batch_cap_shift"
 
 (* Clean batched runs required before the cap recovers one halving. *)
 let cap_recovery_runs = 32
-
-exception Budget_exceeded of float
 
 (* ------------------------------------------------------------------ *)
 (* Tickets                                                             *)
@@ -216,54 +206,6 @@ let request_key rq = Runtime.Workload.digest rq.rq_work
 (* Serving one request (leader path)                                   *)
 (* ------------------------------------------------------------------ *)
 
-let mark_blown t key =
-  Mutex.lock t.blown_lock;
-  Hashtbl.replace t.blown key ();
-  Mutex.unlock t.blown_lock
-
-let is_blown t key =
-  Mutex.lock t.blown_lock;
-  let b = Hashtbl.mem t.blown key in
-  Mutex.unlock t.blown_lock;
-  b
-
-(* Every fused plan for this request already resident? Then the fused path
-   costs a table lookup even for a key that once blew its budget. Probes
-   the same (possibly shape-classed) keys the runner will use. *)
-let fused_ready t rq =
-  let w = rq.rq_work in
-  List.for_all
-    (fun (sp : Ir.Models.subprogram) ->
-      let cls, g =
-        match Runtime.Shape_class.plan_graph ~policy:w.Runtime.Workload.shapes sp.graph with
-        | Some (c, cg) -> (Some c, cg)
-        | None -> (None, sp.graph)
-      in
-      Runtime.Plan_cache.mem t.cache ~devices:w.Runtime.Workload.devices ?cls
-        w.Runtime.Workload.backend w.Runtime.Workload.arch
-        ~name:(w.Runtime.Workload.model.Ir.Models.model_name ^ "." ^ sp.sp_name)
-        g)
-    w.Runtime.Workload.model.Ir.Models.subprograms
-
-(* The budget only bites on cache misses: hits never reach the policy's
-   [compile]. A tripped compile is abandoned mid-model (the claim is
-   released, nothing is cached for that subprogram) and the request falls
-   back to the baseline — like a serving tier killing a straggler. *)
-let budgeted t (b : Backends.Policy.t) =
-  match t.cfg.compile_budget_s with
-  | None -> b
-  | Some budget ->
-      {
-        b with
-        Backends.Policy.compile =
-          (fun arch ~name g ->
-            let t0 = t.cfg.clock () in
-            let plan = b.Backends.Policy.compile arch ~name g in
-            let dt = t.cfg.clock () -. t0 in
-            if dt > budget then raise (Budget_exceeded dt);
-            plan);
-      }
-
 (* Every run is [`Auto]: a plan's first run executes the functional
    interpreter end to end, and only verified warm hits take the analytic
    fast path (see {!Runtime.Model_runner.run_workload_r}). *)
@@ -312,19 +254,14 @@ let with_request_budget t f =
       | Some a -> Tensor.Arena.with_budget a ~bytes f
       | None -> f ())
 
-let fused_run t rq ~key ~inject ~batched =
-  let w = rq.rq_work in
+let fused_run t rq ~inject ~batched =
   match
     with_request_budget t (fun () ->
-        Runtime.Model_runner.run_workload_r ~cache:t.cache ?inject ~functional:`Auto
-          { w with Runtime.Workload.backend = budgeted t w.Runtime.Workload.backend })
+        Runtime.Model_runner.run_workload_r ~cache:t.cache ?inject ~functional:`Auto rq.rq_work)
   with
   | Ok r -> `Served (r, false)
   | Error (Error.Unsupported _ as e) -> `Reject (Error.to_string e)
   | Error (Error.Unschedulable _) -> baseline_run t rq ~inject
-  | exception Budget_exceeded _ ->
-      mark_blown t key;
-      baseline_run t rq ~inject
   | exception (Fault.Plan.Injected f as e)
     when f.Fault.Plan.f_kind = Fault.Plan.Resource_exhausted ->
       (* The memory budget (or an injected resource fault) bit. Halve the
@@ -351,44 +288,25 @@ let breaker_key work ~device =
 (* One serving attempt. The fused path runs under its circuit breaker:
    short-circuited attempts degrade straight to the baseline without
    touching the fused path, and every admitted attempt reports back so the
-   breaker can trip, probe and close. The budget-blown fallback bypasses
-   the breaker — it is a compile-cost decision, not a path-health one. *)
-let serve_once t rq ~key ~device ~inject ~batched =
-  let cold = not (fused_ready t rq) in
-  if is_blown t key && cold then baseline_run t rq ~inject
-  else if
-    (* AIMD cold-compile gate: a request whose fused plans are not yet
-       resident needs the compiler; when every slot is taken it degrades
-       to the baseline immediately instead of queueing behind the
-       compile storm. Checked before the breaker so a deferral never
-       counts against path health. *)
-    cold && not (Shed.try_compile t.shed)
-  then baseline_run t rq ~inject
-  else begin
-    (* From here a cold attempt holds a compile slot and must release it
-       on every path. *)
-    let end_cold ~ok = if cold then Shed.end_compile t.shed ~ok in
-    let bkey = breaker_key rq.rq_work ~device in
-    match Breaker.acquire t.breakers ~key:bkey with
-    | `Short_circuit ->
-        end_cold ~ok:true;
-        baseline_run t rq ~inject
-    | (`Proceed | `Probe) as d ->
-        let probe = d = `Probe in
-        let o = fused_run t rq ~key ~inject ~batched in
-        end_cold ~ok:(match o with `Served _ | `Reject _ -> true | `Fault _ | `Pressure _ -> false);
-        (match o with
-        | `Served _ | `Reject _ -> Breaker.success t.breakers ~key:bkey ~probe
-        | `Fault _ -> Breaker.failure t.breakers ~key:bkey ~probe
-        (* Size-attributable, not path-attributable: a too-big batch must
-           not open the path's breaker. *)
-        | `Pressure _ -> Breaker.success t.breakers ~key:bkey ~probe);
-        o
-  end
+   breaker can trip, probe and close. *)
+let serve_once t rq ~device ~inject ~batched =
+  let bkey = breaker_key rq.rq_work ~device in
+  match Breaker.acquire t.breakers ~key:bkey with
+  | `Short_circuit -> baseline_run t rq ~inject
+  | (`Proceed | `Probe) as d ->
+      let probe = d = `Probe in
+      let o = fused_run t rq ~inject ~batched in
+      (match o with
+      | `Served _ | `Reject _ -> Breaker.success t.breakers ~key:bkey ~probe
+      | `Fault _ -> Breaker.failure t.breakers ~key:bkey ~probe
+      (* Size-attributable, not path-attributable: a too-big batch must
+         not open the path's breaker. *)
+      | `Pressure _ -> Breaker.success t.breakers ~key:bkey ~probe);
+      o
 
 (* Fleet routing: pick a device for this attempt (plan locality first,
    then least load; a [Pin] placement is honored until its device dies). *)
-let place_attempt t rq ~key =
+let place_attempt t rq =
   match t.fleet with
   | None -> `Ok None
   | Some fl -> (
@@ -397,11 +315,13 @@ let place_attempt t rq ~key =
           if Fleet.is_dead fl i then `All_dead else `Ok (Some i)
       | Runtime.Workload.Pin _ -> `All_dead
       | Runtime.Workload.Auto -> (
-          match Fleet.place fl ~key with None -> `All_dead | Some i -> `Ok (Some i)))
+          match Fleet.place fl ~key:(request_key rq) with
+          | None -> `All_dead
+          | Some i -> `Ok (Some i)))
 
-let serve_with_retries t rq ~key ~deadline ~batched =
+let serve_with_retries t rq ~deadline ~batched =
   let rec go attempt =
-    match place_attempt t rq ~key with
+    match place_attempt t rq with
     | `All_dead -> S_failed ("all devices dead", `Permanent)
     | `Ok device ->
         (* Each attempt runs on its own injection stream: in fleet mode
@@ -422,8 +342,8 @@ let serve_with_retries t rq ~key ~deadline ~batched =
               Fleet.acquire fl i;
               Fun.protect
                 ~finally:(fun () -> Fleet.release fl i)
-                (fun () -> serve_once t rq ~key ~device ~inject ~batched)
-          | _ -> serve_once t rq ~key ~device ~inject ~batched
+                (fun () -> serve_once t rq ~device ~inject ~batched)
+          | _ -> serve_once t rq ~device ~inject ~batched
         in
         (match o with
         | `Served (r, degraded) -> S_done (r, degraded, attempt)
@@ -613,11 +533,7 @@ let handle t (p : request Queue.popped) =
               | _ -> `Split (S_poisoned "poisoned batch member")
             else begin
               let rq_run = { rq with rq_work = Runtime.Workload.rebatch rq.rq_work ~rows } in
-              let key_run = request_key rq_run in
-              match
-                serve_with_retries t rq_run ~key:key_run ~deadline
-                  ~batched:(List.length ms > 1)
-              with
+              match serve_with_retries t rq_run ~deadline ~batched:(List.length ms > 1) with
               | S_pressure _ as sp when List.length ms > 1 ->
                   saw_pressure := true;
                   `Split sp
@@ -656,7 +572,7 @@ let handle t (p : request Queue.popped) =
               (* A sealed one-member [Sliced] batch holds only the leader's
                  own rows, so the leader's workload runs untouched. *)
               let served =
-                try serve_with_retries t rq ~key ~deadline ~batched:false
+                try serve_with_retries t rq ~deadline ~batched:false
                 with e -> S_failed (Printexc.to_string e, `Permanent)
               in
               observe_service t ~key ~own_rows:(mode_rows_of mode)
@@ -712,20 +628,16 @@ let start ?cache ?config () =
       cache = (match cache with Some c -> c | None -> Runtime.Plan_cache.create ());
       queue =
         Queue.create ~clock:cfg.clock ~priorities:cfg.priorities ~capacity:cfg.queue_capacity ();
-      batcher = Batcher.create ~window_s:cfg.batch_window_s ~clock:cfg.clock ();
+      batcher = Batcher.create ~clock:cfg.clock ();
       stats = Stats.create ();
       breakers = Breaker.create ~clock:cfg.clock cfg.breaker;
-      shed =
-        Shed.create ~workers ~quarantine_threshold:cfg.quarantine_threshold
-          ~cold_compile_cap:cfg.cold_compile_cap ();
+      shed = Shed.create ~workers ~quarantine_threshold:cfg.quarantine_threshold ();
       cap_shift = Atomic.make 0;
       clean_runs = Atomic.make 0;
       fleet =
         (if cfg.devices > 1 then Some (Fleet.create ?fault_plan:cfg.fault_plan ~devices:cfg.devices ())
          else None);
       stream = Atomic.make 0;
-      blown_lock = Mutex.create ();
-      blown = Hashtbl.create 16;
       join_lock = Mutex.create ();
       worker_domains = [];
     }

@@ -22,19 +22,20 @@
       degraded;
     - [Failed] when transient errors survived every retry.
 
-    Degradation: a fused compile that exceeds the configured budget is
-    abandoned (the request is served from the unfused
-    {!Backends.Baselines.pytorch} plan instead of failing), and the key is
-    remembered so later identical requests skip straight to the baseline —
-    unless the fused plans have meanwhile landed in the cache
-    ({!Runtime.Plan_cache.mem}), in which case the fused path is cheap
-    again. An [Unschedulable] fused compile degrades the same way.
+    Degradation: an attempt is served from the unfused
+    {!Backends.Baselines.pytorch} plan instead of failing when its fused
+    compile is [Unschedulable], when the fused path's breaker is open, or
+    when the fused run takes a [Degraded]-severity fault — an injected
+    shared-memory eviction, or a resource exhaustion (an injected one or
+    an [arena_budget_bytes] trip) of a solo run; a batched run's resource
+    exhaustion is bisected instead. Cold and warm requests take the same
+    path: the runner's one plan-cache lookup tells them apart.
 
-    Transient failures (any exception that is not a typed pipeline error
-    or the budget trip) are retried with capped exponential backoff. The
-    backoff is deadline-aware: a retry never sleeps past the request's
-    absolute deadline — the request resolves [Timed_out] immediately
-    instead of timing out while the server holds it.
+    Transient failures (any exception that is not a typed pipeline error)
+    are retried with capped exponential backoff. The backoff is
+    deadline-aware: a retry never sleeps past the request's absolute
+    deadline — the request resolves [Timed_out] immediately instead of
+    timing out while the server holds it.
 
     Self-healing (see DESIGN.md, "Fault model & self-healing"): each
     (backend, arch) fused path runs under a circuit {!Breaker}. Enough
@@ -53,8 +54,8 @@
     workload digest join {e one} batch. Identical (or non-sliceable)
     requests share the leader's run outright; row-sliceable requests
     under a [Pow2] shape policy stack their rows into a single
-    class-representative execution that closes on the [batch_window_s]
-    timer, a member's imminent deadline, or the shape-class row boundary,
+    class-representative execution that closes on the {!Batcher}'s 2 ms
+    window, a member's imminent deadline, or the shape-class row boundary,
     and each member is handed its own row slice. Every member — leader
     included — times out against {e its own} absolute deadline at
     delivery; batch membership never substitutes the leader's deadline.
@@ -77,8 +78,7 @@
     fail. Repeat poison offenders are quarantined by request key
     ([quarantine_threshold]) and resolve [Quarantined] without
     executing. Memory pressure additionally halves the batch-admission
-    cap (recovering one doubling per 32 clean batched runs), and
-    [cold_compile_cap] runs an AIMD gate on concurrent cold compiles.
+    cap (recovering one doubling per 32 clean batched runs).
 
     The pool of worker domains is the only parallelism axis: a request's
     compile runs on the worker domain that took it. *)
@@ -90,7 +90,6 @@ type config = {
   max_retries : int;  (** transient-failure retries per request *)
   backoff_s : float;  (** retry [k] sleeps [backoff_s * 2^k] ... *)
   backoff_cap_s : float;  (** ... capped at this *)
-  compile_budget_s : float option;  (** per-subprogram fused-compile cap *)
   clock : unit -> float;  (** injectable for deterministic tests *)
   fault_plan : Fault.Plan.t option;
       (** deterministic fault injection for every serving attempt *)
@@ -109,9 +108,6 @@ type config = {
           (the default) keeps legacy per-shape plans and identical-request
           dedup; [Pow2] compiles one plan per power-of-two batch bucket
           and row-batches concurrent in-class requests. *)
-  batch_window_s : float;
-      (** how long a [Sliced] batch leader waits for joiners before
-          executing (deadline-aware; default 2 ms) *)
   shed_deadlines : bool;
       (** estimate deadline feasibility at admission and resolve
           infeasible requests [Shed] instead of queueing them (default
@@ -119,10 +115,6 @@ type config = {
   quarantine_threshold : int;
       (** poison offenses per request key before the key resolves
           [Quarantined] without executing; [0] disables (default 3) *)
-  cold_compile_cap : int;
-      (** initial AIMD cap on concurrent cold (fused-compile) requests;
-          excess cold requests degrade to the baseline immediately. [0]
-          disables the gate (default). *)
   arena_budget_bytes : int option;
       (** hard per-attempt byte budget on the worker's tensor arena; an
           attempt allocating past it takes a typed
@@ -134,11 +126,9 @@ val default_config : unit -> config
 (** [workers = Core.Parallel.default_jobs ()] (so [SPACEFUSION_JOBS]
     sizes the pool), [queue_capacity = 256], [priorities = 2],
     [max_retries = 2], [backoff_s = 1e-3], [backoff_cap_s = 0.05],
-    [compile_budget_s = None], [clock = Unix.gettimeofday],
-    [fault_plan = None], [breaker = Breaker.default_config],
-    [devices = 1], [shapes = Exact],
-    [batch_window_s = 2e-3], [shed_deadlines = false],
-    [quarantine_threshold = 3], [cold_compile_cap = 0],
+    [clock = Unix.gettimeofday], [fault_plan = None],
+    [breaker = Breaker.default_config], [devices = 1], [shapes = Exact],
+    [shed_deadlines = false], [quarantine_threshold = 3],
     [arena_budget_bytes = None]. *)
 
 type response = {
@@ -207,7 +197,7 @@ val queue_depth : t -> int
 
 val shed : t -> Shed.t
 (** The server's admission-control state: service-time estimates,
-    backlog charge, quarantine offenses, AIMD compile cap. *)
+    backlog charge, quarantine offenses. *)
 
 val batch_cap_shift : t -> int
 (** Current memory-pressure halvings of the [Sliced] batch-admission cap

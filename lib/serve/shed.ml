@@ -1,45 +1,30 @@
 type t = {
   lock : Mutex.t;
-  alpha : float;
   workers : int;
   ewma : (string, float) Hashtbl.t;
   mutable backlog_s : float;
   (* Quarantine: per-request-key poison offense counts. *)
   q_threshold : int;
   offenses : (string, int) Hashtbl.t;
-  (* AIMD cap on concurrent cold compiles. 0 = gate disabled. *)
-  cap_max : int;
-  mutable compile_cap : int;
-  mutable compiling : int;
-  mutable deferred : int;
 }
 
 let m_backlog = Obs.Metrics.gauge "shed.backlog_seconds"
-let m_cap = Obs.Metrics.gauge "shed.compile_cap"
-let m_deferred = Obs.Metrics.counter "shed.compiles_deferred"
 let m_offense = Obs.Metrics.counter "shed.offenses"
 
-let create ?(alpha = 0.3) ?(workers = 1) ?(quarantine_threshold = 0) ?(cold_compile_cap = 0)
-    () =
-  if alpha <= 0.0 || alpha > 1.0 then
-    invalid_arg (Printf.sprintf "Serve.Shed.create: alpha %g outside (0, 1]" alpha);
+(* EWMA smoothing factor of the service-time estimates. *)
+let alpha = 0.3
+
+let create ?(workers = 1) ?(quarantine_threshold = 0) () =
   if workers < 1 then invalid_arg "Serve.Shed.create: workers must be >= 1";
   if quarantine_threshold < 0 then
     invalid_arg "Serve.Shed.create: negative quarantine_threshold";
-  if cold_compile_cap < 0 then invalid_arg "Serve.Shed.create: negative cold_compile_cap";
-  Obs.Metrics.set m_cap (float_of_int cold_compile_cap);
   {
     lock = Mutex.create ();
-    alpha;
     workers;
     ewma = Hashtbl.create 32;
     backlog_s = 0.0;
     q_threshold = quarantine_threshold;
     offenses = Hashtbl.create 8;
-    cap_max = cold_compile_cap;
-    compile_cap = cold_compile_cap;
-    compiling = 0;
-    deferred = 0;
   }
 
 let locked t f =
@@ -58,7 +43,7 @@ let observe t ~key ~service_s =
         let next =
           match Hashtbl.find_opt t.ewma key with
           | None -> service_s
-          | Some prev -> prev +. (t.alpha *. (service_s -. prev))
+          | Some prev -> prev +. (alpha *. (service_s -. prev))
         in
         Hashtbl.replace t.ewma key next)
 
@@ -137,42 +122,3 @@ let quarantined t ~key =
   t.q_threshold > 0
   && locked t (fun () ->
          Option.value (Hashtbl.find_opt t.offenses key) ~default:0 >= t.q_threshold)
-
-(* ------------------------------------------------------------------ *)
-(* AIMD cold-compile gate                                              *)
-(* ------------------------------------------------------------------ *)
-
-let try_compile t =
-  t.cap_max = 0
-  ||
-  let ok =
-    locked t (fun () ->
-        if t.compiling < t.compile_cap then begin
-          t.compiling <- t.compiling + 1;
-          true
-        end
-        else begin
-          t.deferred <- t.deferred + 1;
-          false
-        end)
-  in
-  if not ok then Obs.Metrics.incr m_deferred;
-  ok
-
-let end_compile t ~ok =
-  if t.cap_max > 0 then begin
-    let cap =
-      locked t (fun () ->
-          t.compiling <- max 0 (t.compiling - 1);
-          (* Additive increase on success, multiplicative decrease on a
-             failed compile attempt — the TCP-style probe that lets the
-             cap recover once compile storms subside. *)
-          if ok then t.compile_cap <- min t.cap_max (t.compile_cap + 1)
-          else t.compile_cap <- max 1 (t.compile_cap / 2);
-          t.compile_cap)
-    in
-    Obs.Metrics.set m_cap (float_of_int cap)
-  end
-
-let compile_cap t = locked t (fun () -> t.compile_cap)
-let compiles_deferred t = locked t (fun () -> t.deferred)

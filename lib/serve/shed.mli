@@ -1,21 +1,21 @@
 (** Adaptive overload control for the serving tier.
 
-    Three cooperating defenses, all deterministic given a deterministic
+    Two cooperating defenses, both deterministic given a deterministic
     caller (frozen clock, fixed submit order):
 
     {b Admission feasibility.} The server {!observe}s each completed
     run's {e simulated} service time (the cost model's
     [Exec_stats.x_time], never the wall clock, so estimates replay
-    bit-identically) into a per-request-key EWMA, and charges every
-    admitted request's estimate to a running backlog. {!admit} then
-    judges a new arrival at the door: if the estimated queue wait
-    (backlog / workers) plus the key's estimated service time already
-    exceeds the relative deadline, the request is infeasible and is shed
-    {e now} — a distinct [Shed] outcome, resolved without executing —
-    instead of timing out after burning queue and worker time. Keys
-    never seen before admit optimistically: cold starts must not shed on
-    ignorance. Estimates can be pre-seeded from a previous run's
-    telemetry via {!seed}.
+    bit-identically) into a per-request-key EWMA (smoothing factor 0.3),
+    and charges every admitted request's estimate to a running backlog.
+    {!admit} then judges a new arrival at the door: if the estimated
+    queue wait (backlog / workers) plus the key's estimated service time
+    already exceeds the relative deadline, the request is infeasible and
+    is shed {e now} — a distinct [Shed] outcome, resolved without
+    executing — instead of timing out after burning queue and worker
+    time. Keys never seen before admit optimistically: cold starts must
+    not shed on ignorance. Estimates can be pre-seeded from a previous
+    run's telemetry via {!seed}.
 
     {b Quarantine.} Each confirmed poisoned payload counts an
     {!offense} against its request key; once a key reaches the offense
@@ -23,33 +23,17 @@
     requests on that key as [Quarantined] without executing them.
     Threshold 0 disables quarantine.
 
-    {b AIMD cold-compile cap.} {!try_compile} bounds how many cold
-    (uncached) compiles run concurrently so a compile storm cannot
-    starve warm traffic; a denied slot degrades that request to the
-    baseline path instead of queueing behind the compiler. The cap
-    grows additively on success and halves on failure ([end_compile]),
-    TCP style. Cap 0 disables the gate.
-
-    Metrics: [shed.backlog_seconds], [shed.compile_cap] (gauges);
-    [shed.compiles_deferred], [shed.offenses] (counters). The [Shed] /
-    [Quarantined] terminal outcomes themselves are counted by
-    {!Stats}. *)
+    Metrics: [shed.backlog_seconds] (gauge), [shed.offenses] (counter).
+    The [Shed] / [Quarantined] terminal outcomes themselves are counted
+    by {!Stats}. *)
 
 type t
 
-val create :
-  ?alpha:float ->
-  ?workers:int ->
-  ?quarantine_threshold:int ->
-  ?cold_compile_cap:int ->
-  unit ->
-  t
-(** [alpha] is the EWMA smoothing factor in (0, 1] (default 0.3);
-    [workers] the consumer parallelism used to turn backlog seconds into
-    estimated wait (default 1); [quarantine_threshold] the offense count
-    at which a key is quarantined (default 0 = disabled);
-    [cold_compile_cap] the initial and maximum AIMD cap (default 0 =
-    unlimited). Raises [Invalid_argument] on out-of-range values. *)
+val create : ?workers:int -> ?quarantine_threshold:int -> unit -> t
+(** [workers] is the consumer parallelism used to turn backlog seconds
+    into estimated wait (default 1); [quarantine_threshold] the offense
+    count at which a key is quarantined (default 0 = disabled). Raises
+    [Invalid_argument] on out-of-range values. *)
 
 (** {1 Service-time estimation} *)
 
@@ -92,18 +76,3 @@ val offenses : t -> key:string -> int
 val quarantined : t -> key:string -> bool
 (** Whether the key has reached the quarantine threshold (always [false]
     when the threshold is 0). *)
-
-(** {1 AIMD cold-compile gate} *)
-
-val try_compile : t -> bool
-(** Acquire a cold-compile slot. [true] when the gate is disabled or a
-    slot is free (caller must pair with {!end_compile}); [false] when
-    the cap is reached — the caller should fall back to the baseline
-    path rather than wait. *)
-
-val end_compile : t -> ok:bool -> unit
-(** Release a slot: [ok = true] grows the cap by 1 (up to the creation
-    cap), [ok = false] halves it (floor 1). No-op when disabled. *)
-
-val compile_cap : t -> int
-val compiles_deferred : t -> int

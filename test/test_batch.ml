@@ -10,9 +10,10 @@
    2. Guard totality — every positive dim maps to exactly one shape
       class, satisfies its own guard, and no other class on the ladder
       admits it.
-   3. Conservation — submitted = done + rejected + timed_out + failed
-      holds on a [Pow2] server under batched accounting, against both the
-      server's counters and an independent per-ticket tally.
+   3. Conservation — submitted = done + rejected + timed_out + failed +
+      shed + quarantined holds on a [Pow2] server under batched
+      accounting, against both the server's counters and an independent
+      per-ticket tally.
 
    Plus a deterministic (frozen-clock) server test that three in-class
    requests actually stack into one sliced batch partitioning the class
@@ -153,7 +154,8 @@ let model_at trace rows =
   }
 
 let prop_conservation =
-  QCheck.Test.make ~count:4 ~name:"submitted = done + rejected + timed_out + failed"
+  QCheck.Test.make ~count:4
+    ~name:"submitted = done + rejected + timed_out + failed + shed + quarantined"
     QCheck.(int_range 0 99_999)
     (fun seed ->
       let rng = Random.State.make [| seed |] in
@@ -165,7 +167,6 @@ let prop_conservation =
           queue_capacity = 16;
           priorities = 2;
           shapes = SC.Pow2;
-          batch_window_s = 1e-3;
         }
       in
       let s = Serve.Server.start ~config:cfg () in
@@ -295,7 +296,6 @@ let test_batch_partitions_rows () =
       (Serve.Server.default_config ()) with
       Serve.Server.workers = 3;
       shapes = SC.Pow2;
-      batch_window_s = 60.0;
       clock = (fun () -> 0.0);
     }
   in

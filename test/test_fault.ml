@@ -234,12 +234,13 @@ let test_model_runner_zero_rate_identical () =
     | Ok (r : Runtime.Model_runner.result) -> r
     | Error e -> Alcotest.fail (Core.Spacefusion.Error.to_string e)
   in
-  let plain = ok (Runtime.Model_runner.run_model_r ~arch be m) in
+  let w = Runtime.Workload.make ~arch be m in
+  let plain = ok (Runtime.Model_runner.run_workload_r w) in
   let injected =
     ok
-      (Runtime.Model_runner.run_model_r
+      (Runtime.Model_runner.run_workload_r
          ~inject:(Inject.create (Plan.make ~seed:9 ()) ~stream:5)
-         ~arch be m)
+         w)
   in
   Alcotest.(check bool) "exec stats bit-identical" true
     (compare plain.Runtime.Model_runner.m_exec injected.Runtime.Model_runner.m_exec = 0)

@@ -180,26 +180,6 @@ let test_single_flight_eight_way () =
         (Option.get p == first))
     plans
 
-let test_mem_probe () =
-  (* [mem] is a pure probe: it neither compiles, nor counts as a hit, nor
-     refreshes LRU recency — the serving runtime uses it to ask "is the
-     fused path cheap now?" without perturbing the cache. *)
-  let calls = Atomic.make 0 in
-  let b = stub calls in
-  let c = PC.create ~capacity:2 () in
-  Alcotest.(check bool) "absent before compile" false (PC.mem c b arch ~name:"m" g_a);
-  ignore (PC.compile c b arch ~name:"m" g_a);
-  Alcotest.(check bool) "present after compile" true (PC.mem c b arch ~name:"m" g_a);
-  Alcotest.(check bool) "name is part of the key" false (PC.mem c b arch ~name:"other" g_a);
-  Alcotest.(check (pair int int)) "probe counts neither hit nor miss" (0, 1)
-    (PC.hits c, PC.misses c);
-  (* Probing A must not refresh it: after B and C, A is the LRU victim. *)
-  ignore (PC.compile c b arch ~name:"m" g_b);
-  Alcotest.(check bool) "probe does not touch recency" true (PC.mem c b arch ~name:"m" g_a);
-  ignore (PC.compile c b arch ~name:"m" g_c);
-  Alcotest.(check bool) "A evicted despite the probe" false (PC.mem c b arch ~name:"m" g_a);
-  Alcotest.(check bool) "B survived" true (PC.mem c b arch ~name:"m" g_b)
-
 let test_failed_compile_releases_claim () =
   (* A compile that raises must release its in-flight claim, or the next
      lookup of that key would block forever on a slot that never fills. *)
@@ -236,7 +216,6 @@ let test_verified_survives_eviction () =
   let _, _, v = PC.compile_hit_verified c b arch ~name:"m" g_a in
   Alcotest.(check bool) "stamped while resident" true v;
   ignore (PC.compile c b arch ~name:"m" g_b);
-  Alcotest.(check bool) "A evicted" false (PC.mem c b arch ~name:"m" g_a);
   let _, hit, v = PC.compile_hit_verified c b arch ~name:"m" g_a in
   Alcotest.(check bool) "A recompiled (miss)" false hit;
   Alcotest.(check bool) "content stamp survives the eviction" true v;
@@ -295,7 +274,6 @@ let () =
             test_single_flight_same_key;
           Alcotest.test_case "single flight, 8 concurrent misses" `Quick
             test_single_flight_eight_way;
-          Alcotest.test_case "mem is a pure probe" `Quick test_mem_probe;
           Alcotest.test_case "failed compile releases claim" `Quick
             test_failed_compile_releases_claim;
           Alcotest.test_case "verified stamp survives eviction" `Quick

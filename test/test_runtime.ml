@@ -63,21 +63,25 @@ let test_l2_reuse_between_kernels () =
 
 let latency (r : Runtime.Model_runner.result) = r.m_exec.Runtime.Exec_stats.x_time
 
+let run_e2e ?cache b model =
+  Core.Spacefusion.Error.get
+    (Runtime.Model_runner.run_workload_r ?cache (Runtime.Workload.make ~arch b model))
+
 let test_model_runner () =
   let model = Ir.Models.bert ~batch:1 ~seq:64 in
-  let r = Runtime.Model_runner.run_model ~arch B.spacefusion model in
+  let r = run_e2e B.spacefusion model in
   Alcotest.(check string) "model name" "Bert" r.Runtime.Model_runner.m_model;
   Alcotest.(check bool) "positive latency" true (latency r > 0.0);
   Alcotest.(check bool) "kernels scale with layer count" true
     (r.m_exec.Runtime.Exec_stats.x_kernels >= 48);
-  let r2 = Runtime.Model_runner.run_model ~arch B.pytorch model in
+  let r2 = run_e2e B.pytorch model in
   Alcotest.(check bool) "spacefusion beats eager" true (latency r < latency r2)
 
 let test_model_runner_unsupported () =
   let model = Ir.Models.bert ~batch:1 ~seq:32 in
   Alcotest.check_raises "nnfusion rejects ampere"
     (Invalid_argument "NNFusion does not support Ampere") (fun () ->
-      ignore (Runtime.Model_runner.run_model ~arch B.nnfusion model))
+      ignore (run_e2e B.nnfusion model))
 
 let test_latency_scales_with_count () =
   (* Two identical subprograms cost twice one. *)
@@ -85,7 +89,7 @@ let test_latency_scales_with_count () =
   let mk count =
     { Ir.Models.model_name = "m"; subprograms = [ { sp_name = "ln"; graph = g; count } ] }
   in
-  let l count = latency (Runtime.Model_runner.run_model ~arch B.spacefusion (mk count)) in
+  let l count = latency (run_e2e B.spacefusion (mk count)) in
   Alcotest.(check bool) "x2" true (Float.abs ((2.0 *. l 1) -. l 2) < 1e-12)
 
 (* ------------------------------------------------------------------ *)
@@ -96,12 +100,12 @@ let test_plan_cache () =
   let cache = Runtime.Plan_cache.create () in
   let bert = Ir.Models.bert ~batch:1 ~seq:64 in
   let albert = Ir.Models.albert ~batch:1 ~seq:64 in
-  let r1 = Runtime.Model_runner.run_model ~cache ~arch B.spacefusion bert in
+  let r1 = run_e2e ~cache B.spacefusion bert in
   Alcotest.(check int) "first model: all misses" 0 (Runtime.Plan_cache.hits cache);
   Alcotest.(check int) "four distinct subprograms" 4 (Runtime.Plan_cache.misses cache);
   Alcotest.(check int) "result reports the misses" 4 r1.Runtime.Model_runner.m_cache_misses;
   Alcotest.(check int) "result reports no hits" 0 r1.Runtime.Model_runner.m_cache_hits;
-  let r1b = Runtime.Model_runner.run_model ~cache ~arch B.spacefusion bert in
+  let r1b = run_e2e ~cache B.spacefusion bert in
   Alcotest.(check int) "rerun: all hits" 4 (Runtime.Plan_cache.hits cache);
   Alcotest.(check int) "rerun result reports the hits" 4 r1b.Runtime.Model_runner.m_cache_hits;
   Alcotest.(check (float 1e-12)) "cached result identical" (latency r1) (latency r1b);
@@ -109,7 +113,7 @@ let test_plan_cache () =
     r1b.Runtime.Model_runner.m_compile_s;
   (* Albert's blocks are identical shapes but a different name prefix:
      tensor names are baked into plans, so these are misses by design. *)
-  ignore (Runtime.Model_runner.run_model ~cache ~arch B.spacefusion albert);
+  ignore (run_e2e ~cache B.spacefusion albert);
   Alcotest.(check int) "albert compiles its own plans" 8 (Runtime.Plan_cache.misses cache)
 
 let counter name =

@@ -239,26 +239,26 @@ let test_batcher_member_deadlines () =
   Alcotest.(check bool) "deadline-free member served" false (find "slack").B.sl_expired
 
 (* ------------------------------------------------------------------ *)
-(* Shed: admission feasibility, quarantine, AIMD compile gate          *)
+(* Shed: admission feasibility and quarantine                          *)
 (* ------------------------------------------------------------------ *)
 
 module Shed = Serve.Shed
 
 let test_shed_ewma () =
-  let sh = Shed.create ~alpha:0.5 () in
+  let sh = Shed.create () in
   Alcotest.(check (option (float 1e-12))) "unknown key" None (Shed.estimate sh ~key:"k");
   Shed.observe sh ~key:"k" ~service_s:1.0;
   Alcotest.(check (option (float 1e-12))) "first observation initialises" (Some 1.0)
     (Shed.estimate sh ~key:"k");
   Shed.observe sh ~key:"k" ~service_s:2.0;
-  Alcotest.(check (option (float 1e-12))) "ewma folds at alpha" (Some 1.5)
+  Alcotest.(check (option (float 1e-12))) "ewma folds at alpha 0.3" (Some 1.3)
     (Shed.estimate sh ~key:"k");
   Shed.observe sh ~key:"k" ~service_s:(-1.0);
   Shed.observe sh ~key:"k" ~service_s:Float.nan;
-  Alcotest.(check (option (float 1e-12))) "bad samples ignored" (Some 1.5)
+  Alcotest.(check (option (float 1e-12))) "bad samples ignored" (Some 1.3)
     (Shed.estimate sh ~key:"k");
   Shed.seed sh ~key:"k" ~service_s:9.0;
-  Alcotest.(check (option (float 1e-12))) "seed never overwrites live data" (Some 1.5)
+  Alcotest.(check (option (float 1e-12))) "seed never overwrites live data" (Some 1.3)
     (Shed.estimate sh ~key:"k");
   Shed.seed sh ~key:"warm" ~service_s:0.25;
   Alcotest.(check (option (float 1e-12))) "seed initialises a fresh key" (Some 0.25)
@@ -306,41 +306,15 @@ let test_shed_quarantine () =
   ignore (Shed.offense off ~key:"k");
   Alcotest.(check bool) "threshold 0 disables quarantine" false (Shed.quarantined off ~key:"k")
 
-let test_shed_aimd () =
-  let sh = Shed.create ~cold_compile_cap:4 () in
-  Alcotest.(check int) "initial cap" 4 (Shed.compile_cap sh);
-  for _ = 1 to 4 do
-    Alcotest.(check bool) "slot under cap" true (Shed.try_compile sh)
-  done;
-  Alcotest.(check bool) "cap reached defers" false (Shed.try_compile sh);
-  Alcotest.(check int) "deferral counted" 1 (Shed.compiles_deferred sh);
-  Shed.end_compile sh ~ok:false;
-  Alcotest.(check int) "failure halves the cap" 2 (Shed.compile_cap sh);
-  Alcotest.(check bool) "halved cap still saturated" false (Shed.try_compile sh);
-  Shed.end_compile sh ~ok:false;
-  Alcotest.(check int) "multiplicative decrease floors at 1" 1 (Shed.compile_cap sh);
-  Shed.end_compile sh ~ok:true;
-  Shed.end_compile sh ~ok:true;
-  Alcotest.(check int) "additive recovery" 3 (Shed.compile_cap sh);
-  Alcotest.(check bool) "recovered cap grants slots" true (Shed.try_compile sh);
-  Shed.end_compile sh ~ok:true;
-  Shed.end_compile sh ~ok:true;
-  Alcotest.(check int) "cap never exceeds its creation value" 4 (Shed.compile_cap sh);
-  let open_gate = Shed.create () in
-  Alcotest.(check bool) "cap 0 disables the gate" true (Shed.try_compile open_gate);
-  Shed.end_compile open_gate ~ok:false;
-  Alcotest.(check int) "disabled gate never shrinks" 0 (Shed.compile_cap open_gate)
-
 (* ------------------------------------------------------------------ *)
 (* Server                                                              *)
 (* ------------------------------------------------------------------ *)
 
-let config ?(workers = 2) ?(capacity = 64) ?budget ?(retries = 2) () =
+let config ?(workers = 2) ?(capacity = 64) ?(retries = 2) () =
   {
     (Serve.Server.default_config ()) with
     Serve.Server.workers;
     queue_capacity = capacity;
-    compile_budget_s = budget;
     max_retries = retries;
     backoff_s = 1e-6;
     backoff_cap_s = 1e-5;
@@ -441,36 +415,6 @@ let test_server_coalesces_identical () =
   Alcotest.(check int) "three coalesced" 3 st.Serve.Stats.s_coalesced;
   Alcotest.(check bool) "conserved" true (Serve.Stats.conserved st)
 
-let test_server_degrades_on_budget () =
-  (* A compile that overruns its budget is abandoned and the request is
-     served from the unfused baseline; the key is remembered, so the next
-     identical request skips the doomed compile entirely. *)
-  let calls = Atomic.make 0 in
-  let slow =
-    {
-      Policy.be_name = "slow";
-      dispatch_us = 0.0;
-      supports = (fun _ -> true);
-      compile =
-        (fun arch ~name g ->
-          Atomic.incr calls;
-          Unix.sleepf 0.02;
-          Policy.compile_groups arch ~name g (Policy.singletons g));
-    }
-  in
-  let m = ln 32 in
-  let s = Serve.Server.start ~config:(config ~workers:1 ~budget:0.001 ()) () in
-  let r1 = expect_done (Serve.Server.await (Serve.Server.submit s ~arch slow m)) in
-  let r2 = expect_done (Serve.Server.await (Serve.Server.submit s ~arch slow m)) in
-  Serve.Server.shutdown s;
-  Alcotest.(check bool) "first request degraded" true r1.Serve.Server.r_degraded;
-  Alcotest.(check bool) "second request degraded" true r2.Serve.Server.r_degraded;
-  Alcotest.(check int) "doomed compile attempted exactly once" 1 (Atomic.get calls);
-  let st = Serve.Server.stats s in
-  Alcotest.(check int) "both served" 2 st.Serve.Stats.s_done;
-  Alcotest.(check int) "both degraded" 2 st.Serve.Stats.s_degraded;
-  Alcotest.(check int) "nothing failed" 0 st.Serve.Stats.s_failed
-
 let test_server_degrades_on_unschedulable () =
   let b =
     {
@@ -484,6 +428,25 @@ let test_server_degrades_on_unschedulable () =
   let r = expect_done (Serve.Server.await (Serve.Server.submit s ~arch b (ln 32))) in
   Serve.Server.shutdown s;
   Alcotest.(check bool) "served from the baseline" true r.Serve.Server.r_degraded;
+  Alcotest.(check int) "degrade recorded" 1 (Serve.Server.stats s).Serve.Stats.s_degraded
+
+let counter name =
+  match Obs.Metrics.find name with Some (Obs.Metrics.Counter c) -> c | _ -> 0
+
+let test_server_arena_budget_relief () =
+  (* A solo fused run that allocates past its arena budget takes a typed
+     Resource_exhausted fault: the batch-admission cap halves and the
+     request is served from the unbudgeted unfused baseline. *)
+  let trips0 = counter "arena.budget_trips" in
+  let config = { (config ~workers:1 ()) with Serve.Server.arena_budget_bytes = Some 1024 } in
+  let s = Serve.Server.start ~config () in
+  let tk = Serve.Server.submit s ~arch (stub (Atomic.make 0)) (ln 32) in
+  let r = expect_done (Serve.Server.await tk) in
+  let cap_shift = Serve.Server.batch_cap_shift s in
+  Serve.Server.shutdown s;
+  Alcotest.(check bool) "served from the relief path" true r.Serve.Server.r_degraded;
+  Alcotest.(check bool) "the arena budget tripped" true (counter "arena.budget_trips" > trips0);
+  Alcotest.(check int) "the batch cap halved once" 1 cap_shift;
   Alcotest.(check int) "degrade recorded" 1 (Serve.Server.stats s).Serve.Stats.s_degraded
 
 let test_server_rejects_unsupported () =
@@ -756,7 +719,6 @@ let () =
           Alcotest.test_case "ewma estimation" `Quick test_shed_ewma;
           Alcotest.test_case "admission feasibility + backlog" `Quick test_shed_admission;
           Alcotest.test_case "quarantine threshold" `Quick test_shed_quarantine;
-          Alcotest.test_case "AIMD compile gate" `Quick test_shed_aimd;
         ] );
       ( "server",
         [
@@ -764,9 +726,9 @@ let () =
           Alcotest.test_case "exactly-once outcomes" `Quick test_server_exactly_once_outcomes;
           Alcotest.test_case "coalesces identical in-flight" `Quick
             test_server_coalesces_identical;
-          Alcotest.test_case "degrades on compile budget" `Quick test_server_degrades_on_budget;
           Alcotest.test_case "degrades on unschedulable" `Quick
             test_server_degrades_on_unschedulable;
+          Alcotest.test_case "arena budget relief path" `Quick test_server_arena_budget_relief;
           Alcotest.test_case "rejects unsupported" `Quick test_server_rejects_unsupported;
           Alcotest.test_case "retries transient failures" `Quick test_server_retries_transient;
           Alcotest.test_case "fails after retry budget" `Quick

@@ -154,29 +154,17 @@ let test_workload_identity () =
         (Runtime.Workload.make ~devices:4 ~placement:(Runtime.Workload.Pin 4) ~arch
            Backends.Baselines.spacefusion small_model))
 
-let test_wrapper_equivalence () =
-  (* The deprecated positional entry point must be exactly the canonical
-     one on a 1-device workload. *)
-  let r_legacy =
-    Core.Spacefusion.Error.get
-      (Runtime.Model_runner.run_model_r ~arch Backends.Baselines.spacefusion small_model)
-  in
-  let r_canon =
+let test_workload_multi_device_run () =
+  let run devices =
     Core.Spacefusion.Error.get
       (Runtime.Model_runner.run_workload_r
-         (Runtime.Workload.make ~arch Backends.Baselines.spacefusion small_model))
+         (Runtime.Workload.make ~devices ~arch Backends.Baselines.spacefusion small_model))
   in
-  Alcotest.(check int) "same devices" r_legacy.Runtime.Model_runner.m_devices
-    r_canon.Runtime.Model_runner.m_devices;
+  let r1 = run 1 in
+  Alcotest.(check int) "ran as 1 device" 1 r1.Runtime.Model_runner.m_devices;
   Alcotest.(check bool) "no shard decision on one device" true
-    (r_legacy.Runtime.Model_runner.m_shard = None && r_canon.Runtime.Model_runner.m_shard = None);
-  Alcotest.(check (float 1e-9))
-    "same simulated latency" r_legacy.Runtime.Model_runner.m_exec.Runtime.Exec_stats.x_time
-    r_canon.Runtime.Model_runner.m_exec.Runtime.Exec_stats.x_time
-
-let test_workload_multi_device_run () =
-  let w = Runtime.Workload.make ~devices:4 ~arch Backends.Baselines.spacefusion small_model in
-  let r = Core.Spacefusion.Error.get (Runtime.Model_runner.run_workload_r w) in
+    (r1.Runtime.Model_runner.m_shard = None);
+  let r = run 4 in
   Alcotest.(check int) "ran as 4 devices" 4 r.Runtime.Model_runner.m_devices;
   match r.Runtime.Model_runner.m_shard with
   | None -> Alcotest.fail "multi-device run must report a sharding decision"
@@ -314,7 +302,6 @@ let () =
       ( "workload",
         [
           Alcotest.test_case "identity" `Quick test_workload_identity;
-          Alcotest.test_case "wrapper equivalence" `Quick test_wrapper_equivalence;
           Alcotest.test_case "multi-device run" `Quick test_workload_multi_device_run;
           Alcotest.test_case "cache keyed by devices" `Quick test_plan_cache_devices_key;
         ] );
