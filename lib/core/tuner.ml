@@ -51,34 +51,14 @@ let per_domain = 32
 
 (* [cost i] is [kernel_cost] of [kernels.(i)]. Called from the main domain
    with enough candidates, [costs] costs every kernel up front on
-   [Parallel.default_jobs ()] domains taking indices from one counter, so
-   that one slowed core does not set the compile's pace; otherwise each
-   kernel is costed when asked. A serving worker's compile stays on its
-   worker: the server already runs that many requests at once. Costing is
-   pure, so both ways give the same floats, and an exception is raised
-   only when its candidate's cost is asked for. *)
+   [Parallel.default_jobs ()] domains, so that one slowed core does not
+   set the compile's pace; otherwise, as in a serving worker's compile,
+   each kernel is costed when asked. Costing is pure, so both ways give
+   the same floats. *)
 let costs arch device kernels =
   let n = Array.length kernels in
-  let jobs = min (Parallel.default_jobs ()) (n / per_domain) in
-  if jobs <= 1 || not (Domain.is_main_domain ()) then fun i -> kernel_cost arch device kernels.(i)
-  else begin
-    let out = Array.make n (Ok nan) in
-    let next = Atomic.make 0 in
-    let rec work () =
-      let i = Atomic.fetch_and_add next 1 in
-      if i < n then begin
-        out.(i) <-
-          (match kernel_cost arch device kernels.(i) with
-          | c -> Ok c
-          | exception e -> Error (e, Printexc.get_raw_backtrace ()));
-        work ()
-      end
-    in
-    let helpers = List.init (jobs - 1) (fun _ -> Domain.spawn work) in
-    work ();
-    List.iter Domain.join helpers;
-    fun i -> match out.(i) with Ok c -> c | Error (e, bt) -> Printexc.raise_with_backtrace e bt
-  end
+  Parallel.tabulate ~jobs:(min (Parallel.default_jobs ()) (n / per_domain)) n (fun i ->
+      kernel_cost arch device kernels.(i))
 
 let pick_best ?stats ?(prune = true) arch device (scheds : Auto_scheduler.scheduled list) =
   let cstats = match stats with Some s -> s | None -> Cstats.create () in

@@ -34,8 +34,8 @@ external unsafe_set : Tensor.buf -> int -> float -> unit = "%caml_ba_unsafe_set_
 (* ------------------------------------------------------------------ *)
 
 (* A kernel's step list is compiled once into a closure-free execution
-   record: buffer and grid-dim names resolved to integer slots, operator
-   closures materialized, block/step segment classes tabulated. Launching
+   record: buffer and grid-dim names resolved to integer slots, block/step
+   segment classes tabulated. Launching
    then walks flat arrays instead of re-interpreting the step structure
    (name lookups) per launch. Full walks compute each block's and step's
    (origin, segment) on the fly, so compiling costs O(kernel size) however
@@ -60,22 +60,10 @@ type cop =
   | CStore of { src : int; tensor : string; idx : ridx array; nominal : int array }
   | CFill of { dst : int; v : float }
   | CCopy of { dst : int; src : int }
-  | CUnary of { dst : int; src : int; f : float -> float }
-  | CBinary of { dst : int; a : int; b : int; f : float -> float -> float; aliased : bool }
-  | CRowReduce of {
-      dst : int;
-      src : int;
-      combine : float -> float -> float;
-      rinit : float;
-      accumulate : bool;
-    }
-  | CColReduce of {
-      dst : int;
-      src : int;
-      combine : float -> float -> float;
-      rinit : float;
-      accumulate : bool;
-    }
+  | CUnary of { dst : int; src : int; op : Ir.Op.unop }
+  | CBinary of { dst : int; a : int; b : int; op : Ir.Op.binop; aliased : bool }
+  | CRowReduce of { dst : int; src : int; op : Ir.Op.redop; accumulate : bool }
+  | CColReduce of { dst : int; src : int; op : Ir.Op.redop; accumulate : bool }
   | CGemm of { dst : int; a : int; b : int; trans_b : bool; accumulate : bool }
 
 type compiled = {
@@ -160,31 +148,16 @@ let compile (k : Kernel.t) =
         CStore { src = buf_slot src; tensor; idx = Array.map ridx_of idx; nominal = Array.map nominal_of idx }
     | Kernel.Fill (name, v) -> CFill { dst = buf_slot name; v }
     | Kernel.Copy { dst; src } -> CCopy { dst = buf_slot dst; src = buf_slot src }
-    | Kernel.Unary { dst; op; src } ->
-        CUnary { dst = buf_slot dst; src = buf_slot src; f = Ir.Op.apply_unop op }
+    | Kernel.Unary { dst; op; src } -> CUnary { dst = buf_slot dst; src = buf_slot src; op }
     | Kernel.Binary { dst; op; a; b } ->
         let dst = buf_slot dst and a = buf_slot a and b = buf_slot b in
         let aliased = dst = a || dst = b in
         if aliased then scratch := max !scratch cbufs.(dst).cb_cap;
-        CBinary { dst; a; b; f = Ir.Op.apply_binop op; aliased }
+        CBinary { dst; a; b; op; aliased }
     | Kernel.RowReduce { dst; op; src; accumulate } ->
-        CRowReduce
-          {
-            dst = buf_slot dst;
-            src = buf_slot src;
-            combine = Ir.Op.redop_combine op;
-            rinit = Ir.Op.redop_identity op;
-            accumulate;
-          }
+        CRowReduce { dst = buf_slot dst; src = buf_slot src; op; accumulate }
     | Kernel.ColReduce { dst; op; src; accumulate } ->
-        CColReduce
-          {
-            dst = buf_slot dst;
-            src = buf_slot src;
-            combine = Ir.Op.redop_combine op;
-            rinit = Ir.Op.redop_identity op;
-            accumulate;
-          }
+        CColReduce { dst = buf_slot dst; src = buf_slot src; op; accumulate }
     | Kernel.Gemm { dst; a; b; trans_b; accumulate } ->
         CGemm { dst = buf_slot dst; a = buf_slot a; b = buf_slot b; trans_b; accumulate }
   in
@@ -334,8 +307,150 @@ let binary_dims kname (a : rbuf) (b : rbuf) =
   (broadcast a.rows b.rows, broadcast a.cols b.cols)
 
 (* ------------------------------------------------------------------ *)
+(* Elementwise loops                                                   *)
+(* ------------------------------------------------------------------ *)
+
+(* Each loop evaluates the float expression [Ir.Op.apply_unop],
+   [apply_binop] or [redop_combine] gives for its operator, inline: one
+   loop per operator, so no element goes through a closure call or a box. *)
+
+let gelu_c = sqrt (2.0 /. Float.pi)
+
+let unary_loop (op : Ir.Op.unop) src dst n =
+  match op with
+  | Exp ->
+      for i = 0 to n - 1 do
+        unsafe_set dst i (exp (unsafe_get src i))
+      done
+  | Relu ->
+      for i = 0 to n - 1 do
+        unsafe_set dst i (Float.max (unsafe_get src i) 0.0)
+      done
+  | Sqrt ->
+      for i = 0 to n - 1 do
+        unsafe_set dst i (sqrt (unsafe_get src i))
+      done
+  | Rsqrt ->
+      for i = 0 to n - 1 do
+        unsafe_set dst i (1.0 /. sqrt (unsafe_get src i))
+      done
+  | Neg ->
+      for i = 0 to n - 1 do
+        unsafe_set dst i (-.unsafe_get src i)
+      done
+  | Recip ->
+      for i = 0 to n - 1 do
+        unsafe_set dst i (1.0 /. unsafe_get src i)
+      done
+  | Sqr ->
+      for i = 0 to n - 1 do
+        let x = unsafe_get src i in
+        unsafe_set dst i (x *. x)
+      done
+  | Tanh ->
+      for i = 0 to n - 1 do
+        unsafe_set dst i (tanh (unsafe_get src i))
+      done
+  | Sigmoid ->
+      for i = 0 to n - 1 do
+        unsafe_set dst i (1.0 /. (1.0 +. exp (-.unsafe_get src i)))
+      done
+  | Gelu ->
+      for i = 0 to n - 1 do
+        let x = unsafe_get src i in
+        unsafe_set dst i (0.5 *. x *. (1.0 +. tanh (gelu_c *. (x +. (0.044715 *. x *. x *. x)))))
+      done
+
+(* [n] outputs from [o]; operands from [pa]/[pb], stepping by [sa]/[sb]
+   (0 for a broadcast column). *)
+let binary_row (op : Ir.Op.binop) out o a pa sa b pb sb n =
+  let pa = ref pa and pb = ref pb in
+  match op with
+  | Add ->
+      for j = o to o + n - 1 do
+        unsafe_set out j (unsafe_get a !pa +. unsafe_get b !pb);
+        pa := !pa + sa;
+        pb := !pb + sb
+      done
+  | Sub ->
+      for j = o to o + n - 1 do
+        unsafe_set out j (unsafe_get a !pa -. unsafe_get b !pb);
+        pa := !pa + sa;
+        pb := !pb + sb
+      done
+  | Mul ->
+      for j = o to o + n - 1 do
+        unsafe_set out j (unsafe_get a !pa *. unsafe_get b !pb);
+        pa := !pa + sa;
+        pb := !pb + sb
+      done
+  | Div ->
+      for j = o to o + n - 1 do
+        unsafe_set out j (unsafe_get a !pa /. unsafe_get b !pb);
+        pa := !pa + sa;
+        pb := !pb + sb
+      done
+  | Max ->
+      for j = o to o + n - 1 do
+        unsafe_set out j (Float.max (unsafe_get a !pa) (unsafe_get b !pb));
+        pa := !pa + sa;
+        pb := !pb + sb
+      done
+  | Min ->
+      for j = o to o + n - 1 do
+        unsafe_set out j (Float.min (unsafe_get a !pa) (unsafe_get b !pb));
+        pa := !pa + sa;
+        pb := !pb + sb
+      done
+
+(* Reduce [n] elements of [src] from [p] by [stride] into [dst.(o)],
+   folding from the operator's identity; with [accumulate] the old
+   [dst.(o)] is combined with the result last. *)
+let reduce_into (op : Ir.Op.redop) ~accumulate src p stride n dst o =
+  let p = ref p in
+  match op with
+  | Rsum | Rmean ->
+      let a = ref 0.0 in
+      for _ = 1 to n do
+        a := !a +. unsafe_get src !p;
+        p := !p + stride
+      done;
+      unsafe_set dst o (if accumulate then unsafe_get dst o +. !a else !a)
+  | Rmax ->
+      let a = ref Float.neg_infinity in
+      for _ = 1 to n do
+        a := Float.max !a (unsafe_get src !p);
+        p := !p + stride
+      done;
+      unsafe_set dst o (if accumulate then Float.max (unsafe_get dst o) !a else !a)
+  | Rmin ->
+      let a = ref Float.infinity in
+      for _ = 1 to n do
+        a := Float.min !a (unsafe_get src !p);
+        p := !p + stride
+      done;
+      unsafe_set dst o (if accumulate then Float.min (unsafe_get dst o) !a else !a)
+
+(* ------------------------------------------------------------------ *)
 (* Instruction semantics                                               *)
 (* ------------------------------------------------------------------ *)
+
+(* Flat offset of a transfer's first element. Every axis's segment must be
+   non-empty: a grid axis that is not a tile axis (a unit-blocked batch
+   dim) adds its origin here without ever shrinking the tile, so an
+   origin past a tensor's extent would read or write outside its buffer. *)
+let transfer_base ~kname ~what ~tensor ctx (shape : Shape.t) idx =
+  let strides = Shape.strides shape in
+  let base = ref 0 in
+  for i = 0 to Array.length idx - 1 do
+    let o, s = seg_at ctx shape idx i in
+    if s = 0 then
+      invalid_arg
+        (Printf.sprintf "Exec %s: %s of %S at axis %d: origin %d is past extent %d" kname what
+           tensor i o shape.(i));
+    base := !base + (o * strides.(i))
+  done;
+  (!base, strides)
 
 let exec_cop ~full ~(c : compiled) ~device ~(bufs : rbuf array) ~(scratch : Tensor.buf) ~acc ctx
     cop =
@@ -354,16 +469,12 @@ let exec_cop ~full ~(c : compiled) ~device ~(bufs : rbuf array) ~(scratch : Tens
       acc.bytes <- acc.bytes +. (ctx.mult *. float_of_int (r * c_ * Arch.elt_bytes));
       if full && r * c_ > 0 then begin
         let data = Device.ensure_data device tensor in
-        let strides = Shape.strides shape in
-        let base = ref 0 in
-        for i = 0 to Array.length idx - 1 do
-          base := !base + (fst (seg_at ctx shape idx i) * strides.(i))
-        done;
+        let base, strides = transfer_base ~kname ~what:"load" ~tensor ctx shape idx in
         let sr = if row_axis < 0 then 0 else strides.(row_axis) in
         let sc = if col_axis < 0 then 0 else strides.(col_axis) in
         let st = d.store in
         for i = 0 to r - 1 do
-          let db = !base + (i * sr) in
+          let db = base + (i * sr) in
           let ob = i * c_ in
           for j = 0 to c_ - 1 do
             unsafe_set st (ob + j) (unsafe_get data (db + (j * sc)))
@@ -384,16 +495,12 @@ let exec_cop ~full ~(c : compiled) ~device ~(bufs : rbuf array) ~(scratch : Tens
       acc.bytes <- acc.bytes +. (ctx.mult *. float_of_int (r * c_ * Arch.elt_bytes));
       if full && r * c_ > 0 then begin
         let data = Device.ensure_data device tensor in
-        let strides = Shape.strides shape in
-        let base = ref 0 in
-        for i = 0 to Array.length idx - 1 do
-          base := !base + (fst (seg_at ctx shape idx i) * strides.(i))
-        done;
+        let base, strides = transfer_base ~kname ~what:"store" ~tensor ctx shape idx in
         let sr = if row_axis < 0 then 0 else strides.(row_axis) in
         let sc = if col_axis < 0 then 0 else strides.(col_axis) in
         let st = s.store in
         for i = 0 to r - 1 do
-          let db = !base + (i * sr) in
+          let db = base + (i * sr) in
           let ob = i * c_ in
           for j = 0 to c_ - 1 do
             unsafe_set data (db + (j * sc)) (unsafe_get st (ob + j))
@@ -423,18 +530,13 @@ let exec_cop ~full ~(c : compiled) ~device ~(bufs : rbuf array) ~(scratch : Tens
           unsafe_set ds i (unsafe_get ss i)
         done
       end
-  | CUnary { dst; src; f } ->
+  | CUnary { dst; src; op } ->
       let s = bufs.(src) and d = bufs.(dst) in
       d.rows <- s.rows;
       d.cols <- s.cols;
       simd (s.rows * s.cols);
-      if full then begin
-        let ss = s.store and ds = d.store in
-        for i = 0 to (s.rows * s.cols) - 1 do
-          unsafe_set ds i (f (unsafe_get ss i))
-        done
-      end
-  | CBinary { dst; a; b; f; aliased } ->
+      if full then unary_loop op s.store d.store (s.rows * s.cols)
+  | CBinary { dst; a; b; op; aliased } ->
       let ba = bufs.(a) and bb = bufs.(b) in
       let d = bufs.(dst) in
       let r, c_ = binary_dims kname ba bb in
@@ -445,13 +547,10 @@ let exec_cop ~full ~(c : compiled) ~device ~(bufs : rbuf array) ~(scratch : Tens
         let ra = ba.rows and ca = ba.cols and rb = bb.rows and cb = bb.cols in
         let sa = ba.store and sb = bb.store in
         let out = if aliased then scratch else d.store in
+        let ja = if ca = 1 then 0 else 1 and jb = if cb = 1 then 0 else 1 in
         for i = 0 to r - 1 do
           let ia = if ra = 1 then 0 else i and ib = if rb = 1 then 0 else i in
-          let ob = i * c_ in
-          for j = 0 to c_ - 1 do
-            let ja = if ca = 1 then 0 else j and jb = if cb = 1 then 0 else j in
-            unsafe_set out (ob + j) (f (unsafe_get sa ((ia * ca) + ja)) (unsafe_get sb ((ib * cb) + jb)))
-          done
+          binary_row op out (i * c_) sa (ia * ca) ja sb (ib * cb) jb c_
         done;
         if aliased then begin
           let ds = d.store in
@@ -462,41 +561,26 @@ let exec_cop ~full ~(c : compiled) ~device ~(bufs : rbuf array) ~(scratch : Tens
       end;
       d.rows <- r;
       d.cols <- c_
-  | CRowReduce { dst; src; combine; rinit; accumulate } ->
+  | CRowReduce { dst; src; op; accumulate } ->
       let s = bufs.(src) and d = bufs.(dst) in
       if accumulate && (d.rows <> s.rows || d.cols <> 1) then
         invalid_arg (Printf.sprintf "Exec %s: accumulating RowReduce into %S with stale dims" kname d.spec.cb_name);
       simd (s.rows * s.cols);
-      if full then begin
-        let ss = s.store and ds = d.store in
-        let cols = s.cols in
+      if full then
         for i = 0 to s.rows - 1 do
-          let a = ref rinit in
-          let base = i * cols in
-          for j = 0 to cols - 1 do
-            a := combine !a (unsafe_get ss (base + j))
-          done;
-          unsafe_set ds i (if accumulate then combine (unsafe_get ds i) !a else !a)
-        done
-      end;
+          reduce_into op ~accumulate s.store (i * s.cols) 1 s.cols d.store i
+        done;
       d.rows <- s.rows;
       d.cols <- 1
-  | CColReduce { dst; src; combine; rinit; accumulate } ->
+  | CColReduce { dst; src; op; accumulate } ->
       let s = bufs.(src) and d = bufs.(dst) in
       if accumulate && (d.rows <> 1 || d.cols <> s.cols) then
         invalid_arg (Printf.sprintf "Exec %s: accumulating ColReduce into %S with stale dims" kname d.spec.cb_name);
       simd (s.rows * s.cols);
-      if full then begin
-        let ss = s.store and ds = d.store in
-        let cols = s.cols in
-        for j = 0 to cols - 1 do
-          let a = ref rinit in
-          for i = 0 to s.rows - 1 do
-            a := combine !a (unsafe_get ss ((i * cols) + j))
-          done;
-          unsafe_set ds j (if accumulate then combine (unsafe_get ds j) !a else !a)
-        done
-      end;
+      if full then
+        for j = 0 to s.cols - 1 do
+          reduce_into op ~accumulate s.store j s.cols s.rows d.store j
+        done;
       d.rows <- 1;
       d.cols <- s.cols
   | CGemm { dst; a; b; trans_b; accumulate } ->
@@ -511,15 +595,52 @@ let exec_cop ~full ~(c : compiled) ~device ~(bufs : rbuf array) ~(scratch : Tens
       acc.gemm_flops <- acc.gemm_flops +. (ctx.mult *. float_of_int (2 * r * c_ * ka));
       if full then begin
         let sa = ba.store and sb = bb.store and sd = d.store in
-        if trans_b then begin
-          (* C = A·Bᵀ, or C += A·Bᵀ with [accumulate]; rows of both
-             operands are contiguous. A 2×4 block of outputs runs as eight
-             independent chains, each summing from 0.0 in ascending k and,
-             when accumulating, added to C last, so results match the
-             one-dot-at-a-time order bit for bit. Past the last row or
-             column the block re-reads the last one and skips its stores.
-             Deliberately not shared with [Tensor.matmul]: the oracle
-             compares the two. *)
+        (* C = A·Bᵀ, or C += A·Bᵀ with [accumulate]; rows of both operands
+           are contiguous. A block of outputs runs as independent chains
+           that share each loaded A and B element, each chain summing from
+           0.0 in ascending k and, when accumulating, added to C last, so
+           results match the one-dot-at-a-time order bit for bit. Past the
+           last row or column a block re-reads the last one and skips its
+           stores. The block is 2×4, or 4×1 for a tile under 4 columns wide
+           (a streamed GEMV would spend most of a 2×4 block's chains on
+           re-read columns). Deliberately not shared with [Tensor.matmul]:
+           the oracle compares the two. *)
+        if trans_b && c_ < 4 then begin
+          let i = ref 0 in
+          while !i < r do
+            let pa0 = !i * ka in
+            let pa1 = if !i + 1 < r then pa0 + ka else pa0 in
+            let pa2 = if !i + 2 < r then pa1 + ka else pa1 in
+            let pa3 = if !i + 3 < r then pa2 + ka else pa2 in
+            for j = 0 to c_ - 1 do
+              let pb = j * ka in
+              let s0 = ref 0.0 and s1 = ref 0.0 and s2 = ref 0.0 and s3 = ref 0.0 in
+              for kk = 0 to ka - 1 do
+                let b0 = unsafe_get sb (pb + kk) in
+                s0 := !s0 +. (unsafe_get sa (pa0 + kk) *. b0);
+                s1 := !s1 +. (unsafe_get sa (pa1 + kk) *. b0);
+                s2 := !s2 +. (unsafe_get sa (pa2 + kk) *. b0);
+                s3 := !s3 +. (unsafe_get sa (pa3 + kk) *. b0)
+              done;
+              let po = (!i * c_) + j in
+              unsafe_set sd po (if accumulate then unsafe_get sd po +. !s0 else !s0);
+              if !i + 1 < r then begin
+                let po = po + c_ in
+                unsafe_set sd po (if accumulate then unsafe_get sd po +. !s1 else !s1)
+              end;
+              if !i + 2 < r then begin
+                let po = po + (2 * c_) in
+                unsafe_set sd po (if accumulate then unsafe_get sd po +. !s2 else !s2)
+              end;
+              if !i + 3 < r then begin
+                let po = po + (3 * c_) in
+                unsafe_set sd po (if accumulate then unsafe_get sd po +. !s3 else !s3)
+              end
+            done;
+            i := !i + 4
+          done
+        end
+        else if trans_b then begin
           let i = ref 0 in
           while !i < r do
             let pa0 = !i * ka in

@@ -21,8 +21,7 @@ let lookup tbl name shape =
 
 (* Dispatch to Tensor's specialized kernels. Each named kernel computes
    the same float expression as [Op.apply_unop]/[Op.apply_binop], so the
-   results stay bit-identical to the closure path; only [Rsqrt] has no
-   named kernel and goes through [Tensor.map]. *)
+   results stay bit-identical to the closure path. *)
 let apply_unop op t =
   match op with
   | Op.Exp -> Tensor.exp t
@@ -34,7 +33,7 @@ let apply_unop op t =
   | Op.Tanh -> Tensor.tanh_ t
   | Op.Sigmoid -> Tensor.sigmoid t
   | Op.Gelu -> Tensor.gelu t
-  | Op.Rsqrt -> Tensor.map (Op.apply_unop op) t
+  | Op.Rsqrt -> Tensor.rsqrt t
 
 let apply_binop op a b =
   match op with

@@ -18,6 +18,11 @@ type binop = Add | Sub | Mul | Div | Max | Min
 type redop = Rsum | Rmax | Rmin | Rmean
 
 val apply_unop : unop -> float -> float
+(** The operators' reference semantics. [Tensor]'s named kernels and
+    [Gpu.Exec]'s loops evaluate the same float expressions inline, one
+    loop per operator, and the tests compare them bit for bit with these
+    closures. *)
+
 val apply_binop : binop -> float -> float -> float
 
 val redop_identity : redop -> float

@@ -24,8 +24,17 @@ val verify_plan :
     {!default_seeds}), executes the plan functionally on a fresh device per
     seed and compares every ["<name>:out<i>"] tensor against the
     interpreter. Fails — naming the seed — on the first seed whose outputs
-    diverge, contain a non-finite value on either side, or fail to
-    execute. Raises [Invalid_argument] on an empty seed list. *)
+    diverge, contain a non-finite value on either side, fail to execute,
+    or whose plan declares an input or output at another shape than the
+    graph's (both shapes named). Raises [Invalid_argument] on an empty
+    seed list.
+
+    Called from the main domain on a graph whose inputs and weights hold
+    at least 4 096 elements, it checks the seeds on up to
+    [Core.Parallel.default_jobs ()] domains ([SPACEFUSION_JOBS]), starting
+    none after one that fails. The result, and any exception raised, is
+    the serial sweep's at any job count. Helper domains see no ambient
+    [Tensor.Arena]. *)
 
 val verify_backend :
   ?seeds:int list -> arch:Gpu.Arch.t -> name:string -> Backends.Policy.t -> Ir.Graph.t

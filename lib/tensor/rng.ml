@@ -29,12 +29,21 @@ let[@inline] float t =
 
 let uniform t ~lo ~hi = lo +. ((hi -. lo) *. float t)
 
-let normal t =
-  let u1 = ref (float t) in
-  while !u1 = 0.0 do
-    u1 := float t
-  done;
-  let u2 = float t in
-  sqrt (-2.0 *. log !u1) *. cos (2.0 *. Float.pi *. u2)
+let[@inline] box_muller u1 u2 = sqrt (-2.0 *. log u1) *. cos (2.0 *. Float.pi *. u2)
+
+(* Box–Muller needs a nonzero first uniform: a zero draw is redrawn. *)
+let rec normal t =
+  let u1 = float t in
+  if u1 = 0.0 then normal t else box_muller u1 (float t)
+
+(* [normal]'s stream, drawn straight into the buffer: the loop-free fast
+   path inlines here, so no draw is boxed; only a zero first uniform
+   (probability 2^-53) takes the out-of-line redraw. *)
+let fill_normal t ~scale (buf : (float, Bigarray.float64_elt, Bigarray.c_layout) Bigarray.Array1.t) =
+  for i = 0 to Bigarray.Array1.dim buf - 1 do
+    let u1 = float t in
+    Bigarray.Array1.unsafe_set buf i
+      (scale *. (if u1 = 0.0 then normal t else box_muller u1 (float t)))
+  done
 
 let split t = of_state (next_int64 t)

@@ -233,9 +233,7 @@ let randn ?(scale = 1.0) rng shape =
   Shape.validate shape;
   let n = Shape.numel shape in
   let data = alloc n in
-  for i = 0 to n - 1 do
-    unsafe_set data i (scale *. Rng.normal rng)
-  done;
+  Rng.fill_normal rng ~scale data;
   { shape; data }
 
 let arange n =
@@ -276,107 +274,105 @@ let copy t =
 (* Elementwise                                                         *)
 (* ------------------------------------------------------------------ *)
 
-let map f t =
-  let n = numel t in
-  let out = alloc n in
-  let src = t.data in
-  for i = 0 to n - 1 do
-    unsafe_set out i (f (unsafe_get src i))
-  done;
-  { shape = t.shape; data = out }
-
-(* Broadcasting binary loop: both operands walk the output's index space
-   through right-aligned stride tables (0 on broadcast axes), offsets
-   maintained incrementally by an odometer — no per-element unravel, no
-   per-element allocation. *)
-let map2_bcast f a b =
-  let out_shape = Shape.broadcast a.shape b.shape in
-  let n = Shape.numel out_shape in
-  let out = alloc n in
-  let sa = Shape.broadcast_strides ~out:out_shape ~src:a.shape in
-  let sb = Shape.broadcast_strides ~out:out_shape ~src:b.shape in
-  let r = Shape.rank out_shape in
-  let idx = Array.make (max r 1) 0 in
-  let da = a.data and db = b.data in
-  let oa = ref 0 and ob = ref 0 in
-  for i = 0 to n - 1 do
-    unsafe_set out i (f (unsafe_get da !oa) (unsafe_get db !ob));
-    if i < n - 1 then begin
-      let d = ref (r - 1) in
-      let carrying = ref true in
-      while !carrying do
-        let v = idx.(!d) + 1 in
-        if v = out_shape.(!d) then begin
-          idx.(!d) <- 0;
-          oa := !oa - (sa.(!d) * (out_shape.(!d) - 1));
-          ob := !ob - (sb.(!d) * (out_shape.(!d) - 1));
-          decr d
-        end
-        else begin
-          idx.(!d) <- v;
-          oa := !oa + sa.(!d);
-          ob := !ob + sb.(!d);
-          carrying := false
-        end
+(* One row of a binary op: [len] outputs from [o], operands read from
+   [oa]/[ob] stepping by [sa]/[sb] (1 along a contiguous last axis, 0
+   where an operand broadcasts). Dispatching on the operator once per row
+   keeps each loop to primitive float ops: no closure call, no boxing. *)
+let binop_row op out o da oa sa db ob sb len =
+  let pa = ref oa and pb = ref ob in
+  match op with
+  | `Add ->
+      for j = o to o + len - 1 do
+        unsafe_set out j (unsafe_get da !pa +. unsafe_get db !pb);
+        pa := !pa + sa;
+        pb := !pb + sb
       done
-    end
-  done;
-  { shape = out_shape; data = out }
+  | `Sub ->
+      for j = o to o + len - 1 do
+        unsafe_set out j (unsafe_get da !pa -. unsafe_get db !pb);
+        pa := !pa + sa;
+        pb := !pb + sb
+      done
+  | `Mul ->
+      for j = o to o + len - 1 do
+        unsafe_set out j (unsafe_get da !pa *. unsafe_get db !pb);
+        pa := !pa + sa;
+        pb := !pb + sb
+      done
+  | `Div ->
+      for j = o to o + len - 1 do
+        unsafe_set out j (unsafe_get da !pa /. unsafe_get db !pb);
+        pa := !pa + sa;
+        pb := !pb + sb
+      done
+  | `Max ->
+      for j = o to o + len - 1 do
+        unsafe_set out j (Float.max (unsafe_get da !pa) (unsafe_get db !pb));
+        pa := !pa + sa;
+        pb := !pb + sb
+      done
+  | `Min ->
+      for j = o to o + len - 1 do
+        unsafe_set out j (Float.min (unsafe_get da !pa) (unsafe_get db !pb));
+        pa := !pa + sa;
+        pb := !pb + sb
+      done
 
-let map2 f a b =
+(* Equal shapes run as one flat row. Otherwise both operands walk the
+   output's index space through right-aligned stride tables (0 on
+   broadcast axes): an odometer over every axis but the last keeps the
+   row offsets incrementally (no per-element unravel), and each step runs
+   one row over the last axis. *)
+let binop op a b =
   if Shape.equal a.shape b.shape then begin
     let n = numel a in
     let out = alloc n in
-    let da = a.data and db = b.data in
-    for i = 0 to n - 1 do
-      unsafe_set out i (f (unsafe_get da i) (unsafe_get db i))
-    done;
+    binop_row op out 0 a.data 0 1 b.data 0 1 n;
     { shape = a.shape; data = out }
   end
-  else map2_bcast f a b
+  else begin
+    let out_shape = Shape.broadcast a.shape b.shape in
+    let n = Shape.numel out_shape in
+    let out = alloc n in
+    let sa = Shape.broadcast_strides ~out:out_shape ~src:a.shape in
+    let sb = Shape.broadcast_strides ~out:out_shape ~src:b.shape in
+    (* Unequal shapes broadcast to rank >= 1, and no dim is 0. *)
+    let last = Shape.rank out_shape - 1 in
+    let len = out_shape.(last) in
+    let rows = n / len in
+    let idx = Array.make (last + 1) 0 in
+    let oa = ref 0 and ob = ref 0 in
+    for row = 0 to rows - 1 do
+      binop_row op out (row * len) a.data !oa sa.(last) b.data !ob sb.(last) len;
+      if row < rows - 1 then begin
+        let d = ref (last - 1) in
+        let carrying = ref true in
+        while !carrying do
+          let v = idx.(!d) + 1 in
+          if v = out_shape.(!d) then begin
+            idx.(!d) <- 0;
+            oa := !oa - (sa.(!d) * (out_shape.(!d) - 1));
+            ob := !ob - (sb.(!d) * (out_shape.(!d) - 1));
+            decr d
+          end
+          else begin
+            idx.(!d) <- v;
+            oa := !oa + sa.(!d);
+            ob := !ob + sb.(!d);
+            carrying := false
+          end
+        done
+      end
+    done;
+    { shape = out_shape; data = out }
+  end
 
-(* The arithmetic binops are the interpreter's hot path: dispatch on the
-   operator once per call and run a loop of primitive float ops, not a
-   loop of closure calls. *)
-let binop_fast op a b =
-  let n = numel a in
-  let out = alloc n in
-  let da = a.data and db = b.data in
-  (match op with
-  | `Add ->
-      for i = 0 to n - 1 do
-        unsafe_set out i (unsafe_get da i +. unsafe_get db i)
-      done
-  | `Sub ->
-      for i = 0 to n - 1 do
-        unsafe_set out i (unsafe_get da i -. unsafe_get db i)
-      done
-  | `Mul ->
-      for i = 0 to n - 1 do
-        unsafe_set out i (unsafe_get da i *. unsafe_get db i)
-      done
-  | `Div ->
-      for i = 0 to n - 1 do
-        unsafe_set out i (unsafe_get da i /. unsafe_get db i)
-      done
-  | `Max ->
-      for i = 0 to n - 1 do
-        unsafe_set out i (Float.max (unsafe_get da i) (unsafe_get db i))
-      done
-  | `Min ->
-      for i = 0 to n - 1 do
-        unsafe_set out i (Float.min (unsafe_get da i) (unsafe_get db i))
-      done);
-  { shape = a.shape; data = out }
-
-let binop op f a b = if Shape.equal a.shape b.shape then binop_fast op a b else map2_bcast f a b
-
-let add a b = binop `Add ( +. ) a b
-let sub a b = binop `Sub ( -. ) a b
-let mul a b = binop `Mul ( *. ) a b
-let div a b = binop `Div ( /. ) a b
-let maximum a b = binop `Max Float.max a b
-let minimum a b = binop `Min Float.min a b
+let add a b = binop `Add a b
+let sub a b = binop `Sub a b
+let mul a b = binop `Mul a b
+let div a b = binop `Div a b
+let maximum a b = binop `Max a b
+let minimum a b = binop `Min a b
 
 let unop_loop t g =
   let n = numel t in
@@ -435,6 +431,12 @@ let recip t =
   unop_loop t (fun src out n ->
       for i = 0 to n - 1 do
         unsafe_set out i (1.0 /. unsafe_get src i)
+      done)
+
+let rsqrt t =
+  unop_loop t (fun src out n ->
+      for i = 0 to n - 1 do
+        unsafe_set out i (1.0 /. Stdlib.sqrt (unsafe_get src i))
       done)
 
 let sqr t =

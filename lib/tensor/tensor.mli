@@ -113,10 +113,6 @@ val copy : t -> t
 
 (** {1 Elementwise, with broadcasting} *)
 
-val map : (float -> float) -> t -> t
-val map2 : (float -> float -> float) -> t -> t -> t
-(** Broadcasts the two operands. *)
-
 val add : t -> t -> t
 val sub : t -> t -> t
 val mul : t -> t -> t
@@ -131,6 +127,7 @@ val tanh_ : t -> t
 val sigmoid : t -> t
 val gelu : t -> t
 val recip : t -> t
+val rsqrt : t -> t
 val sqr : t -> t
 val add_scalar : t -> float -> t
 val mul_scalar : t -> float -> t

@@ -155,6 +155,70 @@ let test_verify_sweeps_seeds () =
     (Invalid_argument "Verify.verify_plan: empty seed list") (fun () ->
       ignore (Runtime.Verify.verify_plan ~seeds:[] ~arch ~name:"s" g plan))
 
+(* A plan that declares a tensor at a shape the graph does not have is
+   a verification failure, reported like any other: named, with both
+   shapes and the seed, never raised. *)
+let test_verify_reports_shape_clash () =
+  let g = Ir.Models.softmax_graph ~m:4 ~n:8 in
+  let plan = Backends.Baselines.spacefusion.Backends.Policy.compile arch ~name:"v" g in
+  let redeclare name shape =
+    {
+      plan with
+      Gpu.Plan.p_decls =
+        List.map (fun (n, s) -> if n = name then (n, shape) else (n, s)) plan.Gpu.Plan.p_decls;
+    }
+  in
+  List.iter
+    (fun (name, shape, expected) ->
+      match Runtime.Verify.verify_plan ~arch ~name:"v" g (redeclare name shape) with
+      | Ok () -> Alcotest.failf "%s declared %s passed verification" name (Shape.to_string shape)
+      | Error msg -> Alcotest.(check string) name expected msg)
+    [
+      ("v:out0", [| 8; 8 |], "v: output v:out0 has shape [8x8], reference [4x8] (seed 42)");
+      ("x", [| 4; 9 |], "v: input x is declared [4x9] by the plan but drawn [4x8] (seed 42)");
+    ]
+
+(* Above the floor, seeds are checked on helper domains; the answer must
+   be the serial sweep's, down to which failing seed it names. *)
+let test_verify_parallel_matches_serial () =
+  let ln = Ir.Models.layernorm_graph ~m:64 ~n:256 in
+  let plan = Backends.Baselines.spacefusion.Backends.Policy.compile arch ~name:"p" ln in
+  let bad =
+    match Check.Mutation.swap_binop.Check.Mutation.m_mutate plan with
+    | Some p -> p
+    | None -> Alcotest.fail "swap_binop should apply to layernorm"
+  in
+  (* exp(exp(rowsum x − 3)) over 64×64 inputs overflows on some seeds
+     only: of seeds 0, 1, 2 and 4, seeds 1 and 4 overflow. *)
+  let overflow = G.create () in
+  let x = G.input overflow "x0" [| 64; 64 |] in
+  let s = G.reduce overflow Op.Rsum ~keepdims:true ~axis:1 x in
+  let s = G.binary overflow Op.Sub s (G.const overflow 3.0) in
+  G.mark_output overflow (G.unary overflow Op.Exp (G.unary overflow Op.Exp s));
+  let overflow_plan =
+    Backends.Baselines.spacefusion.Backends.Policy.compile arch ~name:"p" overflow
+  in
+  List.iter
+    (fun (case, g, seeds, p, expect) ->
+      let verify jobs =
+        Core.Parallel.with_jobs jobs (fun () -> Runtime.Verify.verify_plan ?seeds ~arch ~name:"p" g p)
+      in
+      let serial = verify 1 in
+      (match (serial, expect) with
+      | Ok (), None -> ()
+      | Error msg, Some seed ->
+          Alcotest.(check bool) (case ^ " names the first failing seed: " ^ msg) true
+            (contains ~affix:(Printf.sprintf "seed %d)" seed) msg)
+      | _ -> Alcotest.failf "%s: unexpected verdict" case);
+      Alcotest.(check (result unit string)) case serial (verify 4))
+    [
+      ("good plan", ln, None, plan, None);
+      ("swap_binop", ln, None, bad, Some 42);
+      ("good plan, 4 seeds", ln, Some [ 5; 6; 7; 8 ], plan, None);
+      ("swap_binop, 4 seeds", ln, Some [ 5; 6; 7; 8 ], bad, Some 5);
+      ("later seeds overflow", overflow, Some [ 0; 1; 2; 4 ], overflow_plan, Some 1);
+    ]
+
 (* ------------------------------------------------------------------ *)
 (* Fuzz driver                                                         *)
 (* ------------------------------------------------------------------ *)
@@ -192,6 +256,8 @@ let () =
           Alcotest.test_case "failing seed named" `Quick test_verify_names_failing_seed;
           Alcotest.test_case "non-finite rejected" `Quick test_verify_rejects_nonfinite;
           Alcotest.test_case "seed sweep" `Quick test_verify_sweeps_seeds;
+          Alcotest.test_case "shape clash reported" `Quick test_verify_reports_shape_clash;
+          Alcotest.test_case "parallel matches serial" `Quick test_verify_parallel_matches_serial;
         ] );
       ( "fuzz",
         [

@@ -427,6 +427,35 @@ let prop_schedules_fit_budget =
 let props =
   List.map QCheck_alcotest.to_alcotest [ prop_mha_fused_matches_reference; prop_schedules_fit_budget ]
 
+(* [Parallel.tabulate] on the main domain evaluates every index before it
+   returns and re-raises an index's exception only when that index is
+   asked for; with one job, or off the main domain, it is [f] itself.
+   With [stop], indices it never started are evaluated when asked, so
+   each index still runs exactly once. *)
+let test_tabulate () =
+  let evaluated = Atomic.make 0 in
+  let f i =
+    Atomic.incr evaluated;
+    if i = 3 then failwith "three" else i * i
+  in
+  let lookup = Core.Parallel.tabulate ~jobs:4 8 f in
+  Alcotest.(check int) "every index evaluated up front" 8 (Atomic.get evaluated);
+  List.iter (fun i -> Alcotest.(check int) (Printf.sprintf "index %d" i) (i * i) (lookup i)) [ 0; 7; 2 ];
+  Alcotest.check_raises "index 3 raises when asked" (Failure "three") (fun () -> ignore (lookup 3));
+  Alcotest.(check int) "lookups evaluate nothing" 8 (Atomic.get evaluated);
+  Alcotest.(check bool) "one job is f" true (Core.Parallel.tabulate ~jobs:1 8 f == f);
+  Alcotest.(check bool) "off the main domain is f" true
+    (Domain.join (Domain.spawn (fun () -> Core.Parallel.tabulate ~jobs:4 8 f == f)));
+  Alcotest.(check int) "neither evaluates" 8 (Atomic.get evaluated);
+  Atomic.set evaluated 0;
+  let lookup = Core.Parallel.tabulate ~stop:(fun v -> v = 4) ~jobs:2 8 f in
+  List.iter
+    (fun i ->
+      if i = 3 then Alcotest.check_raises "index 3 still raises" (Failure "three") (fun () -> ignore (lookup i))
+      else Alcotest.(check int) (Printf.sprintf "stopped, index %d" i) (i * i) (lookup i))
+    (List.init 8 Fun.id);
+  Alcotest.(check int) "each index evaluated once" 8 (Atomic.get evaluated)
+
 let () =
   Alcotest.run "core"
     [
@@ -481,5 +510,6 @@ let () =
           Alcotest.test_case "ablation variants correct" `Quick test_variants_agree;
           Alcotest.test_case "resource budgets respected" `Quick test_resource_respected;
         ] );
+      ("parallel", [ Alcotest.test_case "tabulate" `Quick test_tabulate ]);
       ("properties", props);
     ]

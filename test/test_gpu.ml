@@ -88,8 +88,9 @@ let test_gemm_full () =
 (* Every [trans_b] × [accumulate] GEMM's Full walk, bit for bit against
    an index-at-a-time reference: each output sums from 0.0 in ascending k
    over one contraction tile, and an accumulating GEMM adds that sum to C
-   last, tile after tile. Tile rows 1–5, columns 1–9 and contraction
-   tiles 1–67 reach every remainder of the blocked loops; each grid dim
+   last, tile after tile. Tile rows 1–9, columns 1–9 and contraction
+   tiles 1–67 reach every remainder of the blocked loops, and tiles under
+   4 columns reach the 4-row narrow block whole and ragged; each grid dim
    adds a narrower edge block, and each temporal loop a 1-wide last step. *)
 let test_gemm_variants_bitexact () =
   let bits t = Array.map Int64.bits_of_float (Tensor.data t) in
@@ -131,8 +132,175 @@ let test_gemm_variants_bitexact () =
            (fun bm ->
              List.concat_map (fun bn -> List.map (fun bk -> (bm, bn, bk)) [ 1; 3; 4; 5; 67 ])
                (List.init 9 succ))
-           [ 1; 2; 3; 5 ]))
+           [ 1; 2; 3; 4; 5; 8; 9 ]))
     [ (false, false); (false, true); (true, false); (true, true) ]
+
+(* One Full walk of a grid-less kernel over whole tensors. *)
+let run_whole ~name ~bufs ~body ~inputs ~outputs =
+  let dev = Device.create () in
+  List.iter (fun (n, t) -> Device.bind dev n t) inputs;
+  List.iter (fun (n, s) -> Device.declare dev n s) outputs;
+  let k : Kernel.t =
+    { kname = name; grid = []; temporal = None; bufs; stages = [ Once body ]; tags = [] }
+  in
+  ignore (Exec.run dev k);
+  dev
+
+let whole n (t : Tensor.t) : Kernel.instr =
+  Load { tensor = n; dst = String.lowercase_ascii n; idx = Array.map (fun _ -> Kernel.IAll) (Tensor.shape t) }
+
+let buf name rows cols : Kernel.buf = { bname = name; scope = Smem; brows = Lit rows; bcols = Lit cols }
+
+let check_bits msg expected actual =
+  let bits t = Array.map Int64.bits_of_float (Tensor.data t) in
+  Alcotest.(check (array int64)) msg (bits expected) (bits actual)
+
+(* Every unary, binary and reduction op of a Full walk, bit for bit
+   against [Ir.Op]'s closures: the walk's loops must evaluate the same
+   float expression per element. Inputs are standard normal, so sqrt,
+   rsqrt and recip also meet negative and tiny operands. *)
+let test_elementwise_bitexact () =
+  let m = 5 and n = 7 in
+  let rng = Rng.create 17 in
+  let x = Tensor.randn rng [| m; n |] and y = Tensor.randn rng [| m; n |] in
+  let xrow = Tensor.randn rng [| 1; n |] and xcol = Tensor.randn rng [| m; 1 |] in
+  List.iter
+    (fun op ->
+      let dev =
+        run_whole ~name:"unary"
+          ~bufs:[ buf "x" m n; buf "o" m n ]
+          ~body:
+            [
+              whole "X" x;
+              Unary { dst = "o"; op; src = "x" };
+              Store { src = "o"; tensor = "O"; idx = [| IAll; IAll |] };
+            ]
+          ~inputs:[ ("X", x) ] ~outputs:[ ("O", [| m; n |]) ]
+      in
+      check_bits (Ir.Op.unop_to_string op)
+        (Tensor.init [| m; n |] (fun i -> Ir.Op.apply_unop op (Tensor.get x i)))
+        (Device.tensor dev "O"))
+    Ir.Op.[ Exp; Relu; Sqrt; Rsqrt; Neg; Recip; Sqr; Tanh; Sigmoid; Gelu ];
+  let bget t idx = Tensor.get t (Array.mapi (fun k i -> if (Tensor.shape t).(k) = 1 then 0 else i) idx) in
+  List.iter
+    (fun op ->
+      List.iter
+        (fun (case, a, b, dst) ->
+          let sa = Tensor.shape a and sb = Tensor.shape b in
+          let dev =
+            run_whole ~name:"binary"
+              ~bufs:[ buf "a" sa.(0) sa.(1); buf "b" sb.(0) sb.(1); buf "o" m n ]
+              ~body:
+                [
+                  whole "A" a;
+                  whole "B" b;
+                  Binary { dst; op; a = "a"; b = "b" };
+                  Store { src = dst; tensor = "O"; idx = [| IAll; IAll |] };
+                ]
+              ~inputs:[ ("A", a); ("B", b) ] ~outputs:[ ("O", [| m; n |]) ]
+          in
+          check_bits
+            (Printf.sprintf "%s %s" (Ir.Op.binop_to_string op) case)
+            (Tensor.init [| m; n |] (fun i -> Ir.Op.apply_binop op (bget a i) (bget b i)))
+            (Device.tensor dev "O"))
+        [
+          ("same shape", x, y, "o");
+          ("row broadcast", x, xrow, "o");
+          ("column broadcast", xcol, y, "o");
+          ("into a", x, y, "a");
+          ("into b over a column", xcol, y, "b");
+        ])
+    Ir.Op.[ Add; Sub; Mul; Div; Max; Min ];
+  let fold op init get len =
+    let acc = ref (Ir.Op.redop_identity op) in
+    for k = 0 to len - 1 do
+      acc := Ir.Op.redop_combine op !acc (get k)
+    done;
+    match init with Some c -> Ir.Op.redop_combine op c !acc | None -> !acc
+  in
+  List.iter
+    (fun op ->
+      List.iter
+        (fun accumulate ->
+          let name = Printf.sprintf "%s accumulate=%b" (Ir.Op.redop_to_string op) accumulate in
+          let init c0 i = if accumulate then Some (Tensor.get c0 i) else None in
+          let reduce ~rows kind out_shape =
+            let c0 = Tensor.randn rng out_shape in
+            let r, c = (out_shape.(0), out_shape.(1)) in
+            let dev =
+              run_whole ~name:"reduce"
+                ~bufs:[ buf "x" m n; buf "c0" r c ]
+                ~body:
+                  ((whole "X" x :: (if accumulate then [ whole "C0" c0 ] else []))
+                  @ [
+                      (if rows then Kernel.RowReduce { dst = "c0"; op; src = "x"; accumulate }
+                       else Kernel.ColReduce { dst = "c0"; op; src = "x"; accumulate });
+                      Store { src = "c0"; tensor = "O"; idx = [| IAll; IAll |] };
+                    ])
+                ~inputs:(("X", x) :: (if accumulate then [ ("C0", c0) ] else []))
+                ~outputs:[ ("O", out_shape) ]
+            in
+            check_bits (name ^ " " ^ kind)
+              (Tensor.init out_shape (fun i ->
+                   if rows then fold op (init c0 i) (fun k -> Tensor.get x [| i.(0); k |]) n
+                   else fold op (init c0 i) (fun k -> Tensor.get x [| k; i.(1) |]) m))
+              (Device.tensor dev "O")
+          in
+          reduce ~rows:true "by row" [| m; 1 |];
+          reduce ~rows:false "by column" [| 1; n |])
+        [ false; true ])
+    (* [Kernel.validate] requires [Rmean] lowered to [Rsum]. *)
+    Ir.Op.[ Rsum; Rmax; Rmin ]
+
+(* A Full walk's elementwise work allocates nothing per element: what an
+   LN plan's walk allocates is per-block bookkeeping, whatever a block's
+   row count (at 1 024 rows a block holds 8 rows of 256). *)
+let test_full_walk_alloc_flat () =
+  List.iter
+    (fun m ->
+      let g = Ir.Models.layernorm_graph ~m ~n:256 in
+      let plan = Backends.Baselines.spacefusion.Backends.Policy.compile Arch.ampere ~name:"ln" g in
+      let env = Ir.Interp.random_env ~seed:1 g in
+      let walk () =
+        let dev = Device.create () in
+        Plan.declare_all plan dev;
+        List.iter (fun (n, t) -> Device.bind dev n t) env;
+        let before = Gc.minor_words () in
+        let blocks =
+          List.fold_left (fun acc k -> acc + (Exec.run ~arch:Arch.ampere dev k).ks_blocks) 0 plan.p_kernels
+        in
+        (Gc.minor_words () -. before, blocks)
+      in
+      ignore (walk ());
+      let words, blocks = walk () in
+      Alcotest.(check bool)
+        (Printf.sprintf "ln %dx256: %.0f words over %d blocks" m words blocks)
+        true
+        (words <= 1_000.0 *. float_of_int blocks))
+    [ 64; 1024 ]
+
+(* A transfer whose unit-blocked grid axis is past the tensor's extent
+   must fail, not read or write outside the tensor's buffer. The probe is
+   the 4-row softmax kernel, whose grid blocks rows at 1 (d0(4/1)). *)
+let test_transfer_bounds () =
+  let g = Ir.Models.softmax_graph ~m:4 ~n:8 in
+  let plan = Backends.Baselines.spacefusion.Backends.Policy.compile Arch.ampere ~name:"v" g in
+  let k = match plan.p_kernels with [ k ] -> k | _ -> Alcotest.fail "one kernel expected" in
+  let x4 = Tensor.randn (Rng.create 5) [| 4; 8 |] and x2 = Tensor.randn (Rng.create 5) [| 2; 8 |] in
+  let store_dev = Device.create () in
+  Plan.declare_all
+    { plan with p_decls = List.map (fun (n, s) -> if n = "v:out0" then (n, [| 2; 8 |]) else (n, s)) plan.p_decls }
+    store_dev;
+  Device.bind store_dev "x" x4;
+  Alcotest.check_raises "store past the output's rows"
+    (Invalid_argument "Exec v.k0: store of \"v:out0\" at axis 0: origin 2 is past extent 2")
+    (fun () -> ignore (Exec.run store_dev k));
+  let load_dev = Device.create () in
+  Plan.declare_all { plan with p_decls = List.remove_assoc "x" plan.p_decls } load_dev;
+  Device.bind load_dev "x" x2;
+  Alcotest.check_raises "load past the input's rows"
+    (Invalid_argument "Exec v.k0: load of \"x\" at axis 0: origin 2 is past extent 2")
+    (fun () -> ignore (Exec.run load_dev k))
 
 let test_gemm_flops () =
   let dev = Device.create () in
@@ -411,6 +579,9 @@ let suite =
   [
     Alcotest.test_case "gemm full execution" `Quick test_gemm_full;
     Alcotest.test_case "gemm variants bit-exact" `Quick test_gemm_variants_bitexact;
+    Alcotest.test_case "elementwise ops bit-exact" `Quick test_elementwise_bitexact;
+    Alcotest.test_case "full walk allocation flat in rows" `Quick test_full_walk_alloc_flat;
+    Alcotest.test_case "transfer bounds" `Quick test_transfer_bounds;
     Alcotest.test_case "gemm flop count" `Quick test_gemm_flops;
     Alcotest.test_case "softmax full execution" `Quick test_softmax_full;
     Alcotest.test_case "full/analytic counters agree" `Quick test_full_analytic_agree;

@@ -268,6 +268,15 @@ module Naive = struct
         !acc)
 end
 
+(* Same shape and the same bits: each fast kernel must evaluate exactly
+   the reference's float expression per element. *)
+let check_bits msg expected actual =
+  Alcotest.(check string) (msg ^ " shape")
+    (Shape.to_string (Tensor.shape expected))
+    (Shape.to_string (Tensor.shape actual));
+  let bits t = Array.map Int64.bits_of_float (Tensor.data t) in
+  Alcotest.(check (array int64)) msg (bits expected) (bits actual)
+
 let test_diff_elementwise () =
   let shapes =
     [
@@ -279,6 +288,10 @@ let test_diff_elementwise () =
       ([| 2; 3 |], [||]);
       ([| 1 |], [| 4; 1 |]);
       ([| 5; 3; 2 |], [| 5; 3; 2 |]);
+      ([| 4; 1 |], [| 1; 5 |]);
+      ([| 2; 1; 3; 4 |], [| 3; 1 |]);
+      ([| 2; 3; 1 |], [| 4 |]);
+      ([||], [| 2; 3 |]);
     ]
   in
   List.iteri
@@ -287,7 +300,7 @@ let test_diff_elementwise () =
       let a = Tensor.randn rng sa and b = Tensor.randn rng sb in
       List.iter
         (fun (name, fast, f) ->
-          check_tensor (Printf.sprintf "%s case %d" name si) (Naive.map2 f a b) (fast a b))
+          check_bits (Printf.sprintf "%s case %d" name si) (Naive.map2 f a b) (fast a b))
         [
           ("add", Tensor.add, ( +. ));
           ("sub", Tensor.sub, ( -. ));
@@ -306,10 +319,14 @@ let test_diff_unary () =
       let t = Tensor.randn (Rng.create (300 + si)) s in
       List.iter
         (fun (name, fast, f) ->
-          check_tensor (Printf.sprintf "%s case %d" name si) (Naive.map f t) (fast t))
+          check_bits (Printf.sprintf "%s case %d" name si) (Naive.map f t) (fast t))
         [
           ("neg", Tensor.neg, fun x -> -.x);
           ("exp", Tensor.exp, Stdlib.exp);
+          ("sqrt", Tensor.sqrt_, Stdlib.sqrt);
+          ("rsqrt", Tensor.rsqrt, fun x -> 1.0 /. Stdlib.sqrt x);
+          ("tanh", Tensor.tanh_, Stdlib.tanh);
+          ("recip", Tensor.recip, fun x -> 1.0 /. x);
           ("relu", Tensor.relu, fun x -> Float.max x 0.0);
           ("sigmoid", Tensor.sigmoid, fun x -> 1.0 /. (1.0 +. Stdlib.exp (-.x)));
           ( "gelu",
@@ -486,7 +503,7 @@ let arb_tensor =
 
 let prop_add_commutes =
   QCheck.Test.make ~name:"add commutes" ~count:100 arb_tensor (fun t ->
-      let u = Tensor.map (fun x -> x *. 2.0) t in
+      let u = Tensor.mul_scalar t 2.0 in
       Tensor.allclose (Tensor.add t u) (Tensor.add u t))
 
 let prop_softmax_normalized =
