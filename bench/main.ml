@@ -612,6 +612,7 @@ let batch_bench () =
         ("batched_members", int st_p2.Serve.Stats.s_batched);
         ("coalesced", int st_p2.Serve.Stats.s_coalesced);
         ("batches_closed", int (counter "batch.closed"));
+        (* Sliced batches whose stacked rows reached the class boundary. *)
         ("boundary_closes", int (counter "batch.boundary_closes"));
       ]
   in
@@ -810,10 +811,10 @@ let shard_bench () =
       failures, and admitted = done + failed (a shed request never
       occupied the queue).
    B. Bisection probe — three in-class requests (rows 5+6+5 = the cap-16
-      class boundary) stack into one batch whose seed is chosen so
-      exactly one member draws poison: the batch bisects, the poisoned
-      member is isolated and fails, both clean members are served
-      bit-for-bit from passing sub-runs.
+      class boundary), staged on one worker so they stack into one batch,
+      whose seed is chosen so exactly one member draws poison: the batch
+      bisects, the poisoned member is isolated and fails, both clean
+      members are served bit-for-bit from passing sub-runs.
    C. Memory budget — a byte budget far below the working set trips the
       typed resource_exhausted fault on every fused attempt; the server
       answers by halving the batch cap and serving from the unfused
@@ -969,7 +970,7 @@ let overload () =
   let cfg_b =
     {
       (Serve.Server.default_config ()) with
-      Serve.Server.workers = 2;
+      Serve.Server.workers = 1;
       queue_capacity = 8;
       clock = frozen;
       fault_plan = Some plan_b;
@@ -979,10 +980,12 @@ let overload () =
   let isolated0 = counter "batch.isolated" and bisections0 = counter "batch.bisections" in
   let sb = Serve.Server.start ~cache:(Runtime.Plan_cache.create ()) ~config:cfg_b () in
   let fam r = one "probe-ln" (Ir.Models.layernorm_graph ~m:r ~n:64) in
-  (* 5 + 6 + 5 = 16 = the (4,8] class's batch cap: the third member seals
-     the batch at the boundary, which is what lets the leader's grow
-     return under a frozen clock. *)
+  (* 5 + 6 + 5 = 16 = the (4,8] class's batch cap. All three are queued
+     before the lone worker pops the first, which takes the other two
+     from the backlog into its batch. *)
+  Serve.Server.pause sb;
   let probe_tickets = List.map (fun r -> Serve.Server.submit sb ~arch backend (fam r)) [ 5; 6; 5 ] in
+  Serve.Server.resume sb;
   let probe_done = ref 0 and probe_failed = ref 0 in
   List.iter
     (fun tk ->

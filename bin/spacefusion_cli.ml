@@ -486,9 +486,11 @@ let chaos_cmd =
      breaker (threshold 1, zero cooldown), so the run exercises the whole
      self-healing ladder — retry, reroute, degrade, trip, probe, close —
      and its outcome counts are a pure function of the seed. The default
-     shape (one worker, no deadlines, queue as large as the request count)
-     removes every clock dependence from the terminal accounting, which is
-     what lets scripts/ci.sh diff two same-seed runs byte-for-byte. *)
+     shape (one worker, no deadlines, queue as large as the request count,
+     every request queued before the worker starts) removes every clock
+     and scheduling dependence from the terminal accounting and from batch
+     formation, which is what lets scripts/ci.sh diff two same-seed runs
+     byte-for-byte. *)
   let run arch requests rate poison resource arena_budget_mb seed workers retries floor
       require_recovery check devices bucket telemetry_dir pretty =
     let models = mini_zoo () in
@@ -517,10 +519,15 @@ let chaos_cmd =
     let cache = Runtime.Plan_cache.create () in
     let s = Serve.Server.start ~cache ~config () in
     let t0 = Unix.gettimeofday () in
+    (* Staged storm: the whole backlog is queued before any worker pops,
+       so what a batch leader finds to take with it does not depend on
+       how far the submit loop got. *)
+    Serve.Server.pause s;
     let tickets =
       List.init requests (fun i ->
           Serve.Server.submit s ~arch backend (List.nth models (i mod List.length models)))
     in
+    Serve.Server.resume s;
     List.iter (fun tk -> ignore (Serve.Server.await tk)) tickets;
     let elapsed = Unix.gettimeofday () -. t0 in
     Serve.Server.shutdown s;

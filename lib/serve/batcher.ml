@@ -1,6 +1,6 @@
-(* Growing-batch admission. See batcher.mli for the contract. *)
+(* Batch formation and delivery. See batcher.mli for the contract. *)
 
-type mode = Shared | Sliced of { rows : int; cap : int }
+type mode = Shared | Sliced
 
 type 'r slot = {
   sl_result : 'r;
@@ -19,6 +19,13 @@ type 'r member = {
   mb_tag : int;
 }
 
+type 'r joiner = {
+  j_rows : int;
+  j_deadline : float option;
+  j_tag : int;
+  j_cb : 'r slot -> unit;
+}
+
 type member_view = {
   mv_index : int;
   mv_rows : int;
@@ -35,21 +42,16 @@ type 'r delivery = {
   dv_len : int;
 }
 
-type state = Open | Sealed | Delivered
-
 type 'r batch = {
-  bt_key : string;
+  bt_key : string;  (* "" for [Sliced]: never in the table *)
   bt_mode : mode;
-  bt_opened : float;
-  mutable bt_state : state;
   mutable bt_members : 'r member list;  (* newest first *)
-  mutable bt_rows : int;  (* row total admitted so far (Sliced) *)
+  bt_rows : int;  (* stacked row total (Sliced), 0 for Shared *)
 }
 
 type 'r t = {
   lock : Mutex.t;
-  table : (string, 'r batch) Hashtbl.t;
-  window_s : float;
+  table : (string, 'r batch) Hashtbl.t;  (* Shared batches still joinable *)
   clock : unit -> float;
 }
 
@@ -57,9 +59,8 @@ let m_batches = Obs.Metrics.counter "batch.closed"
 let m_joined = Obs.Metrics.counter "batch.joined"
 let m_boundary = Obs.Metrics.counter "batch.boundary_closes"
 
-let create ?(window_s = 2e-3) ?(clock = Unix.gettimeofday) () =
-  if window_s < 0.0 then invalid_arg "Batcher.create: window_s < 0";
-  { lock = Mutex.create (); table = Hashtbl.create 16; window_s; clock }
+let create ?(clock = Unix.gettimeofday) () =
+  { lock = Mutex.create (); table = Hashtbl.create 16; clock }
 
 let locked t f =
   Mutex.lock t.lock;
@@ -67,128 +68,42 @@ let locked t f =
 
 let members b = List.length b.bt_members
 let rows b = b.bt_rows
+let mode b = b.bt_mode
 
-let mode_rows = function Shared -> 0 | Sliced { rows; _ } -> rows
-
-(* Whether a new request of [mode] may still join [b]. A [Shared] batch
-   stays joinable until delivery — late joiners share the leader's
-   in-flight run for free. A [Sliced] batch only grows while open: its
-   members' rows are stacked into one execution, so nobody may join once
-   the leader started running. *)
-let joinable b mode =
-  match (b.bt_state, mode) with
-  | Delivered, _ -> false
-  | (Open | Sealed), Shared -> ( match b.bt_mode with Shared -> true | Sliced _ -> false)
-  | Open, Sliced { rows; cap } -> (
-      match b.bt_mode with
-      | Shared -> false
-      | Sliced { cap = cap'; _ } ->
-          cap = cap' && b.bt_rows + rows <= cap)
-  | Sealed, Sliced _ -> false
-
-let admit t ~key ~mode ?deadline ?(tag = 0) cb =
+let admit t ~key ?deadline ?(tag = 0) cb =
+  let m = { mb_cb = cb; mb_deadline = deadline; mb_off = 0; mb_len = 0; mb_tag = tag } in
   locked t (fun () ->
-      let lead () =
-        let b =
-          {
-            bt_key = key;
-            bt_mode = mode;
-            bt_opened = t.clock ();
-            bt_state = Open;
-            bt_members =
-              [
-                {
-                  mb_cb = cb;
-                  mb_deadline = deadline;
-                  mb_off = 0;
-                  mb_len = mode_rows mode;
-                  mb_tag = tag;
-                };
-              ];
-            bt_rows = mode_rows mode;
-          }
-        in
-        Hashtbl.replace t.table key b;
-        `Lead b
-      in
       match Hashtbl.find_opt t.table key with
-      | Some b when joinable b mode ->
-          b.bt_members <-
-            {
-              mb_cb = cb;
-              mb_deadline = deadline;
-              mb_off = b.bt_rows;
-              mb_len = mode_rows mode;
-              mb_tag = tag;
-            }
-            :: b.bt_members;
-          b.bt_rows <- b.bt_rows + mode_rows mode;
-          (* Shape-class boundary: the bucket is full — seal so the
-             leader's grow loop returns without waiting out the window. *)
-          (match mode with
-          | Sliced { cap; _ } when b.bt_rows >= cap ->
-              b.bt_state <- Sealed;
-              Obs.Metrics.incr m_boundary
-          | _ -> ());
+      | Some b ->
+          (* Joinable until delivery: late joiners share the leader's
+             in-flight run for free. *)
+          b.bt_members <- m :: b.bt_members;
           Obs.Metrics.incr m_joined;
           `Join
-      | Some stale ->
-          (* Sealed (or mode-incompatible, or row-overflowing) batch still
-             in the table: its leader will deliver through its own handle
-             — replace the mapping so this key admits a fresh batch
-             immediately. An [Open] [Sliced] batch we overflow has hit its
-             shape-class boundary: seal it so its leader's {!grow} stops
-             waiting for joiners that can no longer fit. *)
-          (match (stale.bt_state, stale.bt_mode) with
-          | Open, Sliced _ ->
-              stale.bt_state <- Sealed;
-              Obs.Metrics.incr m_boundary
-          | _ -> ());
-          lead ()
-      | None -> lead ())
+      | None ->
+          let b =
+            { bt_key = key; bt_mode = Shared; bt_members = [ m ]; bt_rows = 0 }
+          in
+          Hashtbl.replace t.table key b;
+          `Lead b)
 
-let earliest_deadline b =
-  List.fold_left
-    (fun acc m ->
-      match (m.mb_deadline, acc) with
-      | None, acc -> acc
-      | Some d, None -> Some d
-      | Some d, Some d' -> Some (min d d'))
-    None b.bt_members
-
-let grow t b =
-  match b.bt_mode with
-  | Shared -> ()  (* joins keep landing while the leader runs *)
-  | Sliced _ ->
-      let quantum = Float.max 1e-4 (t.window_s /. 8.0) in
-      let rec wait () =
-        let stop =
-          locked t (fun () ->
-              if b.bt_state <> Open then true
-              else
-                let now = t.clock () in
-                (* Deadline-aware close: never sleep past the window, nor
-                   past the tightest member deadline — a batch that waits
-                   out a member's whole budget converts it to a timeout. *)
-                let close_at =
-                  match earliest_deadline b with
-                  | None -> b.bt_opened +. t.window_s
-                  | Some d -> Float.min (b.bt_opened +. t.window_s) d
-                in
-                now >= close_at)
-        in
-        if stop then ()
-        else begin
-          Unix.sleepf quantum;
-          wait ()
-        end
-      in
-      wait ();
-      locked t (fun () ->
-          if b.bt_state = Open then b.bt_state <- Sealed;
-          match Hashtbl.find_opt t.table b.bt_key with
-          | Some b' when b' == b -> Hashtbl.remove t.table b.bt_key
-          | Some _ | None -> ())
+let sliced ~cap joiners =
+  if joiners = [] then invalid_arg "Batcher.sliced: no members";
+  let off = ref 0 in
+  let ms =
+    List.map
+      (fun j ->
+        if j.j_rows < 1 then invalid_arg "Batcher.sliced: a member without rows";
+        let m = { mb_cb = j.j_cb; mb_deadline = j.j_deadline; mb_off = !off; mb_len = j.j_rows; mb_tag = j.j_tag } in
+        off := !off + j.j_rows;
+        m)
+      joiners
+  in
+  if !off > cap then
+    invalid_arg (Printf.sprintf "Batcher.sliced: %d rows exceed the cap %d" !off cap);
+  if !off = cap then Obs.Metrics.incr m_boundary;
+  Obs.Metrics.incr ~by:(List.length ms - 1) m_joined;
+  { bt_key = ""; bt_mode = Sliced; bt_members = List.rev ms; bt_rows = !off }
 
 let run_deadline b =
   match b.bt_mode with
@@ -197,7 +112,7 @@ let run_deadline b =
          identical-request coalescing; late joiners inherit the run but
          keep their own deadlines for delivery-time expiry. *)
       match List.rev b.bt_members with [] -> None | leader :: _ -> leader.mb_deadline)
-  | Sliced _ ->
+  | Sliced ->
       (* The run may outlive any single member only up to the slackest
          deadline; members past their own deadline expire individually at
          delivery. A deadline-free member makes the run deadline-free. *)
@@ -218,12 +133,11 @@ let member_views t b =
       { mv_index = i; mv_rows = m.mb_len; mv_off = m.mb_off; mv_deadline = m.mb_deadline; mv_tag = m.mb_tag })
     ms
 
-(* Atomically freeze membership: the Delivered transition and the member
-   snapshot happen under one lock acquisition, because a Shared batch
-   keeps admitting joiners right up to delivery. *)
+(* Atomically freeze membership: the unmapping and the member snapshot
+   happen under one lock acquisition, because a Shared batch keeps
+   admitting joiners right up to delivery. *)
 let take_members t b =
   locked t (fun () ->
-      b.bt_state <- Delivered;
       (match Hashtbl.find_opt t.table b.bt_key with
       | Some b' when b' == b -> Hashtbl.remove t.table b.bt_key
       | Some _ | None -> ());

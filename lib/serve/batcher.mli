@@ -1,27 +1,25 @@
-(** Growing-batch admission — the continuous-batching upgrade of in-flight
-    request coalescing.
+(** Batch formation and delivery — the continuous-batching upgrade of
+    in-flight request coalescing.
 
-    Concurrent requests for the same key (the server derives it from a
+    Requests with the same key (the server derives it from a
     shape-class-aware {!Runtime.Workload.digest}, so "same key" means
-    "same backend, architecture, model and shape class") join {e one}
-    batch instead of each executing. The first request to {!admit} a key
-    leads the batch: it alone executes and {b must} eventually
-    {!deliver}, on every path including failure. Requests admitted
-    meanwhile register a callback and never block a worker domain — the
-    scheme stays deadlock-free by construction, exactly as the coalescer
-    it replaces.
+    "same backend, architecture, model and shape class") are served by
+    {e one} execution. Exactly one member leads: it alone executes and
+    {b must} eventually {!deliver}, on every path including failure.
+    Every other member is a callback and never blocks a worker domain —
+    the scheme is deadlock-free by construction, exactly as the
+    coalescer it replaces.
 
     Two batch modes:
 
     - [Shared] — identical requests (same digest, same concrete shape, or
-      a non-sliceable model). The batch stays joinable until the leader
-      delivers; every member receives the {e same} result value. This is
-      the legacy single-flight dedup, now with per-member deadlines.
-    - [Sliced { rows; cap }] — row-sliceable requests of one shape class.
-      Members stack their [rows] into one execution at the class
-      representative; the batch closes (stops admitting) when the leader's
-      {!grow} window elapses, when a member's deadline is imminent, or
-      when the row total would cross the shape-class boundary [cap].
+      a non-sliceable model). The first request to {!admit} a key leads;
+      the batch stays joinable until the leader delivers, and every
+      member receives the {e same} result value.
+    - [Sliced] — row-sliceable requests of one shape class, stacked into
+      one execution at the class representative. The leader forms the
+      batch complete with {!sliced} from the requests already queued
+      behind it, so nothing joins later and nobody waits for joiners.
       Each member is handed its own row slice [\[sl_off, sl_off+sl_len)]
       of the batched result space.
 
@@ -30,7 +28,7 @@
     each member's [sl_expired] is decided against {e its own} absolute
     deadline — joining a batch never substitutes the leader's. *)
 
-type mode = Shared | Sliced of { rows : int; cap : int }
+type mode = Shared | Sliced
 
 type 'r slot = {
   sl_result : 'r;  (** the batch's one result, physically shared *)
@@ -45,51 +43,54 @@ type 'r slot = {
 type 'r t
 type 'r batch
 
-val create : ?window_s:float -> ?clock:(unit -> float) -> unit -> 'r t
-(** [window_s] (default 2 ms) bounds how long a [Sliced] leader's {!grow}
-    waits for joiners; the server keeps the default, so it is a test
-    seam, like [clock] (the server passes its own). Raises
-    [Invalid_argument] on a negative window. *)
+val create : ?clock:(unit -> float) -> unit -> 'r t
+(** [clock] judges member expiry at delivery (the server passes its
+    own). *)
 
 val admit :
-  'r t ->
-  key:string ->
-  mode:mode ->
-  ?deadline:float ->
-  ?tag:int ->
-  ('r slot -> unit) ->
-  [ `Lead of 'r batch | `Join ]
-(** [`Lead b]: the caller opened the batch and must {!grow} then
-    {!deliver} (or {!deliver_each}) it. [`Join]: the callback was
-    registered on the open batch and will run, on the leader's domain, at
+  'r t -> key:string -> ?deadline:float -> ?tag:int -> ('r slot -> unit) -> [ `Lead of 'r batch | `Join ]
+(** [Shared] single-flight. [`Lead b]: the caller opened the batch and
+    must {!deliver} it. [`Join]: the callback was registered on the
+    key's in-flight batch and will run, on the leader's domain, at
     delivery. The leader's own callback is registered too and runs first.
     [tag] (default 0) is an opaque per-member id surfaced by
-    {!member_views} — the server passes the request's injection-stream id
-    so the bisection layer can attribute poison draws to members. *)
+    {!member_views}. *)
 
-val grow : 'r t -> 'r batch -> unit
-(** Leader only, before executing. [Shared]: returns immediately (the
-    batch keeps admitting while the run is in flight). [Sliced]: sleeps in
-    small quanta until the window elapses, the row total reaches the
-    class boundary, or the tightest member deadline is reached — then
-    seals the batch and unmaps the key so the next request leads afresh. *)
+type 'r joiner = {
+  j_rows : int;  (** the member's leading-dimension rows, [>= 1] *)
+  j_deadline : float option;  (** absolute, on the batcher's clock *)
+  j_tag : int;
+      (** opaque per-member id — the server passes the request's
+          injection-stream id so the bisection layer can attribute
+          poison draws to members *)
+  j_cb : 'r slot -> unit;
+}
+
+val sliced : cap:int -> 'r joiner list -> 'r batch
+(** A complete [Sliced] batch, sealed as it forms: the members in the
+    given order (the leader first), each assigned the next [j_rows] rows
+    of the stacked space, so slices are disjoint and in admission order.
+    The caller chose the members so their rows fit under the class
+    boundary [cap]. Raises [Invalid_argument] on an empty list, a member
+    with [j_rows < 1], or a row total above [cap]. *)
 
 val deliver : 'r t -> 'r batch -> 'r -> int
-(** Seal (if still open), unmap the key, and run every member's callback
-    in admission order with its {!slot}; returns the number of non-leader
-    members. Callbacks run outside the internal lock (one may re-admit). *)
+(** Seal a [Shared] batch (unmap the key), and run every member's
+    callback in admission order with its {!slot}; returns the number of
+    non-leader members. Callbacks run outside the internal lock (one may
+    re-admit). *)
 
 type member_view = {
   mv_index : int;  (** admission index, 0 = leader *)
   mv_rows : int;  (** this member's row contribution (0 for [Shared]) *)
-  mv_off : int;  (** row offset assigned at admission *)
+  mv_off : int;  (** row offset assigned at formation *)
   mv_deadline : float option;
-  mv_tag : int;  (** the [tag] passed to {!admit} *)
+  mv_tag : int;  (** the member's tag *)
 }
 
 val member_views : 'r t -> 'r batch -> member_view list
-(** The batch's members in admission order. Leaders call this after
-    {!grow} (membership is frozen once a [Sliced] batch seals) to plan a
+(** The batch's members in admission order. A [Sliced] batch's
+    membership is fixed when it forms; its leader calls this to plan a
     per-member delivery — the bisection path. *)
 
 type 'r delivery = {
@@ -115,6 +116,7 @@ val run_deadline : 'r batch -> float option
 
 val members : 'r batch -> int
 val rows : 'r batch -> int
+val mode : 'r batch -> mode
 
 val in_flight : 'r t -> int
-(** Keys currently mapped to an admitting batch. *)
+(** Keys currently mapped to a joinable [Shared] batch. *)

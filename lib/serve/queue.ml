@@ -104,6 +104,31 @@ let pop t =
       in
       if expired then `Expired p else `Item p
 
+let take t f =
+  let taken =
+    locked t (fun () ->
+        if t.paused && not t.closed then []
+        else begin
+          let now = t.clock () in
+          let taken = ref [] in
+          Array.iter
+            (fun cls ->
+              let keep = Stdlib.Queue.create () in
+              Stdlib.Queue.iter
+                (fun e ->
+                  let expired = match e.deadline with Some d -> now > d | None -> false in
+                  if f ~expired e.payload then taken := (e, expired) :: !taken
+                  else Stdlib.Queue.add e keep)
+                cls;
+              Stdlib.Queue.clear cls;
+              Stdlib.Queue.transfer keep cls)
+            t.classes;
+          t.len <- t.len - List.length !taken;
+          List.rev !taken
+        end)
+  in
+  List.map (fun (e, expired) -> if expired then `Expired (to_popped t e) else `Item (to_popped t e)) taken
+
 let close t =
   locked t (fun () ->
       t.closed <- true;

@@ -43,13 +43,24 @@ val pop : 'a t -> [ `Item of 'a popped | `Expired of 'a popped | `Closed ]
     draining through [`Item]/[`Expired] and consumers get [`Closed] only
     once it is empty. *)
 
+val take :
+  'a t -> (expired:bool -> 'a -> bool) -> [ `Item of 'a popped | `Expired of 'a popped ] list
+(** [take q f] atomically removes every queued item [f] accepts and
+    returns them in pop order (most urgent class first, FIFO within a
+    class); the rest keep their order. [f] sees every queued item once,
+    in that order, so it may keep state — a batch leader counts the rows
+    it has gathered. [expired] tells [f] whether the item's deadline has
+    passed; a taken expired item comes back as [`Expired], exactly as
+    {!pop} would report it. Never blocks; while the queue is paused (and
+    open) it takes nothing and does not call [f]. *)
+
 val close : 'a t -> unit
 (** Stop admitting ({!push} returns [false] from now on) and wake every
     blocked consumer. Idempotent. *)
 
 val pause : 'a t -> unit
-(** Hold items back from {!pop} (consumers block as if the queue were
-    empty) while {!push} keeps admitting. Used to build a static backlog
+(** Hold items back from {!pop} and {!take} (consumers block as if the
+    queue were empty) while {!push} keeps admitting. Used to build a static backlog
     whose admission decisions are a pure function of submit order —
     the overload determinism gates depend on it. {!close} overrides a
     pause so shutdown never hangs. Idempotent. *)

@@ -62,6 +62,12 @@ type ticket = {
 
 type request = {
   rq_work : Runtime.Workload.t;
+  rq_key : string;
+      (* [Workload.digest rq_work], computed once at submit: the identity
+         a warm plan cache sees, so requests with equal keys are
+         interchangeable end to end — what licenses batching them.
+         Shedding, quarantine and fleet locality key on it too. *)
+  rq_space : (int * int) option;  (* [Workload.batch_space rq_work] *)
   rq_submit_at : float;
   rq_ticket : ticket;
   rq_stream : int;  (* injection-stream id, unique per request in submit order *)
@@ -194,15 +200,6 @@ let finish_served t rq ~queue_s ~coalesced ?(batch = 1) ?rows = function
   | S_expired -> finish t rq Timed_out
 
 (* ------------------------------------------------------------------ *)
-(* Request identity                                                    *)
-(* ------------------------------------------------------------------ *)
-
-(* Same identity a warm plan cache sees (policy, architecture, devices,
-   the digest of every subprogram): two requests with equal keys are
-   interchangeable end to end, which is what licenses coalescing them. *)
-let request_key rq = Runtime.Workload.digest rq.rq_work
-
-(* ------------------------------------------------------------------ *)
 (* Serving one request (leader path)                                   *)
 (* ------------------------------------------------------------------ *)
 
@@ -305,8 +302,10 @@ let serve_once t rq ~device ~inject ~batched =
       o
 
 (* Fleet routing: pick a device for this attempt (plan locality first,
-   then least load; a [Pin] placement is honored until its device dies). *)
-let place_attempt t rq =
+   then least load; a [Pin] placement is honored until its device dies).
+   [place_key] names the workload the attempt runs: a rebatched run
+   executes a stacked workload whose digest is not its leader's key. *)
+let place_attempt t rq ~place_key =
   match t.fleet with
   | None -> `Ok None
   | Some fl -> (
@@ -315,13 +314,13 @@ let place_attempt t rq =
           if Fleet.is_dead fl i then `All_dead else `Ok (Some i)
       | Runtime.Workload.Pin _ -> `All_dead
       | Runtime.Workload.Auto -> (
-          match Fleet.place fl ~key:(request_key rq) with
+          match Fleet.place fl ~key:(place_key ()) with
           | None -> `All_dead
           | Some i -> `Ok (Some i)))
 
-let serve_with_retries t rq ~deadline ~batched =
+let serve_with_retries t rq ~place_key ~deadline ~batched =
   let rec go attempt =
-    match place_attempt t rq with
+    match place_attempt t rq ~place_key with
     | `All_dead -> S_failed ("all devices dead", `Permanent)
     | `Ok device ->
         (* Each attempt runs on its own injection stream: in fleet mode
@@ -408,15 +407,15 @@ let confirm_poison t ~key =
   ignore (Shed.offense t.shed ~key);
   S_poisoned "injected poison_request: payload rejected"
 
-let mode_rows_of = function Batcher.Shared -> 0 | Batcher.Sliced { rows; _ } -> rows
+let own_rows rq = match rq.rq_space with Some (rows, _) -> rows | None -> 0
 
 (* Whether a batch follower handed [served] goes back into the queue (once,
-   see [handle]): the leader failed transiently or abandoned at its own
-   deadline, or was poisoned in a [Shared] batch, which runs only the
+   see [deliver_member]): the leader failed transiently or abandoned at its
+   own deadline, or was poisoned in a [Shared] batch, which runs only the
    leader's payload. *)
 let requeueable mode = function
   | S_failed (_, `Transient) | S_expired -> true
-  | S_poisoned _ -> ( match mode with Batcher.Shared -> true | Batcher.Sliced _ -> false)
+  | S_poisoned _ -> ( match mode with Batcher.Shared -> true | Batcher.Sliced -> false)
   | S_done _ | S_rejected _ | S_failed (_, `Permanent) | S_pressure _ -> false
 
 (* EWMA service-time feed for admission control: simulated execution
@@ -433,6 +432,149 @@ let observe_service t ~key ~own_rows ~run_rows = function
       Shed.observe t.shed ~key ~service_s:(x *. scale)
   | _ -> ()
 
+(* The request left the backlog (served or expired, either way): release
+   its admission charge so the shed estimator stops counting its wait. A
+   requeued request re-enters with charge 0 — it was already drained. *)
+let drain_charge t (p : request Queue.popped) =
+  let rq = p.Queue.p_payload in
+  if rq.rq_charge > 0.0 then begin
+    Shed.drain t.shed rq.rq_charge;
+    rq.rq_charge <- 0.0
+  end
+
+(* Per-member delivery. Every member — leader included — expires against
+   its {e own} absolute deadline ([sl_expired]), never an inherited one.
+   A non-leader member never attempted anything itself: if the leader
+   failed transiently, abandoned at the {e leader's} deadline, or was
+   poisoned (a [Shared] batch runs only the leader's payload — the
+   follower's own may be clean), the member goes back into the queue
+   exactly once with its original priority and deadline, instead of
+   being charged a failure for an attempt it never made. A [Sliced]
+   delivery of [S_poisoned] is different: bisection confirmed {e this}
+   member's own draw, so it fails terminally. *)
+let deliver_member t ~mode ~leader (p : request Queue.popped) (s : served Batcher.slot) =
+  let rq = p.p_payload in
+  if s.sl_members > 1 then Stats.record t.stats Stats.Batched;
+  let rows = if s.sl_len > 0 then Some (s.sl_off, s.sl_len) else None in
+  if s.sl_expired then finish t rq Timed_out
+  else if leader then
+    finish_served t rq ~queue_s:p.p_queued_s ~coalesced:false ~batch:s.sl_members ?rows s.sl_result
+  else
+    match s.sl_result with
+    | r when requeueable mode r && not rq.rq_requeued ->
+        rq.rq_requeued <- true;
+        Stats.record t.stats Stats.Requeued;
+        if not (Queue.push t.queue ~priority:p.p_priority ?deadline:p.p_deadline rq) then
+          finish t rq (Rejected "queue full on requeue")
+    | S_expired -> finish t rq (Failed "batch leader abandoned by deadline")
+    | served ->
+        finish_served t rq ~queue_s:p.p_queued_s ~coalesced:true ~batch:s.sl_members ?rows served
+
+(* Execute a formed batch once for every member and deliver. The run
+   honors the batch's deadline ({!Batcher.run_deadline}), not any single
+   member's. *)
+let lead t rq b =
+  let key = rq.rq_key in
+  let views = Batcher.member_views t.batcher b in
+  let deadline = Batcher.run_deadline b in
+  if Batcher.mode b = Batcher.Sliced && List.length views > 1 then begin
+    (* Blast-radius isolation: run the stacked batch with bisection. A
+       sub-run aborts up front when any of its members draws poison
+       (member-attributable — the draw is a pure function of the member's
+       stream id) and splits when the memory budget exhausts
+       (size-attributable); halves retry independently, so every clean
+       member is served by some passing sub-run and only genuinely
+       poisoned members fail. *)
+    let members =
+      List.map
+        (fun (v : Batcher.member_view) ->
+          { Bisect.m_index = v.Batcher.mv_index; m_rows = v.Batcher.mv_rows; m_tag = v.Batcher.mv_tag })
+        views
+    in
+    let saw_pressure = ref false in
+    let run (ms : Bisect.member list) ~rows =
+      if List.exists (fun (m : Bisect.member) -> poisoned_stream t m.Bisect.m_tag) ms then
+        match ms with
+        | [ _ ] -> `Split (confirm_poison t ~key)
+        | _ -> `Split (S_poisoned "poisoned batch member")
+      else begin
+        let work = Runtime.Workload.rebatch rq.rq_work ~rows in
+        match
+          serve_with_retries t { rq with rq_work = work }
+            ~place_key:(fun () -> Runtime.Workload.digest work)
+            ~deadline ~batched:(List.length ms > 1)
+        with
+        | S_pressure _ as sp when List.length ms > 1 ->
+            saw_pressure := true;
+            `Split sp
+        | served ->
+            observe_service t ~key ~own_rows:(own_rows rq) ~run_rows:rows served;
+            `Served served
+      end
+    in
+    let placements, _nruns = Bisect.execute ~run ~members in
+    let deliveries =
+      Array.make (List.length views)
+        { Batcher.dv_result = S_expired; dv_batch = 1; dv_rows = 0; dv_off = 0; dv_len = 0 }
+    in
+    List.iter
+      (fun (pl : served Bisect.placement) ->
+        deliveries.(pl.Bisect.p_member.Bisect.m_index) <-
+          {
+            Batcher.dv_result = pl.Bisect.p_result;
+            dv_batch = pl.Bisect.p_batch;
+            dv_rows = pl.Bisect.p_rows;
+            dv_off = pl.Bisect.p_off;
+            dv_len = pl.Bisect.p_len;
+          })
+      placements;
+    ignore (Batcher.deliver_each t.batcher b deliveries);
+    if not !saw_pressure then note_clean_run t
+  end
+  else begin
+    (* Solo or [Shared] leader. The poison pre-check runs on the leader's
+       own stream: a poisoned leader never reaches the execution path
+       (followers of a [Shared] batch requeue and re-draw on their own
+       streams). A one-member [Sliced] batch holds only the leader's own
+       rows, so the leader's workload runs untouched. *)
+    let served =
+      if poisoned_stream t rq.rq_stream then confirm_poison t ~key
+      else begin
+        let served =
+          try serve_with_retries t rq ~place_key:(fun () -> key) ~deadline ~batched:false
+          with e -> S_failed (Printexc.to_string e, `Permanent)
+        in
+        observe_service t ~key ~own_rows:(own_rows rq) ~run_rows:(Batcher.rows b) served;
+        served
+      end
+    in
+    ignore (Batcher.deliver t.batcher b served)
+  end
+
+let expire t (p : request Queue.popped) =
+  drain_charge t p;
+  finish t p.Queue.p_payload Timed_out
+
+(* Sliced batch formation from the backlog: take every queued request
+   with the leader's key whose rows still fit under [cap], in pop order,
+   so the batch runs at once and no worker waits for joiners. A request
+   that does not fit stays queued and leads the next batch; a taken one
+   that expired in the backlog resolves [Timed_out] here, as
+   [worker_loop] would have resolved it. *)
+let gather t rq ~cap =
+  let total = ref (own_rows rq) in
+  let fits ~expired (o : request) =
+    let r = own_rows o in
+    o.rq_key = rq.rq_key && (expired || (r > 0 && !total + r <= cap && (total := !total + r; true)))
+  in
+  let taken = Queue.take t.queue fits in
+  if taken <> [] then Stats.set_queue_depth t.stats (Queue.length t.queue);
+  List.filter_map
+    (function
+      | `Expired p -> expire t p; None
+      | `Item p -> drain_charge t p; Stats.record t.stats Stats.Coalesced; Some p)
+    taken
+
 let handle t (p : request Queue.popped) =
   let rq = p.p_payload in
   Obs.Trace.with_span
@@ -444,163 +586,49 @@ let handle t (p : request Queue.popped) =
       ]
     "serve.request"
   @@ fun () ->
-  let key = request_key rq in
-  if Shed.quarantined t.shed ~key then
+  if Shed.quarantined t.shed ~key:rq.rq_key then
     (* The key exceeded its poison offense threshold: resolve without
        executing — repeat offenders don't get to keep riding batches. *)
     finish t rq Quarantined
-  else begin
-    (* Batch mode: a row-sliceable workload under a bucketing policy admits
-       into a growing [Sliced] batch (rows stack up to the shape-class
-       boundary, itself halved while under memory pressure); anything else
-       keeps identical-request [Shared] dedup. *)
-    let mode =
-      match Runtime.Workload.batch_space rq.rq_work with
-      | Some (rows, cap) -> Batcher.Sliced { rows; cap = effective_cap t cap }
-      | None -> Batcher.Shared
-    in
-    let am_leader = ref false in
-    (* Per-member delivery. Every member — leader included — expires against
-       its {e own} absolute deadline ([sl_expired]), never an inherited one.
-       A non-leader member never attempted anything itself: if the leader
-       failed transiently, abandoned at the {e leader's} deadline, or was
-       poisoned (a [Shared] batch runs only the leader's payload — the
-       follower's own may be clean), the member goes back into the queue
-       exactly once with its original priority and deadline, instead of
-       being charged a failure for an attempt it never made. A [Sliced]
-       delivery of [S_poisoned] is different: bisection confirmed {e this}
-       member's own draw, so it fails terminally. *)
-    let member (s : served Batcher.slot) =
-      if s.sl_members > 1 then Stats.record t.stats Stats.Batched;
-      let rows = if s.sl_len > 0 then Some (s.sl_off, s.sl_len) else None in
-      if s.sl_expired then finish t rq Timed_out
-      else if !am_leader then
-        finish_served t rq ~queue_s:p.p_queued_s ~coalesced:false ~batch:s.sl_members ?rows
-          s.sl_result
-      else
-        match s.sl_result with
-        | r when requeueable mode r && not rq.rq_requeued ->
-            rq.rq_requeued <- true;
-            Stats.record t.stats Stats.Requeued;
-            if not (Queue.push t.queue ~priority:p.p_priority ?deadline:p.p_deadline rq) then
-              finish t rq (Rejected "queue full on requeue")
-        | S_expired -> finish t rq (Failed "batch leader abandoned by deadline")
-        | served ->
-            finish_served t rq ~queue_s:p.p_queued_s ~coalesced:true ~batch:s.sl_members ?rows
-              served
-    in
-    match
-      Batcher.admit t.batcher ~key ~mode ?deadline:p.p_deadline ~tag:rq.rq_stream member
-    with
-    | `Join ->
-        (* Registered onto the growing (or in-flight [Shared]) batch; this
-           worker is free for the next queue item, and the leader will
-           deliver. *)
-        Stats.record t.stats Stats.Coalesced
-    | `Lead b ->
-        (* Deadline-aware close: wait out the batch window (Sliced only),
-           then execute once for every admitted member. The run honors the
-           batch's deadline ({!Batcher.run_deadline}), not any single
-           joiner's. *)
-        Batcher.grow t.batcher b;
-        am_leader := true;
-        let views = Batcher.member_views t.batcher b in
-        let deadline = Batcher.run_deadline b in
-        let sliced_multi =
-          (match mode with Batcher.Sliced _ -> true | Batcher.Shared -> false)
-          && List.length views > 1
+  else
+    match rq.rq_space with
+    | Some (rows, cap) ->
+        (* A row-sliceable workload under a bucketing policy leads a
+           [Sliced] batch of what is queued behind it: rows stack up to
+           the shape-class boundary, itself halved while under memory
+           pressure (never below the leader's own rows). *)
+        let cap = max rows (effective_cap t cap) in
+        let joiner ~leader (p : request Queue.popped) =
+          {
+            Batcher.j_rows = own_rows p.p_payload;
+            j_deadline = p.p_deadline;
+            j_tag = p.p_payload.rq_stream;
+            j_cb = deliver_member t ~mode:Batcher.Sliced ~leader p;
+          }
         in
-        if sliced_multi then begin
-          (* Blast-radius isolation: run the stacked batch with bisection.
-             A sub-run aborts up front when any of its members draws
-             poison (member-attributable — the draw is a pure function of
-             the member's stream id) and splits when the memory budget
-             exhausts (size-attributable); halves retry independently, so
-             every clean member is served by some passing sub-run and only
-             genuinely poisoned members fail. *)
-          let members =
-            List.map
-              (fun (v : Batcher.member_view) ->
-                { Bisect.m_index = v.Batcher.mv_index; m_rows = v.Batcher.mv_rows; m_tag = v.Batcher.mv_tag })
-              views
-          in
-          let saw_pressure = ref false in
-          let run (ms : Bisect.member list) ~rows =
-            if List.exists (fun (m : Bisect.member) -> poisoned_stream t m.Bisect.m_tag) ms
-            then
-              match ms with
-              | [ _ ] -> `Split (confirm_poison t ~key)
-              | _ -> `Split (S_poisoned "poisoned batch member")
-            else begin
-              let rq_run = { rq with rq_work = Runtime.Workload.rebatch rq.rq_work ~rows } in
-              match serve_with_retries t rq_run ~deadline ~batched:(List.length ms > 1) with
-              | S_pressure _ as sp when List.length ms > 1 ->
-                  saw_pressure := true;
-                  `Split sp
-              | served ->
-                  observe_service t ~key ~own_rows:(mode_rows_of mode) ~run_rows:rows served;
-                  `Served served
-            end
-          in
-          let placements, _nruns = Bisect.execute ~run ~members in
-          let deliveries =
-            Array.make (List.length views)
-              { Batcher.dv_result = S_expired; dv_batch = 1; dv_rows = 0; dv_off = 0; dv_len = 0 }
-          in
-          List.iter
-            (fun (pl : served Bisect.placement) ->
-              deliveries.(pl.Bisect.p_member.Bisect.m_index) <-
-                {
-                  Batcher.dv_result = pl.Bisect.p_result;
-                  dv_batch = pl.Bisect.p_batch;
-                  dv_rows = pl.Bisect.p_rows;
-                  dv_off = pl.Bisect.p_off;
-                  dv_len = pl.Bisect.p_len;
-                })
-            placements;
-          ignore (Batcher.deliver_each t.batcher b deliveries);
-          if not !saw_pressure then note_clean_run t
-        end
-        else begin
-          (* Solo or [Shared] leader. The poison pre-check runs on the
-             leader's own stream: a poisoned leader never reaches the
-             execution path (followers of a [Shared] batch requeue and
-             re-draw on their own streams). *)
-          let served =
-            if poisoned_stream t rq.rq_stream then confirm_poison t ~key
-            else begin
-              (* A sealed one-member [Sliced] batch holds only the leader's
-                 own rows, so the leader's workload runs untouched. *)
-              let served =
-                try serve_with_retries t rq ~deadline ~batched:false
-                with e -> S_failed (Printexc.to_string e, `Permanent)
-              in
-              observe_service t ~key ~own_rows:(mode_rows_of mode)
-                ~run_rows:(Batcher.rows b) served;
-              served
-            end
-          in
-          ignore (Batcher.deliver t.batcher b served)
-        end
-  end
-
-(* The request left the backlog (served or expired, either way): release
-   its admission charge so the shed estimator stops counting its wait. A
-   requeued request re-enters with charge 0 — it was already drained. *)
-let drain_charge t (p : request Queue.popped) =
-  let rq = p.Queue.p_payload in
-  if rq.rq_charge > 0.0 then begin
-    Shed.drain t.shed rq.rq_charge;
-    rq.rq_charge <- 0.0
-  end
+        let gathered = gather t rq ~cap in
+        lead t rq (Batcher.sliced ~cap (joiner ~leader:true p :: List.map (joiner ~leader:false) gathered))
+    | None -> (
+        (* Anything else keeps identical-request [Shared] single flight. *)
+        let leader = ref false in
+        match
+          Batcher.admit t.batcher ~key:rq.rq_key ?deadline:p.p_deadline ~tag:rq.rq_stream
+            (fun s -> deliver_member t ~mode:Batcher.Shared ~leader:!leader p s)
+        with
+        | `Join ->
+            (* Registered onto the in-flight batch; this worker is free for
+               the next queue item, and the leader will deliver. *)
+            Stats.record t.stats Stats.Coalesced
+        | `Lead b ->
+            leader := true;
+            lead t rq b)
 
 let rec worker_loop t =
   match Queue.pop t.queue with
   | `Closed -> ()
   | `Expired p ->
       Stats.set_queue_depth t.stats (Queue.length t.queue);
-      drain_charge t p;
-      finish t p.Queue.p_payload Timed_out;
+      expire t p;
       worker_loop t
   | `Item p ->
       Stats.set_queue_depth t.stats (Queue.length t.queue);
@@ -652,6 +680,8 @@ let submit_w t ?(priority = 0) ?deadline_s work =
   let rq =
     {
       rq_work = work;
+      rq_key = Runtime.Workload.digest work;
+      rq_space = Runtime.Workload.batch_space work;
       rq_submit_at = now;
       rq_ticket = tk;
       rq_stream = Atomic.fetch_and_add t.stream 1;
@@ -665,7 +695,7 @@ let submit_w t ?(priority = 0) ?deadline_s work =
      is doomed to time out of. *)
   let admission =
     if t.cfg.shed_deadlines then
-      Shed.admit t.shed ~key:(Runtime.Workload.digest work) ?deadline_rel:deadline_s ()
+      Shed.admit t.shed ~key:rq.rq_key ?deadline_rel:deadline_s ()
     else `Admit 0.0
   in
   (match admission with

@@ -50,15 +50,19 @@
     [(request stream << 8) | attempt].
 
     Continuous batching (see DESIGN.md, "Shape classes & continuous
-    batching"): concurrent requests with the same shape-class-aware
-    workload digest join {e one} batch. Identical (or non-sliceable)
-    requests share the leader's run outright; row-sliceable requests
-    under a [Pow2] shape policy stack their rows into a single
-    class-representative execution that closes on the {!Batcher}'s 2 ms
-    window, a member's imminent deadline, or the shape-class row boundary,
-    and each member is handed its own row slice. Every member — leader
-    included — times out against {e its own} absolute deadline at
-    delivery; batch membership never substitutes the leader's deadline.
+    batching"): requests with the same shape-class-aware workload digest
+    — computed once, at submit — are served by {e one} execution.
+    Identical (or non-sliceable) requests share an in-flight leader's
+    run outright. A row-sliceable request under a [Pow2] shape policy
+    leads a {!Batcher} [Sliced] batch of the requests already queued
+    behind it: the worker that pops it takes, in pop order, every queued
+    request with its key whose rows still fit under the shape-class row
+    boundary, then runs the stacked class-representative execution at
+    once — no worker ever waits for joiners. A request that does not fit
+    stays queued and leads the next batch. Each member is handed its own
+    row slice. Every member — leader included — times out against
+    {e its own} absolute deadline at delivery; batch membership never
+    substitutes the leader's deadline.
 
     A batch-joined follower whose leader failed transiently (or abandoned
     at the {e leader's} deadline) is requeued exactly once with its
@@ -191,7 +195,9 @@ val peek : ticket -> outcome option
 
 val stats : t -> Stats.snapshot
 val latencies : t -> float list
-(** Submit-to-done latency of every [Done] request so far. *)
+(** Submit-to-done latency of the most recent [Done] requests, oldest
+    first: a fixed ring of {!Stats.latency_capacity} (65 536), so a
+    long-lived server's memory does not grow with its traffic. *)
 
 val queue_depth : t -> int
 
@@ -204,9 +210,10 @@ val batch_cap_shift : t -> int
     (effective cap = class boundary [lsr] shift). *)
 
 val pause : t -> unit
-(** Stop workers from dequeuing (admission continues). With the queue
-    paused, shed decisions are a pure function of submit order — the
-    deterministic way to stage an overload storm. *)
+(** Stop workers from dequeuing or gathering (admission continues). With
+    the queue paused, shed decisions are a pure function of submit
+    order, and so, with one worker, is batch formation after {!resume}
+    — the deterministic way to stage a storm. *)
 
 val resume : t -> unit
 (** Undo {!pause}. *)

@@ -44,8 +44,11 @@ type t = {
   shed : int Atomic.t;
   quarantined : int Atomic.t;
   lat_lock : Mutex.t;
-  mutable lat : float list;
+  lat : Float.Array.t;  (* ring of the last [latency_capacity] latencies *)
+  mutable lat_seen : int;  (* latencies observed so far; the next slot is lat_seen mod capacity *)
 }
+
+let latency_capacity = 65_536
 
 (* Process-wide mirrors, shared by every server in the process. *)
 let m_submitted = Obs.Metrics.counter "serve.submitted"
@@ -81,7 +84,8 @@ let create () =
     shed = Atomic.make 0;
     quarantined = Atomic.make 0;
     lat_lock = Mutex.create ();
-    lat = [];
+    lat = Float.Array.make latency_capacity 0.0;
+    lat_seen = 0;
   }
 
 let cell t = function
@@ -108,7 +112,8 @@ let observe_latency t ~queue_s ~total_s =
   Obs.Metrics.observe m_queue_wait queue_s;
   Obs.Metrics.observe m_latency total_s;
   Mutex.lock t.lat_lock;
-  t.lat <- total_s :: t.lat;
+  Float.Array.set t.lat (t.lat_seen mod latency_capacity) total_s;
+  t.lat_seen <- t.lat_seen + 1;
   Mutex.unlock t.lat_lock
 
 let set_queue_depth _t depth = Obs.Metrics.set m_queue_depth (float_of_int depth)
@@ -136,7 +141,9 @@ let conserved s =
 
 let latencies t =
   Mutex.lock t.lat_lock;
-  let l = t.lat in
+  let n = min t.lat_seen latency_capacity in
+  let first = t.lat_seen - n in
+  let l = List.init n (fun i -> Float.Array.get t.lat ((first + i) mod latency_capacity)) in
   Mutex.unlock t.lat_lock;
   l
 

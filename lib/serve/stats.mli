@@ -76,7 +76,7 @@ val record : t -> event -> unit
 val observe_latency : t -> queue_s:float -> total_s:float -> unit
 (** Record one completed request's backlog wait and submit-to-done
     latency, both into the global histograms and the per-server latency
-    list ({!latencies}). *)
+    ring ({!latencies}). *)
 
 val set_queue_depth : t -> int -> unit
 
@@ -86,8 +86,13 @@ val conserved : snapshot -> bool
 (** [submitted = done + rejected + timed_out + failed + shed +
     quarantined]. *)
 
+val latency_capacity : int
+(** How many latencies the per-server ring keeps: 65 536. A server's
+    memory must not grow with the requests it has served. *)
+
 val latencies : t -> float list
-(** Every latency passed to {!observe_latency}, unordered. *)
+(** The most recent [min observed latency_capacity] latencies passed to
+    {!observe_latency}, oldest first. *)
 
 val percentile : float list -> float -> float
 (** [percentile xs p] with [p] in [0, 100], by nearest-rank on a sorted

@@ -20,7 +20,7 @@ extract_objects() {
 # same_seed_gate LABEL "KEY..." CMD...: run CMD twice; each run gates
 # itself and must exit 0. Then the objects under each KEY must agree
 # byte-for-byte across the two runs: the replay guarantee the seeded
-# fault model exists for.
+# fault model exists for. The agreed objects are left in $gate_objects.
 same_seed_gate() {
     label=$1 keys=$2
     shift 2
@@ -36,6 +36,7 @@ same_seed_gate() {
         echo "--- run 2 ---" >&2; extract_objects "$run2" $keys >&2
         exit 1
     fi
+    gate_objects=$(extract_objects "$run1" $keys)
     rm -f "$run1" "$run2"
 }
 
@@ -81,12 +82,19 @@ same_seed_gate "chaos soak" "outcomes faults" \
     --require-recovery --check
 
 # Batching determinism gate: two same-seed chaos storms under pow2 shape
-# bucketing (workers=1, so batch formation is a pure function of the seed)
-# must agree byte-for-byte on terminal outcomes and injected faults — the
-# continuous-batching admitter must not make replay schedule-dependent.
+# bucketing (workers=1 and a backlog staged before the worker starts, so
+# batch formation is a pure function of the seed) must agree byte-for-byte
+# on terminal outcomes and injected faults — batch formation must not make
+# replay schedule-dependent. A storm that batches nothing would pass that
+# comparison vacuously, so it must also report batched members.
 same_seed_gate "pow2 chaos storm" "outcomes faults" \
     dune exec bin/spacefusion_cli.exe -- chaos -n 300 --rate 0.01 --seed 11 \
     --workers 1 --bucket pow2 --check
+case "$gate_objects" in
+*'"batched":0,'*)
+    echo "ci: pow2 chaos storm batched nothing; its determinism gate is vacuous" >&2
+    echo "$gate_objects" >&2; exit 1 ;;
+esac
 
 # Batching goodput gate: the batch bench storms 10x the exact baseline's
 # request count through pow2 shape classes and enforces its own floors

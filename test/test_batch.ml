@@ -15,7 +15,7 @@
       accounting, against both the server's counters and an independent
       per-ticket tally.
 
-   Plus a deterministic (frozen-clock) server test that three in-class
+   Plus a deterministic (staged-backlog) server test that three in-class
    requests actually stack into one sliced batch partitioning the class
    row space. *)
 
@@ -285,24 +285,18 @@ let prop_bisect_blast_radius =
 (* Deterministic batch formation                                       *)
 (* ------------------------------------------------------------------ *)
 
-(* Frozen clock: the batch window never elapses, so the leader's grow
-   loop only returns when the row total hits the shape-class boundary —
-   all three members are then guaranteed to share one sliced batch,
-   independent of scheduler timing. *)
+(* Staged backlog, one worker: all three requests are queued before the
+   worker pops the first, which takes the other two from the backlog —
+   so they are guaranteed to share one sliced batch, independent of
+   scheduler timing. *)
 let test_batch_partitions_rows () =
   let trace = sliceable_trace { Gen.sp_nodes = 5; sp_seed = 11 } in
-  let cfg =
-    {
-      (Serve.Server.default_config ()) with
-      Serve.Server.workers = 3;
-      shapes = SC.Pow2;
-      clock = (fun () -> 0.0);
-    }
-  in
+  let cfg = { (Serve.Server.default_config ()) with Serve.Server.workers = 1; shapes = SC.Pow2 } in
   let s = Serve.Server.start ~config:cfg () in
   (* Rows 5, 6, 5: all in class (4, 8], stacking to exactly the next
-     boundary 16 = cap, which seals the batch. *)
+     boundary 16 = cap. *)
   let rows = [ 5; 6; 5 ] in
+  Serve.Server.pause s;
   let tickets =
     List.map
       (fun r ->
@@ -312,6 +306,7 @@ let test_batch_partitions_rows () =
                (model_at trace r)) ))
       rows
   in
+  Serve.Server.resume s;
   let slices =
     List.map
       (fun (r, tk) ->

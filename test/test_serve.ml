@@ -91,42 +91,108 @@ let test_queue_deadline_expiry () =
   | `Item p -> Alcotest.(check string) "deadline in the future is live" "d20" p.Q.p_payload
   | _ -> Alcotest.fail "deadline 20 at clock 10 must not expire"
 
+let test_queue_take () =
+  (* [take] removes exactly the items its predicate accepts, in pop order,
+     reports an expired one as [`Expired] the way [pop] would, leaves the
+     rest in order, and takes nothing while the queue is paused. *)
+  let now = ref 0.0 in
+  let q = Q.create ~clock:(fun () -> !now) ~priorities:2 ~capacity:8 () in
+  List.iter
+    (fun (x, priority, deadline) -> ignore (Q.push q ~priority ?deadline x))
+    [ ("a1", 1, None); ("b1", 0, Some 5.0); ("a2", 1, None); ("b2", 0, None); ("b3", 1, None) ];
+  Q.pause q;
+  let calls = ref 0 in
+  Alcotest.(check int) "nothing taken while paused" 0
+    (List.length (Q.take q (fun ~expired:_ _ -> incr calls; true)));
+  Alcotest.(check int) "predicate not consulted while paused" 0 !calls;
+  Alcotest.(check int) "backlog intact" 5 (Q.length q);
+  Q.resume q;
+  now := 10.0;
+  let seen = ref [] in
+  let taken =
+    Q.take q (fun ~expired x ->
+        seen := x :: !seen;
+        x.[0] = 'b' && (expired || x <> "b3"))
+  in
+  Alcotest.(check (list string)) "predicate sees every item once, in pop order"
+    [ "b1"; "b2"; "a1"; "a2"; "b3" ] (List.rev !seen);
+  Alcotest.(check (list string)) "taken in pop order, expiry reported"
+    [ "expired b1"; "item b2" ]
+    (List.map
+       (function `Expired p -> "expired " ^ p.Q.p_payload | `Item p -> "item " ^ p.Q.p_payload)
+       taken);
+  Alcotest.(check int) "length drops by the taken" 3 (Q.length q);
+  let popped () = match Q.pop q with `Item p -> p.Q.p_payload | _ -> Alcotest.fail "expected an item" in
+  Alcotest.(check (list string)) "the rest keep their order" [ "a1"; "a2"; "b3" ]
+    (List.init 3 (fun _ -> popped ()))
+
 (* Model-based property: against a reference (array of FIFO queues), the
    real queue accepts exactly when the model is under capacity, never
-   exceeds capacity, and pops in priority-then-FIFO order. *)
+   exceeds capacity, pops in priority-then-FIFO order, and [take]s exactly
+   the items a stateful predicate accepts (here: at most two ids of one
+   residue mod 3) in pop order while the rest keep their order. At the
+   end every admitted item has left exactly once. *)
 let prop_queue_model =
   QCheck.Test.make ~count:300 ~name:"queue model: capacity + priority-FIFO"
-    QCheck.(list (pair bool (int_bound 2)))
+    QCheck.(list (pair (int_bound 2) (int_bound 2)))
     (fun ops ->
       let cap = 4 in
       let q = Q.create ~priorities:3 ~capacity:cap () in
       let model = Array.init 3 (fun _ -> Stdlib.Queue.create ()) in
       let mlen () = Array.fold_left (fun a c -> a + Stdlib.Queue.length c) 0 model in
+      let in_pop_order () = List.concat_map (fun c -> List.of_seq (Stdlib.Queue.to_seq c)) (Array.to_list model) in
+      let admitted = ref [] and left = ref [] in
       let next = ref 0 in
-      List.for_all
-        (fun (is_push, prio) ->
-          if is_push then begin
+      let pop () =
+        match Q.pop q with
+        | `Item p ->
+            let expected =
+              let rec first i =
+                if Stdlib.Queue.is_empty model.(i) then first (i + 1)
+                else Stdlib.Queue.pop model.(i)
+              in
+              first 0
+            in
+            left := p.Q.p_payload :: !left;
+            p.Q.p_payload = expected && Q.length q = mlen ()
+        | `Expired _ | `Closed -> false
+      in
+      let step (kind, arg) =
+        match kind with
+        | 0 ->
             let id = !next in
             incr next;
-            let accepted = Q.push q ~priority:prio id in
+            let accepted = Q.push q ~priority:arg id in
             let should = mlen () < cap in
-            if accepted then Stdlib.Queue.add id model.(prio);
+            if accepted then begin
+              Stdlib.Queue.add id model.(arg);
+              admitted := id :: !admitted
+            end;
             accepted = should && Q.length q = mlen () && Q.length q <= cap
-          end
-          else if mlen () = 0 then true (* a pop would block; the op is a no-op *)
-          else
-            match Q.pop q with
-            | `Item p ->
-                let expected =
-                  let rec first i =
-                    if Stdlib.Queue.is_empty model.(i) then first (i + 1)
-                    else Stdlib.Queue.pop model.(i)
-                  in
-                  first 0
-                in
-                p.Q.p_payload = expected && Q.length q = mlen ()
-            | `Expired _ | `Closed -> false)
-        ops)
+        | 1 -> mlen () = 0 (* a pop would block; the op is a no-op *) || pop ()
+        | _ ->
+            let before = in_pop_order () in
+            let seen = ref [] and k = ref 0 in
+            let want ~expired id =
+              seen := id :: !seen;
+              (not expired) && id mod 3 = arg && (incr k; !k <= 2)
+            in
+            let taken =
+              List.map (function `Item p -> p.Q.p_payload | `Expired p -> -1 - p.Q.p_payload) (Q.take q want)
+            in
+            let k = ref 0 in
+            let expected = List.filter (fun id -> id mod 3 = arg && (incr k; !k <= 2)) before in
+            Array.iteri
+              (fun i c ->
+                let rest = Stdlib.Queue.of_seq (Seq.filter (fun id -> not (List.mem id expected)) (Stdlib.Queue.to_seq c)) in
+                model.(i) <- rest)
+              model;
+            left := taken @ !left;
+            List.rev !seen = before && taken = expected && Q.length q = mlen ()
+      in
+      List.for_all step ops
+      && List.for_all (fun _ -> pop ()) (List.init (mlen ()) Fun.id)
+      && List.sort compare !left = List.sort compare !admitted)
 
 (* ------------------------------------------------------------------ *)
 (* Batcher                                                             *)
@@ -140,7 +206,7 @@ let test_batcher_single_flight () =
      the leader's result in registration order. *)
   let c = B.create () in
   let got = ref [] in
-  let lead key cb = match B.admit c ~key ~mode:B.Shared cb with `Lead b -> Some b | `Join -> None in
+  let lead key cb = match B.admit c ~key cb with `Lead b -> Some b | `Join -> None in
   let b = match lead "k" (fun s -> got := ("leader", s.B.sl_result) :: !got) with
     | Some b -> b
     | None -> Alcotest.fail "first admit must lead"
@@ -169,7 +235,7 @@ let test_batcher_concurrent () =
   let leaders = Atomic.make 0 in
   let results = Array.make n (-1) in
   let worker i () =
-    match B.admit c ~key:"k" ~mode:B.Shared (fun s -> results.(i) <- s.B.sl_result) with
+    match B.admit c ~key:"k" (fun s -> results.(i) <- s.B.sl_result) with
     | `Join -> Atomic.incr followers
     | `Lead b ->
         Atomic.incr leaders;
@@ -186,24 +252,30 @@ let test_batcher_concurrent () =
   Alcotest.(check int) "nothing left in flight" 0 (B.in_flight c)
 
 let test_batcher_sliced_rows_and_boundary () =
-  (* Row accounting: members stack their rows up to the class boundary;
-     the boundary seals the batch (a later admit leads afresh) and every
-     member gets its own disjoint row slice. *)
-  let clock = ref 0.0 in
-  let c = B.create ~window_s:10.0 ~clock:(fun () -> !clock) () in
-  let slots = ref [] in
-  let admit tag rows =
-    B.admit c ~key:"k" ~mode:(B.Sliced { rows; cap = 8 }) (fun s -> slots := (tag, s) :: !slots)
+  (* A Sliced batch forms complete: members stack their rows in admission
+     order up to the class boundary and each gets its own disjoint row
+     slice. A member list past the boundary is refused — the member that
+     does not fit leads the next batch instead. *)
+  let c = B.create () in
+  let boundary () =
+    match Obs.Metrics.find "batch.boundary_closes" with Some (Obs.Metrics.Counter n) -> n | _ -> 0
   in
-  let b = match admit "a" 3 with `Lead b -> b | `Join -> Alcotest.fail "a leads" in
-  Alcotest.(check bool) "b joins" true (admit "b" 2 = `Join);
-  Alcotest.(check bool) "c joins and fills the bucket" true (admit "c" 3 = `Join);
+  let slots = ref [] in
+  let joiner tag rows =
+    { B.j_rows = rows; j_deadline = None; j_tag = 0; j_cb = (fun s -> slots := (tag, s) :: !slots) }
+  in
+  let full0 = boundary () in
+  let b = B.sliced ~cap:8 [ joiner "a" 3; joiner "b" 2; joiner "c" 3 ] in
   Alcotest.(check int) "rows stacked" 8 (B.rows b);
-  (* The bucket is full: the next in-class request cannot join this batch
-     even though it has not delivered yet — it leads its own. *)
-  let b2 = match admit "d" 1 with `Lead b2 -> b2 | `Join -> Alcotest.fail "boundary seals" in
-  B.grow c b;  (* sealed at the boundary: returns without waiting out the window *)
-  ignore (B.deliver c b 7);
+  Alcotest.(check int) "members" 3 (B.members b);
+  Alcotest.(check int) "a batch that reached the cap counts" 1 (boundary () - full0);
+  Alcotest.(check int) "a Sliced batch is never joinable" 0 (B.in_flight c);
+  Alcotest.check_raises "one row past the boundary"
+    (Invalid_argument "Batcher.sliced: 9 rows exceed the cap 8") (fun () ->
+      ignore (B.sliced ~cap:8 [ joiner "a" 3; joiner "b" 2; joiner "c" 3; joiner "d" 1 ]));
+  let b2 = B.sliced ~cap:8 [ joiner "d" 1 ] in
+  Alcotest.(check int) "a batch under the cap does not count" 1 (boundary () - full0);
+  Alcotest.(check int) "two non-leader members delivered" 2 (B.deliver c b 7);
   let find tag = List.assoc tag (List.rev !slots) in
   List.iter
     (fun (tag, off, len) ->
@@ -213,24 +285,27 @@ let test_batcher_sliced_rows_and_boundary () =
       Alcotest.(check int) (tag ^ " rows") 8 s.B.sl_rows;
       Alcotest.(check bool) (tag ^ " not expired") false s.B.sl_expired)
     [ ("a", 0, 3); ("b", 3, 2); ("c", 5, 3) ];
+  Alcotest.(check (list string)) "callbacks run in admission order" [ "a"; "b"; "c" ]
+    (List.rev_map fst !slots);
   ignore (B.deliver c b2 9);
-  Alcotest.(check int) "follow-on batch delivered its own result" 9 ((find "d").B.sl_result)
+  Alcotest.(check int) "follow-on batch delivered its own result" 9 (find "d").B.sl_result;
+  Alcotest.(check (pair int int)) "follow-on batch starts at row 0" (0, 1)
+    ((find "d").B.sl_off, (find "d").B.sl_len)
 
 let test_batcher_member_deadlines () =
-  (* Satellite bugfix: each member of a closed batch keeps its own
-     absolute deadline and expires independently at delivery — joining
-     never substitutes the leader's deadline. *)
+  (* Each member of a batch keeps its own absolute deadline and expires
+     independently at delivery — joining never substitutes the leader's
+     deadline. The run honors the slackest member. *)
   let clock = ref 0.0 in
-  let c = B.create ~window_s:0.0 ~clock:(fun () -> !clock) () in
+  let c = B.create ~clock:(fun () -> !clock) () in
   let slots = ref [] in
-  let admit tag deadline =
-    B.admit c ~key:"k" ~mode:(B.Sliced { rows = 1; cap = 8 }) ?deadline (fun s ->
-        slots := (tag, s) :: !slots)
+  let joiner tag deadline =
+    { B.j_rows = 1; j_deadline = deadline; j_tag = 0; j_cb = (fun s -> slots := (tag, s) :: !slots) }
   in
-  let b = match admit "leader" (Some 10.0) with `Lead b -> b | `Join -> Alcotest.fail "leads" in
-  Alcotest.(check bool) "tight joins" true (admit "tight" (Some 0.5) = `Join);
-  Alcotest.(check bool) "slack joins" true (admit "slack" None = `Join);
-  Alcotest.(check (option (float 1e-9))) "run honors the slackest member" None (B.run_deadline b);
+  Alcotest.(check (option (float 1e-9))) "run honors the slackest deadline" (Some 10.0)
+    (B.run_deadline (B.sliced ~cap:8 [ joiner "x" (Some 0.5); joiner "y" (Some 10.0) ]));
+  let b = B.sliced ~cap:8 [ joiner "leader" (Some 10.0); joiner "tight" (Some 0.5); joiner "slack" None ] in
+  Alcotest.(check (option (float 1e-9))) "a deadline-free member frees the run" None (B.run_deadline b);
   clock := 1.0;  (* the run takes long enough to blow only the tight deadline *)
   ignore (B.deliver c b 1);
   let find tag = List.assoc tag (List.rev !slots) in
@@ -687,6 +762,217 @@ let test_server_quarantines_repeat_offender () =
   Alcotest.(check int) "quarantined" 2 st.Serve.Stats.s_quarantined;
   Alcotest.(check bool) "conserved with quarantine" true (Serve.Stats.conserved st)
 
+(* ------------------------------------------------------------------ *)
+(* Sliced batches gathered from the backlog                            *)
+(* ------------------------------------------------------------------ *)
+
+(* One LayerNorm family whose leading dim varies: every request of rows
+   in (4, 8] shares one Pow2 key, so the rows stack under cap 16. *)
+let ln_rows ?(backend = stub (Atomic.make 0)) r =
+  Runtime.Workload.make ~shapes:Runtime.Shape_class.Pow2 ~arch backend
+    (model_of "ln-rows" (Ir.Models.layernorm_graph ~m:r ~n:64))
+
+(* A watchdog await: a request that never resolves fails the test instead
+   of hanging the suite. *)
+let await_within ?(seconds = 5.0) tk =
+  let stop = Unix.gettimeofday () +. seconds in
+  let rec go () =
+    match Serve.Server.peek tk with
+    | Some o -> o
+    | None ->
+        if Unix.gettimeofday () > stop then
+          Alcotest.failf "request still unresolved after %.0f s" seconds;
+        Unix.sleepf 1e-3;
+        go ()
+  in
+  go ()
+
+(* One worker on a frozen clock, the backlog staged behind [pause] so
+   batch formation is a pure function of submit order. [prepare] runs
+   before the backlog is staged. *)
+let staged ?(shed_deadlines = false) ?(prepare = ignore) submits =
+  let cfg =
+    { (config ~workers:1 ()) with Serve.Server.clock = (fun () -> 0.0); shed_deadlines }
+  in
+  let s = Serve.Server.start ~config:cfg () in
+  prepare s;
+  Serve.Server.pause s;
+  let tickets = List.map (fun submit -> submit s) submits in
+  Serve.Server.resume s;
+  let outcomes = List.map await_within tickets in
+  Serve.Server.shutdown s;
+  (s, outcomes)
+
+let batch_of o =
+  let r = expect_done o in
+  (r.Serve.Server.r_batch, r.Serve.Server.r_rows)
+
+let test_gather_never_holds_a_worker () =
+  (* The lone worker pops the 5-row request and takes the queued 6-row one
+     with it, past the non-sliceable request between them. 11 rows stay
+     under cap 16 and the clock never moves: a leader that waited for the
+     batch to fill or a window to pass would hold the worker forever. *)
+  let b = stub (Atomic.make 0) in
+  let s, outcomes =
+    staged
+      [
+        (fun s -> Serve.Server.submit_w s (ln_rows ~backend:b 5));
+        (fun s -> Serve.Server.submit_w s (Runtime.Workload.make ~arch b (ln 32)));
+        (fun s -> Serve.Server.submit_w s (ln_rows ~backend:b 6));
+      ]
+  in
+  (match List.map batch_of outcomes with
+  | [ first; middle; last ] ->
+      Alcotest.(check (pair int (option (pair int int)))) "leader's slice" (2, Some (0, 5)) first;
+      Alcotest.(check (pair int (option (pair int int)))) "non-sliceable served solo" (1, None) middle;
+      Alcotest.(check (pair int (option (pair int int)))) "gathered member's slice" (2, Some (5, 6)) last
+  | _ -> Alcotest.fail "three outcomes expected");
+  (match outcomes with
+  | [ Serve.Server.Done a; _; Serve.Server.Done c ] ->
+      Alcotest.(check bool) "one execution serves both members" true
+        (a.Serve.Server.r_result == c.Serve.Server.r_result);
+      Alcotest.(check bool) "the gathered member rode the leader's run" true
+        ((not a.Serve.Server.r_coalesced) && c.Serve.Server.r_coalesced)
+  | _ -> Alcotest.fail "both sliced requests must be served");
+  let st = Serve.Server.stats s in
+  Alcotest.(check int) "two members batched" 2 st.Serve.Stats.s_batched;
+  Alcotest.(check int) "one gathered" 1 st.Serve.Stats.s_coalesced;
+  Alcotest.(check bool) "conserved" true (Serve.Stats.conserved st)
+
+let test_gather_overflow_leads_next () =
+  (* 5 + 6 = 11; 7 would cross cap 16 and stays queued, and so does 8.
+     7 then leads the next batch and takes 8 (15 rows). A warm-up run
+     gives the key a service estimate, so every staged request is charged
+     to the shed backlog, and each gathered one must release its charge. *)
+  let b = stub (Atomic.make 0) in
+  let s, outcomes =
+    staged ~shed_deadlines:true
+      ~prepare:(fun s -> ignore (batch_of (await_within (Serve.Server.submit_w s (ln_rows ~backend:b 5)))))
+      (List.map (fun r s -> Serve.Server.submit_w s (ln_rows ~backend:b r)) [ 5; 6; 7; 8 ])
+  in
+  Alcotest.(check (list (pair int (option (pair int int)))))
+    "two batches, the overflow leading the second"
+    [ (2, Some (0, 5)); (2, Some (5, 6)); (2, Some (0, 7)); (2, Some (7, 8)) ]
+    (List.map batch_of outcomes);
+  Alcotest.(check bool) "the staged requests were charged" true
+    ((Serve.Server.stats s).Serve.Stats.s_admitted = 5
+    && Serve.Shed.estimate (Serve.Server.shed s) ~key:(Runtime.Workload.digest (ln_rows 5)) <> None);
+  Alcotest.(check (float 1e-12)) "every charge released" 0.0
+    (Serve.Shed.backlog_seconds (Serve.Server.shed s))
+
+let test_gather_expired_not_batched () =
+  (* A same-key request whose deadline passed in the backlog is taken by
+     the gather but resolves Timed_out, once, and holds no rows: the
+     request behind it still fits. *)
+  let b = stub (Atomic.make 0) in
+  let s, outcomes =
+    staged
+      [
+        (fun s -> Serve.Server.submit_w s (ln_rows ~backend:b 5));
+        (fun s -> Serve.Server.submit_w s ~deadline_s:(-1.0) (ln_rows ~backend:b 8));
+        (fun s -> Serve.Server.submit_w s (ln_rows ~backend:b 8));
+      ]
+  in
+  (match outcomes with
+  | [ l; Serve.Server.Timed_out; m ] ->
+      Alcotest.(check (list (pair int (option (pair int int))))) "the live two share a batch"
+        [ (2, Some (0, 5)); (2, Some (5, 8)) ]
+        [ batch_of l; batch_of m ]
+  | _ -> Alcotest.fail "expected Done, Timed_out, Done");
+  let st = Serve.Server.stats s in
+  Alcotest.(check int) "timed out once" 1 st.Serve.Stats.s_timed_out;
+  Alcotest.(check int) "only the live members batched" 2 st.Serve.Stats.s_batched;
+  Alcotest.(check bool) "conserved" true (Serve.Stats.conserved st)
+
+let test_gather_takes_lower_priority () =
+  (* Gathering scans every class in pop order: the priority-1 request of
+     the leader's key rides along instead of waiting behind the
+     priority-0 request queued before it. *)
+  let b = stub (Atomic.make 0) in
+  let _, outcomes =
+    staged
+      [
+        (fun s -> Serve.Server.submit_w s ~priority:0 (ln_rows ~backend:b 5));
+        (fun s -> Serve.Server.submit_w s ~priority:0 (Runtime.Workload.make ~arch b (ln 32)));
+        (fun s -> Serve.Server.submit_w s ~priority:1 (ln_rows ~backend:b 6));
+      ]
+  in
+  Alcotest.(check (list (pair int (option (pair int int)))))
+    "the low-priority member joined the leader"
+    [ (2, Some (0, 5)); (1, None); (2, Some (5, 6)) ]
+    (List.map batch_of outcomes)
+
+let test_gather_shutdown_no_drain () =
+  (* The leader gathers a member and is held inside its compile while a
+     non-draining shutdown flushes the backlog: the flush rejects only
+     what is still queued, and the gathered member is served with its
+     leader. *)
+  let gate = Atomic.make false in
+  let calls = Atomic.make 0 in
+  let gated = stub ~be_name:"gated" ~gate calls in
+  let s = Serve.Server.start ~config:(config ~workers:1 ()) () in
+  Serve.Server.pause s;
+  let t_l = Serve.Server.submit_w s (ln_rows ~backend:gated 5) in
+  let t_m = Serve.Server.submit_w s (ln_rows ~backend:gated 6) in
+  let t_x = Serve.Server.submit_w s (Runtime.Workload.make ~arch (stub (Atomic.make 0)) (ln 40)) in
+  Serve.Server.resume s;
+  while Atomic.get calls < 1 do
+    Domain.cpu_relax ()
+  done;
+  let opener =
+    Domain.spawn (fun () ->
+        while Serve.Server.peek t_x = None do
+          Domain.cpu_relax ()
+        done;
+        Atomic.set gate true)
+  in
+  Serve.Server.shutdown ~drain:false s;
+  Domain.join opener;
+  Alcotest.(check (list (pair int (option (pair int int))))) "leader and gathered member served"
+    [ (2, Some (0, 5)); (2, Some (5, 6)) ]
+    [ batch_of (await_within t_l); batch_of (await_within t_m) ];
+  (match await_within t_x with
+  | Serve.Server.Rejected m -> Alcotest.(check string) "still-queued request flushed" "shutdown" m
+  | _ -> Alcotest.fail "the queued request must be rejected");
+  let st = Serve.Server.stats s in
+  Alcotest.(check int) "two served" 2 st.Serve.Stats.s_done;
+  Alcotest.(check int) "one rejected" 1 st.Serve.Stats.s_rejected;
+  Alcotest.(check bool) "conserved" true (Serve.Stats.conserved st)
+
+let test_gather_fleet_places_stacked_run () =
+  (* On a fleet, a stacked run is placed by the digest of the workload it
+     executes (rows 5 + 6 restacked to 11, one class up), not by its
+     leader's key. The family is picked so that the two digests prefer
+     different devices, so the device that served tells them apart. *)
+  let b = stub (Atomic.make 0) in
+  let prefer w = Serve.Fleet.place (Serve.Fleet.create ~devices:4 ()) ~key:(Runtime.Workload.digest w) in
+  let family i r =
+    Runtime.Workload.make ~shapes:Runtime.Shape_class.Pow2 ~arch b
+      (model_of (Printf.sprintf "ln-fleet-%d" i) (Ir.Models.layernorm_graph ~m:r ~n:64))
+  in
+  let stacked i = Runtime.Workload.rebatch (family i 5) ~rows:11 in
+  let rec pick i = if prefer (family i 5) <> prefer (stacked i) then i else pick (i + 1) in
+  let i = pick 0 in
+  let cfg =
+    { (config ~workers:1 ()) with Serve.Server.devices = 4; clock = (fun () -> 0.0) }
+  in
+  let s = Serve.Server.start ~config:cfg () in
+  Serve.Server.pause s;
+  let tickets = List.map (fun r -> Serve.Server.submit_w s (family i r)) [ 5; 6 ] in
+  Serve.Server.resume s;
+  Alcotest.(check (list (pair int (option (pair int int))))) "one stacked run"
+    [ (2, Some (0, 5)); (2, Some (5, 6)) ]
+    (List.map (fun tk -> batch_of (await_within tk)) tickets);
+  let served =
+    match Option.bind (Serve.Server.fleet_json s) (Obs.Json.member "served") with
+    | Some (Obs.Json.Arr l) -> List.map (function Obs.Json.Num n -> int_of_float n | _ -> -1) l
+    | _ -> Alcotest.fail "fleet snapshot without per-device served counts"
+  in
+  Serve.Server.shutdown s;
+  Alcotest.(check (list int)) "served on the stacked workload's device"
+    (List.init 4 (fun d -> if Some d = prefer (stacked i) then 1 else 0))
+    served
+
 let test_percentile () =
   let xs = List.init 100 (fun i -> float_of_int (i + 1)) in
   Alcotest.(check (float 1e-9)) "p50" 50.0 (Serve.Stats.percentile xs 50.0);
@@ -694,6 +980,24 @@ let test_percentile () =
   Alcotest.(check (float 1e-9)) "p100" 100.0 (Serve.Stats.percentile xs 100.0);
   Alcotest.(check (float 1e-9)) "empty" 0.0 (Serve.Stats.percentile [] 50.0);
   Alcotest.(check (float 1e-9)) "singleton" 7.0 (Serve.Stats.percentile [ 7.0 ] 99.0)
+
+let test_latency_ring () =
+  (* The per-server latency record is a ring: after capacity + k
+     observations it holds exactly the last capacity of them. *)
+  let st = Serve.Stats.create () in
+  let cap = Serve.Stats.latency_capacity and k = 5 in
+  for i = 0 to cap + k - 1 do
+    Serve.Stats.observe_latency st ~queue_s:0.0 ~total_s:(float_of_int i)
+  done;
+  let l = Serve.Stats.latencies st in
+  Alcotest.(check int) "capacity kept" cap (List.length l);
+  Alcotest.(check bool) "the last capacity latencies, oldest first" true
+    (l = List.init cap (fun i -> float_of_int (k + i)));
+  let fresh = Serve.Stats.create () in
+  Serve.Stats.observe_latency fresh ~queue_s:0.0 ~total_s:2.0;
+  Serve.Stats.observe_latency fresh ~queue_s:0.0 ~total_s:1.0;
+  Alcotest.(check (list (float 0.0))) "below capacity: every latency" [ 2.0; 1.0 ]
+    (Serve.Stats.latencies fresh)
 
 let props = List.map QCheck_alcotest.to_alcotest [ prop_queue_model ]
 
@@ -705,6 +1009,7 @@ let () =
           Alcotest.test_case "priority FIFO" `Quick test_queue_priority_fifo;
           Alcotest.test_case "capacity bound" `Quick test_queue_capacity;
           Alcotest.test_case "deadline expiry" `Quick test_queue_deadline_expiry;
+          Alcotest.test_case "take honours order, expiry and pause" `Quick test_queue_take;
         ] );
       ( "batcher",
         [
@@ -741,6 +1046,24 @@ let () =
           Alcotest.test_case "quarantines repeat offenders" `Quick
             test_server_quarantines_repeat_offender;
         ] );
-      ("stats", [ Alcotest.test_case "percentile" `Quick test_percentile ]);
+      ( "gather",
+        [
+          Alcotest.test_case "a batch never holds a worker" `Quick test_gather_never_holds_a_worker;
+          Alcotest.test_case "overflow stays queued and leads the next batch" `Quick
+            test_gather_overflow_leads_next;
+          Alcotest.test_case "expired request times out, unbatched" `Quick
+            test_gather_expired_not_batched;
+          Alcotest.test_case "lower-priority request rides with the leader" `Quick
+            test_gather_takes_lower_priority;
+          Alcotest.test_case "non-draining shutdown resolves gathered members" `Quick
+            test_gather_shutdown_no_drain;
+          Alcotest.test_case "a stacked run is placed by its own digest" `Quick
+            test_gather_fleet_places_stacked_run;
+        ] );
+      ( "stats",
+        [
+          Alcotest.test_case "percentile" `Quick test_percentile;
+          Alcotest.test_case "latency ring keeps the last capacity" `Quick test_latency_ring;
+        ] );
       ("properties", props);
     ]
