@@ -612,7 +612,7 @@ let batch_bench () =
         ("batched_members", int st_p2.Serve.Stats.s_batched);
         ("coalesced", int st_p2.Serve.Stats.s_coalesced);
         ("batches_closed", int (counter "batch.closed"));
-        (* Sliced batches whose stacked rows reached the class boundary. *)
+        (* Batches whose stacked rows reached the class boundary. *)
         ("boundary_closes", int (counter "batch.boundary_closes"));
       ]
   in

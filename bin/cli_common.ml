@@ -102,6 +102,6 @@ let bucket_arg =
     & opt bucket_conv Runtime.Shape_class.Exact
     & info [ "bucket" ] ~docv:"POLICY"
         ~doc:
-          "shape-bucketing policy: $(b,exact) (one plan per concrete shape, identical-request \
-           dedup) or $(b,pow2) (power-of-two shape classes with guard predicates and continuous \
-           row batching)")
+          "shape-bucketing policy: $(b,exact) (one plan per concrete shape, every request run \
+           on its own) or $(b,pow2) (power-of-two shape classes with guard predicates and \
+           continuous row batching)")

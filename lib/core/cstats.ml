@@ -7,30 +7,13 @@ type t = {
   mutable n_cfgs : int;
   mutable n_early_quit : int;
   mutable n_partitions : int;
-  mutable n_cache_hits : int;
-  mutable n_cache_misses : int;
-  mutable n_cache_evictions : int;
 }
 
 type phase = Ss | Ts | Enum | Tune
 
 let create () =
   { t_ss = 0.0; t_ts = 0.0; t_enum = 0.0; t_tune = 0.0; t_total = 0.0; n_cfgs = 0;
-    n_early_quit = 0; n_partitions = 0; n_cache_hits = 0; n_cache_misses = 0;
-    n_cache_evictions = 0 }
-
-let add a b =
-  a.t_ss <- a.t_ss +. b.t_ss;
-  a.t_ts <- a.t_ts +. b.t_ts;
-  a.t_enum <- a.t_enum +. b.t_enum;
-  a.t_tune <- a.t_tune +. b.t_tune;
-  a.t_total <- a.t_total +. b.t_total;
-  a.n_cfgs <- a.n_cfgs + b.n_cfgs;
-  a.n_early_quit <- a.n_early_quit + b.n_early_quit;
-  a.n_partitions <- a.n_partitions + b.n_partitions;
-  a.n_cache_hits <- a.n_cache_hits + b.n_cache_hits;
-  a.n_cache_misses <- a.n_cache_misses + b.n_cache_misses;
-  a.n_cache_evictions <- a.n_cache_evictions + b.n_cache_evictions
+    n_early_quit = 0; n_partitions = 0 }
 
 let timed t phase f =
   let start = Unix.gettimeofday () in
@@ -77,7 +60,4 @@ let pp fmt t =
   Format.fprintf fmt
     "ss=%.3fms ts=%.3fms enum=%.3fms tune=%.3fms total=%.3fms cfgs=%d early_quit=%d partitions=%d"
     (t.t_ss *. 1e3) (t.t_ts *. 1e3) (t.t_enum *. 1e3) (t.t_tune *. 1e3) (t.t_total *. 1e3)
-    t.n_cfgs t.n_early_quit t.n_partitions;
-  if t.n_cache_hits + t.n_cache_misses + t.n_cache_evictions > 0 then
-    Format.fprintf fmt " cache_hits=%d cache_misses=%d cache_evictions=%d" t.n_cache_hits
-      t.n_cache_misses t.n_cache_evictions
+    t.n_cfgs t.n_early_quit t.n_partitions

@@ -12,17 +12,11 @@ type t = {
           lower-bound cost already exceeded the incumbent best
           ({!Tuner.pick_best}'s pruning rule) *)
   mutable n_partitions : int;  (** Algorithm-2 rounds taken *)
-  mutable n_cache_hits : int;  (** plan-cache lookups served without compiling *)
-  mutable n_cache_misses : int;  (** plan-cache lookups that compiled *)
-  mutable n_cache_evictions : int;  (** plans evicted by the cache's LRU policy *)
 }
 
 type phase = Ss | Ts | Enum | Tune
 
 val create : unit -> t
-
-val add : t -> t -> unit
-(** Accumulate the second argument into the first. *)
 
 val timed : t -> phase -> (unit -> 'a) -> 'a
 
@@ -30,8 +24,9 @@ val publish : t -> unit
 (** Mirror this record into the process-wide {!Obs.Metrics} registry:
     phase times into the [compile.*_seconds] histograms, candidate counts
     into [tuner.costed] / [tuner.pruned], Algorithm-2 rounds into
-    [sched.partitions], plus one [compile.count] tick. Cache counters are
-    {e not} published here — {!Runtime.Plan_cache} feeds [cache.*] at
-    event time. Called once per {!Spacefusion.compile}. *)
+    [sched.partitions], plus one [compile.count] tick. Plan-cache
+    counters are not compile stats: {!Runtime.Plan_cache} keeps them and
+    feeds [cache.*] at event time. Called once per
+    {!Spacefusion.compile}. *)
 
 val pp : Format.formatter -> t -> unit

@@ -26,7 +26,9 @@ type t = {
   filled : Condition.t;  (* signalled whenever a pending compile resolves *)
   capacity : int option;
   mutable tick : int;  (* logical clock for LRU ordering *)
-  stats : Core.Cstats.t;
+  mutable hits : int;
+  mutable misses : int;
+  mutable evictions : int;
   store : Store.Plan_store.t option;  (* write-behind persistence *)
 }
 
@@ -73,8 +75,7 @@ let evict_over_capacity t =
         match lru with
         | Some (k, _) ->
             Hashtbl.remove t.table k;
-            t.stats.Core.Cstats.n_cache_evictions <-
-              t.stats.Core.Cstats.n_cache_evictions + 1;
+            t.evictions <- t.evictions + 1;
             Obs.Metrics.incr m_evictions
         | None -> ()
       done
@@ -86,7 +87,7 @@ let create ?capacity ?store () =
   let t =
     { table = Hashtbl.create 64; pending = Hashtbl.create 8; stamps = Hashtbl.create 16;
       lock = Mutex.create (); filled = Condition.create (); capacity; tick = 0;
-      stats = Core.Cstats.create (); store }
+      hits = 0; misses = 0; evictions = 0; store }
   in
   (* Zero-compile cold start: every plan the store holds becomes resident
      (up to capacity — excess entries are LRU-trimmed but stay on disk),
@@ -153,7 +154,7 @@ let compile_hit_verified t ?devices ?cls (backend : Backends.Policy.t) arch ~nam
       | Some e ->
           t.tick <- t.tick + 1;
           e.e_last_use <- t.tick;
-          t.stats.Core.Cstats.n_cache_hits <- t.stats.Core.Cstats.n_cache_hits + 1;
+          t.hits <- t.hits + 1;
           let verified = e.e_verified in
           Mutex.unlock t.lock;
           Obs.Metrics.incr m_hits;
@@ -165,7 +166,7 @@ let compile_hit_verified t ?devices ?cls (backend : Backends.Policy.t) arch ~nam
           end
           else begin
             Hashtbl.replace t.pending key ();
-            t.stats.Core.Cstats.n_cache_misses <- t.stats.Core.Cstats.n_cache_misses + 1;
+            t.misses <- t.misses + 1;
             Mutex.unlock t.lock;
             Obs.Metrics.incr m_misses;
             `Compile
@@ -240,13 +241,7 @@ let mark_verified t ?devices ?cls backend arch ~name graph =
   | None -> ()
   | Some s -> Store.Plan_store.mark_verified s (store_key key)
 
-let hits t = locked t (fun () -> t.stats.Core.Cstats.n_cache_hits)
-let misses t = locked t (fun () -> t.stats.Core.Cstats.n_cache_misses)
-let evictions t = locked t (fun () -> t.stats.Core.Cstats.n_cache_evictions)
+let hits t = locked t (fun () -> t.hits)
+let misses t = locked t (fun () -> t.misses)
+let evictions t = locked t (fun () -> t.evictions)
 let length t = locked t (fun () -> Hashtbl.length t.table)
-
-let cstats t =
-  locked t (fun () ->
-      let c = Core.Cstats.create () in
-      Core.Cstats.add c t.stats;
-      c)

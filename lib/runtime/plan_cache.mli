@@ -110,7 +110,3 @@ val evictions : t -> int
 val length : t -> int
 (** Plans currently resident (<= capacity when one is set). *)
 
-val cstats : t -> Core.Cstats.t
-(** Snapshot of the cache counters ([n_cache_hits] / [n_cache_misses] /
-    [n_cache_evictions]); merge into a compile-stats record with
-    {!Core.Cstats.add}. *)

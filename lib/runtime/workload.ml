@@ -46,10 +46,10 @@ let digest w =
     w.model.Ir.Models.subprograms;
   Digest.to_hex (Digest.string (Buffer.contents b))
 
-(* Sliced batching is sound only when every subprogram rows-slices along
+(* Row batching is sound only when every subprogram rows-slices along
    one shared leading dim (and canonicalizes cleanly); a model that mixes
-   sliceable and exact subprograms still shares classed plans but batches
-   in [Shared] (identical-request) mode. *)
+   sliceable and exact subprograms still shares classed plans but runs
+   each request as a one-member batch. *)
 let batch_space w =
   match w.shapes with
   | Shape_class.Exact -> None

@@ -57,7 +57,7 @@ val batch_space : t -> (int * int) option
     always lands one class up (each member's rows exceed half its class
     representative), so the stacked run executes at [cap] — one cached
     plan per boundary. [None] under [Exact] or for non-sliceable models:
-    such requests batch in identical-request (shared-result) mode only. *)
+    the server runs such a request as a one-member batch. *)
 
 val rebatch : t -> rows:int -> t
 (** The same workload with every subprogram's leading (batch) dimension

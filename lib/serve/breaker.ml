@@ -4,11 +4,6 @@ let default_config = { threshold = 5; cooldown_s = 0.05 }
 
 type state = Closed | Open | Half_open
 
-let state_to_string = function
-  | Closed -> "closed"
-  | Open -> "open"
-  | Half_open -> "half_open"
-
 type entry = {
   mutable st : state;
   mutable consecutive : int;  (* failures since the last success (Closed) *)

@@ -107,8 +107,6 @@ let note_reroute t =
   Atomic.incr t.reroutes;
   Obs.Metrics.incr m_reroutes
 
-let served t i = Atomic.get t.slots.(i).sl_served
-
 let to_json t =
   locked t (fun () ->
       Obs.Json.(

@@ -45,9 +45,6 @@ val mark_dead : t -> int -> unit
 val is_dead : t -> int -> bool
 val note_reroute : t -> unit
 
-val served : t -> int -> int
-(** Requests completed on the device so far. *)
-
 val to_json : t -> Obs.Json.t
 (** Deterministic snapshot: device count, dead list, per-device served
     counts, reroutes. *)

@@ -36,7 +36,6 @@ let locked t f =
   Mutex.lock t.lock;
   Fun.protect ~finally:(fun () -> Mutex.unlock t.lock) f
 
-let capacity t = t.q_capacity
 let length t = locked t (fun () -> t.len)
 
 let push t ?(priority = 0) ?deadline payload =

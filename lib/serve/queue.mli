@@ -28,8 +28,6 @@ val create : ?clock:(unit -> float) -> ?priorities:int -> capacity:int -> unit -
     urgent. Raises [Invalid_argument] on [capacity < 1] or
     [priorities < 1]. *)
 
-val capacity : 'a t -> int
-
 val length : 'a t -> int
 (** Items currently in the backlog (<= capacity, always). *)
 

@@ -43,7 +43,7 @@ type response = {
   r_degraded : bool;
   r_retries : int;
   r_batch : int;  (* members in the delivering batch; 1 = served solo *)
-  r_rows : (int * int) option;  (* (offset, len) row slice of a Sliced batch *)
+  r_rows : (int * int) option;  (* (offset, len) row slice of a sliceable request *)
 }
 
 type outcome =
@@ -71,27 +71,26 @@ type request = {
   rq_submit_at : float;
   rq_ticket : ticket;
   rq_stream : int;  (* injection-stream id, unique per request in submit order *)
-  mutable rq_requeued : bool;  (* a coalesced follower gets one requeue *)
+  mutable rq_requeued : bool;  (* a gathered member gets one requeue *)
   mutable rq_charge : float;  (* backlog seconds charged at admission *)
 }
 
-(* What a coalescing leader hands to its followers: the shared serving
-   result, stripped of per-request metadata (each follower stamps its own
+(* What one run hands to the batch members it served: the shared serving
+   result, stripped of per-request metadata (each member stamps its own
    latency / coalesced flag when the callback delivers it). [S_failed]
-   carries the error class so a follower can tell a retryable leader
-   failure (requeue once — the follower never attempted anything) from a
-   crash of the serving machinery itself. [S_expired] means the leader
-   abandoned the attempt at {e its} deadline; followers with later
-   deadlines also requeue. *)
+   carries the error class so a gathered member can tell a retryable
+   failure of the run (requeue once — the member never attempted anything
+   itself) from a crash of the serving machinery. [S_expired] means the
+   run was abandoned at the batch's deadline; gathered members also
+   requeue. *)
 type served =
   | S_done of Runtime.Model_runner.result * bool * int  (* result, degraded, retries *)
   | S_rejected of string
   | S_failed of string * [ `Permanent | `Transient ]
   | S_expired
   | S_poisoned of string
-      (* member-attributable payload failure: terminal for the poisoned
-         request, but a Shared-batch follower requeues — the poison was
-         the leader's, not its own *)
+      (* member-attributable payload failure, confirmed on the member's
+         own stream by bisection: terminal for that member *)
   | S_pressure of string
       (* size-attributable resource exhaustion of a batched run: the
          bisection layer splits instead of delivering this *)
@@ -100,14 +99,13 @@ type t = {
   cfg : config;
   cache : Runtime.Plan_cache.t;
   queue : request Queue.t;
-  batcher : served Batcher.t;
   stats : Stats.t;
   breakers : Breaker.t;
   shed : Shed.t;
   fleet : Fleet.t option;  (* Some iff cfg.devices > 1 *)
   stream : int Atomic.t;
   (* Memory-pressure response: each resource_exhausted trip halves the
-     Sliced batch-admission cap (cap lsr shift); sustained clean batched
+     batch-admission cap (cap lsr shift); sustained clean batched
      runs walk it back one doubling at a time. *)
   cap_shift : int Atomic.t;
   clean_runs : int Atomic.t;
@@ -216,7 +214,7 @@ let baseline_run t rq ~inject =
   | Error e -> `Reject (Error.to_string e)
   | exception e -> `Fault e
 
-(* Memory-pressure response, step 1: halve the Sliced batch-admission cap
+(* Memory-pressure response, step 1: halve the batch-admission cap
    so the next batches stack fewer rows under the same budget. Recovery is
    slow on purpose (one doubling per [cap_recovery_runs] clean batched
    runs) — flapping the cap would churn batch formation. *)
@@ -409,14 +407,12 @@ let confirm_poison t ~key =
 
 let own_rows rq = match rq.rq_space with Some (rows, _) -> rows | None -> 0
 
-(* Whether a batch follower handed [served] goes back into the queue (once,
-   see [deliver_member]): the leader failed transiently or abandoned at its
-   own deadline, or was poisoned in a [Shared] batch, which runs only the
-   leader's payload. *)
-let requeueable mode = function
+(* Whether a gathered member handed [served] goes back into the queue
+   (once, see [deliver_member]): the run failed transiently or was
+   abandoned at the batch's deadline. *)
+let requeueable = function
   | S_failed (_, `Transient) | S_expired -> true
-  | S_poisoned _ -> ( match mode with Batcher.Shared -> true | Batcher.Sliced -> false)
-  | S_done _ | S_rejected _ | S_failed (_, `Permanent) | S_pressure _ -> false
+  | S_done _ | S_rejected _ | S_failed (_, `Permanent) | S_poisoned _ | S_pressure _ -> false
 
 (* EWMA service-time feed for admission control: simulated execution
    seconds (deterministic), scaled to this request's share of the run's
@@ -444,15 +440,13 @@ let drain_charge t (p : request Queue.popped) =
 
 (* Per-member delivery. Every member — leader included — expires against
    its {e own} absolute deadline ([sl_expired]), never an inherited one.
-   A non-leader member never attempted anything itself: if the leader
-   failed transiently, abandoned at the {e leader's} deadline, or was
-   poisoned (a [Shared] batch runs only the leader's payload — the
-   follower's own may be clean), the member goes back into the queue
-   exactly once with its original priority and deadline, instead of
-   being charged a failure for an attempt it never made. A [Sliced]
-   delivery of [S_poisoned] is different: bisection confirmed {e this}
-   member's own draw, so it fails terminally. *)
-let deliver_member t ~mode ~leader (p : request Queue.popped) (s : served Batcher.slot) =
+   A gathered member never attempted anything itself: if the run failed
+   transiently or was abandoned at the batch's deadline, the member goes
+   back into the queue exactly once with its original priority and
+   deadline, instead of being charged a failure for an attempt it never
+   made. A delivered [S_poisoned] is terminal: bisection confirmed
+   {e this} member's own draw. *)
+let deliver_member t ~leader (p : request Queue.popped) (s : served Batcher.slot) =
   let rq = p.p_payload in
   if s.sl_members > 1 then Stats.record t.stats Stats.Batched;
   let rows = if s.sl_len > 0 then Some (s.sl_off, s.sl_len) else None in
@@ -461,7 +455,7 @@ let deliver_member t ~mode ~leader (p : request Queue.popped) (s : served Batche
     finish_served t rq ~queue_s:p.p_queued_s ~coalesced:false ~batch:s.sl_members ?rows s.sl_result
   else
     match s.sl_result with
-    | r when requeueable mode r && not rq.rq_requeued ->
+    | r when requeueable r && not rq.rq_requeued ->
         rq.rq_requeued <- true;
         Stats.record t.stats Stats.Requeued;
         if not (Queue.push t.queue ~priority:p.p_priority ?deadline:p.p_deadline rq) then
@@ -470,92 +464,50 @@ let deliver_member t ~mode ~leader (p : request Queue.popped) (s : served Batche
     | served ->
         finish_served t rq ~queue_s:p.p_queued_s ~coalesced:true ~batch:s.sl_members ?rows served
 
-(* Execute a formed batch once for every member and deliver. The run
-   honors the batch's deadline ({!Batcher.run_deadline}), not any single
-   member's. *)
+(* Execute a formed batch and deliver it to every member. A one-member
+   batch runs the request's own workload; a stacked one runs the leader's
+   workload rebatched to each (sub-)run's rows, placed on a fleet by the
+   digest of what it runs. Blast-radius isolation: a (sub-)run aborts up
+   front when any of its members draws poison (member-attributable — the
+   draw is a pure function of the member's stream id), and a stacked run
+   splits when the memory budget exhausts (size-attributable); halves
+   retry independently, so every clean member is served by some passing
+   sub-run and only genuinely poisoned members fail. The runs honor the
+   batch's deadline ({!Batcher.run_deadline}), not any single member's. *)
 let lead t rq b =
   let key = rq.rq_key in
-  let views = Batcher.member_views t.batcher b in
   let deadline = Batcher.run_deadline b in
-  if Batcher.mode b = Batcher.Sliced && List.length views > 1 then begin
-    (* Blast-radius isolation: run the stacked batch with bisection. A
-       sub-run aborts up front when any of its members draws poison
-       (member-attributable — the draw is a pure function of the member's
-       stream id) and splits when the memory budget exhausts
-       (size-attributable); halves retry independently, so every clean
-       member is served by some passing sub-run and only genuinely
-       poisoned members fail. *)
-    let members =
-      List.map
-        (fun (v : Batcher.member_view) ->
-          { Bisect.m_index = v.Batcher.mv_index; m_rows = v.Batcher.mv_rows; m_tag = v.Batcher.mv_tag })
-        views
-    in
-    let saw_pressure = ref false in
-    let run (ms : Bisect.member list) ~rows =
-      if List.exists (fun (m : Bisect.member) -> poisoned_stream t m.Bisect.m_tag) ms then
-        match ms with
-        | [ _ ] -> `Split (confirm_poison t ~key)
-        | _ -> `Split (S_poisoned "poisoned batch member")
-      else begin
-        let work = Runtime.Workload.rebatch rq.rq_work ~rows in
-        match
-          serve_with_retries t { rq with rq_work = work }
-            ~place_key:(fun () -> Runtime.Workload.digest work)
-            ~deadline ~batched:(List.length ms > 1)
-        with
-        | S_pressure _ as sp when List.length ms > 1 ->
-            saw_pressure := true;
-            `Split sp
-        | served ->
-            observe_service t ~key ~own_rows:(own_rows rq) ~run_rows:rows served;
-            `Served served
-      end
-    in
-    let placements, _nruns = Bisect.execute ~run ~members in
-    let deliveries =
-      Array.make (List.length views)
-        { Batcher.dv_result = S_expired; dv_batch = 1; dv_rows = 0; dv_off = 0; dv_len = 0 }
-    in
-    List.iter
-      (fun (pl : served Bisect.placement) ->
-        deliveries.(pl.Bisect.p_member.Bisect.m_index) <-
-          {
-            Batcher.dv_result = pl.Bisect.p_result;
-            dv_batch = pl.Bisect.p_batch;
-            dv_rows = pl.Bisect.p_rows;
-            dv_off = pl.Bisect.p_off;
-            dv_len = pl.Bisect.p_len;
-          })
-      placements;
-    ignore (Batcher.deliver_each t.batcher b deliveries);
-    if not !saw_pressure then note_clean_run t
-  end
-  else begin
-    (* Solo or [Shared] leader. The poison pre-check runs on the leader's
-       own stream: a poisoned leader never reaches the execution path
-       (followers of a [Shared] batch requeue and re-draw on their own
-       streams). A one-member [Sliced] batch holds only the leader's own
-       rows, so the leader's workload runs untouched. *)
-    let served =
-      if poisoned_stream t rq.rq_stream then confirm_poison t ~key
-      else begin
-        let served =
-          try serve_with_retries t rq ~place_key:(fun () -> key) ~deadline ~batched:false
-          with e -> S_failed (Printexc.to_string e, `Permanent)
-        in
-        observe_service t ~key ~own_rows:(own_rows rq) ~run_rows:(Batcher.rows b) served;
-        served
-      end
-    in
-    ignore (Batcher.deliver t.batcher b served)
-  end
+  let stacked = Batcher.members b > 1 in
+  let saw_pressure = ref false in
+  let run (ms : served Batcher.member list) ~rows =
+    if List.exists (fun (m : served Batcher.member) -> poisoned_stream t m.m_tag) ms then
+      match ms with
+      | [ _ ] -> `Split (confirm_poison t ~key)
+      | _ -> `Split (S_poisoned "poisoned batch member")
+    else begin
+      match
+        try
+          let attempt = if stacked then { rq with rq_work = Runtime.Workload.rebatch rq.rq_work ~rows } else rq in
+          let place_key () = if stacked then Runtime.Workload.digest attempt.rq_work else key in
+          serve_with_retries t attempt ~place_key ~deadline ~batched:(List.length ms > 1)
+        with e -> S_failed (Printexc.to_string e, `Permanent)
+      with
+      | S_pressure _ as sp ->
+          saw_pressure := true;
+          `Split sp
+      | served ->
+          observe_service t ~key ~own_rows:(own_rows rq) ~run_rows:rows served;
+          `Served served
+    end
+  in
+  Batcher.execute b ~clock:t.cfg.clock ~run;
+  if stacked && not !saw_pressure then note_clean_run t
 
 let expire t (p : request Queue.popped) =
   drain_charge t p;
   finish t p.Queue.p_payload Timed_out
 
-(* Sliced batch formation from the backlog: take every queued request
+(* Batch formation from the backlog: take every queued request
    with the leader's key whose rows still fit under [cap], in pop order,
    so the batch runs at once and no worker waits for joiners. A request
    that does not fit stays queued and leads the next batch; a taken one
@@ -591,37 +543,27 @@ let handle t (p : request Queue.popped) =
        executing — repeat offenders don't get to keep riding batches. *)
     finish t rq Quarantined
   else
-    match rq.rq_space with
-    | Some (rows, cap) ->
-        (* A row-sliceable workload under a bucketing policy leads a
-           [Sliced] batch of what is queued behind it: rows stack up to
-           the shape-class boundary, itself halved while under memory
-           pressure (never below the leader's own rows). *)
-        let cap = max rows (effective_cap t cap) in
-        let joiner ~leader (p : request Queue.popped) =
-          {
-            Batcher.j_rows = own_rows p.p_payload;
-            j_deadline = p.p_deadline;
-            j_tag = p.p_payload.rq_stream;
-            j_cb = deliver_member t ~mode:Batcher.Sliced ~leader p;
-          }
-        in
-        let gathered = gather t rq ~cap in
-        lead t rq (Batcher.sliced ~cap (joiner ~leader:true p :: List.map (joiner ~leader:false) gathered))
-    | None -> (
-        (* Anything else keeps identical-request [Shared] single flight. *)
-        let leader = ref false in
-        match
-          Batcher.admit t.batcher ~key:rq.rq_key ?deadline:p.p_deadline ~tag:rq.rq_stream
-            (fun s -> deliver_member t ~mode:Batcher.Shared ~leader:!leader p s)
-        with
-        | `Join ->
-            (* Registered onto the in-flight batch; this worker is free for
-               the next queue item, and the leader will deliver. *)
-            Stats.record t.stats Stats.Coalesced
-        | `Lead b ->
-            leader := true;
-            lead t rq b)
+    (* The popped request leads a batch of what is queued behind it. A
+       row-sliceable workload under a bucketing policy gathers the queued
+       requests with its key whose rows stack up to the shape-class
+       boundary, itself halved while under memory pressure (never below
+       the leader's own rows); anything else runs as a one-member batch. *)
+    let cap, gathered =
+      match rq.rq_space with
+      | Some (rows, cap) ->
+          let cap = max rows (effective_cap t cap) in
+          (cap, gather t rq ~cap)
+      | None -> (0, [])
+    in
+    let member ~leader (p : request Queue.popped) =
+      {
+        Batcher.m_rows = own_rows p.p_payload;
+        m_deadline = p.p_deadline;
+        m_tag = p.p_payload.rq_stream;
+        m_cb = deliver_member t ~leader p;
+      }
+    in
+    lead t rq (Batcher.form ~cap (member ~leader:true p :: List.map (member ~leader:false) gathered))
 
 let rec worker_loop t =
   match Queue.pop t.queue with
@@ -656,7 +598,6 @@ let start ?cache ?config () =
       cache = (match cache with Some c -> c | None -> Runtime.Plan_cache.create ());
       queue =
         Queue.create ~clock:cfg.clock ~priorities:cfg.priorities ~capacity:cfg.queue_capacity ();
-      batcher = Batcher.create ~clock:cfg.clock ();
       stats = Stats.create ();
       breakers = Breaker.create ~clock:cfg.clock cfg.breaker;
       shed = Shed.create ~workers ~quarantine_threshold:cfg.quarantine_threshold ();
@@ -736,7 +677,6 @@ let resume t = Queue.resume t.queue
 let breaker_state_w t ?device work = Breaker.state t.breakers ~key:(breaker_key work ~device)
 let breaker_trips_w t ?device work = Breaker.trips t.breakers ~key:(breaker_key work ~device)
 
-let fleet_devices t = Option.map Fleet.devices t.fleet
 let fleet_alive t = Option.map Fleet.alive_count t.fleet
 let fleet_json t = Option.map Fleet.to_json t.fleet
 

@@ -17,9 +17,8 @@
       unsupported;
     - [Timed_out] when its deadline passed while it sat in the backlog
       (decided by the worker that dequeues it);
-    - [Done] with the shared result when it was served — possibly
-      batched with other in-flight requests ({!Batcher}), and possibly
-      degraded;
+    - [Done] when it was served — possibly batched with requests of its
+      key that were queued behind it ({!Batcher}), and possibly degraded;
     - [Failed] when transient errors survived every retry.
 
     Degradation: an attempt is served from the unfused
@@ -50,36 +49,34 @@
     [(request stream << 8) | attempt].
 
     Continuous batching (see DESIGN.md, "Shape classes & continuous
-    batching"): requests with the same shape-class-aware workload digest
-    — computed once, at submit — are served by {e one} execution.
-    Identical (or non-sliceable) requests share an in-flight leader's
-    run outright. A row-sliceable request under a [Pow2] shape policy
-    leads a {!Batcher} [Sliced] batch of the requests already queued
-    behind it: the worker that pops it takes, in pop order, every queued
-    request with its key whose rows still fit under the shape-class row
-    boundary, then runs the stacked class-representative execution at
-    once — no worker ever waits for joiners. A request that does not fit
-    stays queued and leads the next batch. Each member is handed its own
-    row slice. Every member — leader included — times out against
-    {e its own} absolute deadline at delivery; batch membership never
-    substitutes the leader's deadline.
+    batching"): every request the worker pops leads a {!Batcher} batch.
+    A row-sliceable request under a [Pow2] shape policy gathers, in pop
+    order, every queued request with its shape-class-aware workload
+    digest (computed once, at submit) whose rows still fit under the
+    shape-class row boundary, and the batch runs one stacked
+    class-representative execution at once — no worker ever waits for
+    joiners. A request that does not fit stays queued and leads the next
+    batch. Each member is handed its own row slice. A non-sliceable
+    request, or one that finds nothing to gather, is a one-member batch;
+    identical concurrent requests then compile once through the plan
+    cache's single flight. Every member — leader included — times out
+    against {e its own} absolute deadline at delivery; batch membership
+    never substitutes the leader's deadline.
 
-    A batch-joined follower whose leader failed transiently (or abandoned
-    at the {e leader's} deadline) is requeued exactly once with its
+    A gathered member whose batch's run failed transiently (or was
+    abandoned at the batch's deadline) is requeued exactly once with its
     original priority and deadline rather than inheriting a failure for
-    an attempt it never made; a second leader failure fails it for
-    real.
+    an attempt it never made; a second such failure fails it for real.
 
     Overload control & blast radius (see DESIGN.md): with
     [shed_deadlines] the server estimates deadline feasibility at
     admission (charged backlog seconds plus a per-shape-class
     service-time EWMA, {!Shed}) and resolves infeasible requests [Shed]
-    immediately. A stacked [Sliced] batch whose run fails
-    member-attributably (an injected {!Fault.Plan.Poison_request}) or
-    size-attributably (a {!Fault.Plan.Resource_exhausted} arena-budget
-    trip) is {e bisected} ({!Bisect}): halves retry independently, so
-    every clean member is served and only genuinely poisoned members
-    fail. Repeat poison offenders are quarantined by request key
+    immediately. A poisoned member ({!Fault.Plan.Poison_request}) or a
+    stacked run's {!Fault.Plan.Resource_exhausted} arena-budget trip
+    {e bisects} the batch ({!Batcher.execute}): halves retry
+    independently, so every clean member is served and only genuinely
+    poisoned members fail. Repeat poison offenders are quarantined by request key
     ([quarantine_threshold]) and resolve [Quarantined] without
     executing. Memory pressure additionally halves the batch-admission
     cap (recovering one doubling per 32 clean batched runs).
@@ -109,9 +106,10 @@ type config = {
           and routed around for the rest of the server's life. *)
   shapes : Runtime.Shape_class.policy;
       (** shape-bucketing policy for workloads built by {!submit}. [Exact]
-          (the default) keeps legacy per-shape plans and identical-request
-          dedup; [Pow2] compiles one plan per power-of-two batch bucket
-          and row-batches concurrent in-class requests. *)
+          (the default) keeps one plan per concrete shape and serves every
+          request as a one-member batch; [Pow2] compiles one plan per
+          power-of-two batch bucket and row-batches queued in-class
+          requests. *)
   shed_deadlines : bool;
       (** estimate deadline feasibility at admission and resolve
           infeasible requests [Shed] instead of queueing them (default
@@ -139,13 +137,13 @@ type response = {
   r_result : Runtime.Model_runner.result;
   r_latency_s : float;  (** submit to resolution, on the server clock *)
   r_queue_s : float;  (** of which: backlog wait *)
-  r_coalesced : bool;  (** joined a batch led by another request's run *)
+  r_coalesced : bool;  (** gathered into a batch led by another request *)
   r_degraded : bool;  (** served from the unfused baseline *)
   r_retries : int;  (** transient-failure retries the serving run needed *)
   r_batch : int;  (** members in the delivering batch; 1 = served solo *)
   r_rows : (int * int) option;
       (** [(offset, len)] — this request's row slice of the batched
-          execution ([None] for shared/identical delivery) *)
+          execution ([None] for a non-sliceable request) *)
 }
 
 type outcome =
@@ -206,7 +204,7 @@ val shed : t -> Shed.t
     backlog charge, quarantine offenses. *)
 
 val batch_cap_shift : t -> int
-(** Current memory-pressure halvings of the [Sliced] batch-admission cap
+(** Current memory-pressure halvings of the batch-admission cap
     (effective cap = class boundary [lsr] shift). *)
 
 val pause : t -> unit
@@ -225,9 +223,6 @@ val breaker_state_w : t -> ?device:int -> Runtime.Workload.t -> Breaker.state
 
 val breaker_trips_w : t -> ?device:int -> Runtime.Workload.t -> int
 (** How many times that path's breaker has opened. *)
-
-val fleet_devices : t -> int option
-(** Fleet size; [None] on a single-device server. *)
 
 val fleet_alive : t -> int option
 (** Devices still alive; [None] on a single-device server. *)

@@ -47,11 +47,6 @@ let observe t ~key ~service_s =
         in
         Hashtbl.replace t.ewma key next)
 
-let seed t ~key ~service_s =
-  if service_s >= 0.0 && not (Float.is_nan service_s) then
-    locked t (fun () ->
-        if not (Hashtbl.mem t.ewma key) then Hashtbl.replace t.ewma key service_s)
-
 (* ------------------------------------------------------------------ *)
 (* Admission feasibility                                               *)
 (* ------------------------------------------------------------------ *)

@@ -14,8 +14,7 @@
     is shed {e now} — a distinct [Shed] outcome, resolved without
     executing — instead of timing out after burning queue and worker
     time. Keys never seen before admit optimistically: cold starts must
-    not shed on ignorance. Estimates can be pre-seeded from a previous
-    run's telemetry via {!seed}.
+    not shed on ignorance.
 
     {b Quarantine.} Each confirmed poisoned payload counts an
     {!offense} against its request key; once a key reaches the offense
@@ -40,10 +39,6 @@ val create : ?workers:int -> ?quarantine_threshold:int -> unit -> t
 val observe : t -> key:string -> service_s:float -> unit
 (** Fold one completed run's simulated service time into the key's EWMA
     (first observation initialises it). Negative/NaN values are ignored. *)
-
-val seed : t -> key:string -> service_s:float -> unit
-(** Initialise a key's estimate only if none exists — the telemetry
-    warm-start path; never overwrites live observations. *)
 
 val estimate : t -> key:string -> float option
 

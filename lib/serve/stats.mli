@@ -17,13 +17,14 @@
       (admission control judged the deadline infeasible; resolved without
       executing) | [Quarantined] (the request key exceeded its poison
       offense threshold; resolved without executing).
-    - annotations (orthogonal to the terminal event): [Coalesced] (joined
-      a batch led by another request's run), [Batched] (delivered from a
-      batch of 2+ members — counted once per member, leader included),
-      [Degraded] (served from the unfused baseline), [Retried] (one per
-      retry attempt), [Requeued] (a batch-joined follower re-entered the
-      queue after its leader failed transiently — the follower is charged
-      no retry for an attempt it never made).
+    - annotations (orthogonal to the terminal event): [Coalesced]
+      (gathered from the backlog into a batch led by another request),
+      [Batched] (delivered from a run of 2+ members — counted once per
+      member, leader included), [Degraded] (served from the unfused
+      baseline), [Retried] (one per retry attempt), [Requeued] (a
+      gathered member re-entered the queue after its batch's run failed
+      transiently — the member is charged no retry for an attempt it
+      never made).
 
     Global metric names: [serve.submitted], [serve.admitted],
     [serve.rejected], [serve.timed_out], [serve.done], [serve.failed],

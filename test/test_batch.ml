@@ -224,62 +224,82 @@ let prop_conservation =
 (* Blast-radius bisection (ISSUE 10)                                   *)
 (* ------------------------------------------------------------------ *)
 
-(* Synthetic harness for [Serve.Bisect.execute]: members carry their own
-   index as tag, a bitmask marks some tags poisoned, and the run callback
-   behaves like the server's — any subset containing a poisoned member
-   splits, a clean subset serves. The property is the blast-radius
-   contract: every non-poisoned member is served exactly once from a
-   clean sub-run at its cumulative row offset, every poisoned member is
-   isolated alone, a fully clean batch runs exactly once, and the whole
-   bisection tree is deterministic. *)
+(* Synthetic harness for [Serve.Batcher.execute]: members carry their
+   own index as tag, a bitmask marks some tags poisoned, and the run
+   callback behaves like the server's — any subset containing a poisoned
+   member splits, a clean subset serves. The property is the blast-radius
+   contract: every member is delivered exactly once, in admission order;
+   every non-poisoned member is served from a clean sub-run at its
+   cumulative row offset, every poisoned member is isolated alone, a
+   fully clean batch runs exactly once, the split and isolation counters
+   move only inside batches of several members, and the whole bisection
+   tree is deterministic. *)
 let prop_bisect_blast_radius =
   QCheck.Test.make ~count:300 ~name:"bisection isolates exactly the poisoned members"
     QCheck.(pair (list_of_size (Gen.int_range 1 12) (int_range 1 8)) (int_bound 4095))
     (fun (row_list, pmask) ->
-      let open Serve.Bisect in
+      let module B = Serve.Batcher in
       let n = List.length row_list in
       let poisoned i = (pmask lsr i) land 1 = 1 in
-      let members = List.mapi (fun i r -> { m_index = i; m_rows = r; m_tag = i }) row_list in
-      let run ms ~rows =
-        let ids = List.map (fun m -> m.m_index) ms in
-        if List.exists (fun m -> poisoned m.m_tag) ms then `Split (false, ids, rows)
-        else `Served (true, ids, rows)
+      let counter name =
+        match Obs.Metrics.find name with Some (Obs.Metrics.Counter c) -> c | _ -> 0
       in
-      let placements, runs = execute ~run ~members in
-      let placements', runs' = execute ~run ~members in
-      let exactly_once =
-        List.sort compare (List.map (fun p -> p.p_member.m_index) placements)
-        = List.init n Fun.id
+      (* One execution: the (index, slot) deliveries in callback order, and
+         the number of runs. *)
+      let execute () =
+        let got = ref [] and runs = ref 0 in
+        let members =
+          List.mapi
+            (fun i r -> { B.m_rows = r; m_deadline = None; m_tag = i; m_cb = (fun s -> got := (i, s) :: !got) })
+            row_list
+        in
+        let run ms ~rows =
+          incr runs;
+          let ids = List.map (fun m -> m.B.m_tag) ms in
+          if List.exists poisoned ids then `Split (false, ids, rows) else `Served (true, ids, rows)
+        in
+        B.execute (B.form ~cap:(List.fold_left ( + ) 0 row_list) members) ~clock:(fun () -> 0.0) ~run;
+        (List.rev !got, !runs)
       in
-      let member_ok p =
-        let m = p.p_member in
-        let ok, ids, rows = p.p_result in
-        p.p_len = m.m_rows
+      let isolated0 = counter "batch.isolated" and bisections0 = counter "batch.bisections" in
+      let got, runs = execute () in
+      let isolated = counter "batch.isolated" - isolated0
+      and bisections = counter "batch.bisections" - bisections0 in
+      let got', runs' = execute () in
+      let n_poisoned = List.length (List.filter poisoned (List.init n Fun.id)) in
+      let exactly_once_in_order = List.map fst got = List.init n Fun.id in
+      let member_ok (i, (s : _ B.slot)) =
+        let ok, ids, rows = s.sl_result in
+        s.sl_len = List.nth row_list i
+        && (not s.sl_expired)
         &&
-        if poisoned m.m_tag then (not ok) && p.p_batch = 1 && ids = [ m.m_index ]
+        if poisoned i then (not ok) && s.sl_members = 1 && ids = [ i ]
         else
           ok
           && (not (List.exists poisoned ids))
-          && p.p_batch = List.length ids
-          && p.p_rows = rows
-          && rows = List.fold_left (fun a i -> a + List.nth row_list i) 0 ids
+          && s.sl_members = List.length ids
+          && s.sl_rows = rows
+          && rows = List.fold_left (fun a j -> a + List.nth row_list j) 0 ids
           &&
           (* served at the cumulative offset of its predecessors in
              sub-run order — the slice the server would deliver *)
           let rec expect acc = function
             | [] -> -1
-            | i :: _ when i = m.m_index -> acc
-            | i :: tl -> expect (acc + List.nth row_list i) tl
+            | j :: _ when j = i -> acc
+            | j :: tl -> expect (acc + List.nth row_list j) tl
           in
-          p.p_off = expect 0 ids
+          s.sl_off = expect 0 ids
       in
       let clean_fast_path =
-        List.exists poisoned (List.init n Fun.id)
-        || (runs = 1 && List.for_all (fun p -> p.p_batch = n) placements)
+        n_poisoned > 0 || (runs = 1 && List.for_all (fun (_, (s : _ B.slot)) -> s.sl_members = n) got)
       in
-      exactly_once
-      && List.for_all member_ok placements
-      && clean_fast_path && placements = placements' && runs = runs')
+      let counted =
+        if n = 1 then isolated = 0 && bisections = 0
+        else isolated = n_poisoned && (n_poisoned = 0) = (bisections = 0)
+      in
+      exactly_once_in_order
+      && List.for_all member_ok got
+      && clean_fast_path && counted && got = got' && runs = runs')
 
 (* ------------------------------------------------------------------ *)
 (* Deterministic batch formation                                       *)

@@ -1,8 +1,9 @@
 (* Tests for the serving runtime: admission-queue invariants (capacity
-   bound, FIFO within priority, deadline expiry), request coalescing
-   (N identical in-flight requests -> one execution), and the server's
-   exactly-once outcome guarantee across the Done / Rejected / Timed_out /
-   Failed terminal states, including degrade and retry paths. *)
+   bound, FIFO within priority, deadline expiry), batch formation,
+   bisection and delivery, batches gathered from the backlog, and the
+   server's exactly-once outcome guarantee across the Done / Rejected /
+   Timed_out / Failed terminal states, including degrade, retry and
+   requeue paths. *)
 
 module Q = Serve.Queue
 module Policy = Backends.Policy
@@ -34,6 +35,24 @@ let stub ?(be_name = "stub") ?gate ?(fail_first = 0) calls =
         if Atomic.fetch_and_add attempts 1 < fail_first then failwith "transient stub failure";
         Policy.compile_groups arch ~name g (Policy.singletons g));
   }
+
+(* A bounded wait: a condition that still does not hold after [seconds]
+   fails the test, naming what it waited for, instead of hanging the
+   suite. *)
+let wait_until ?(seconds = 5.0) what cond =
+  let stop = Unix.gettimeofday () +. seconds in
+  while not (cond ()) do
+    if Unix.gettimeofday () > stop then Alcotest.failf "still waiting after %.0f s: %s" seconds what;
+    Unix.sleepf 1e-4
+  done
+
+(* A watchdog await: a request that never resolves fails the test. *)
+let await_within ?seconds tk =
+  wait_until ?seconds "a request to resolve" (fun () -> Serve.Server.peek tk <> None);
+  Option.get (Serve.Server.peek tk)
+
+let counter name =
+  match Obs.Metrics.find name with Some (Obs.Metrics.Counter c) -> c | _ -> 0
 
 (* ------------------------------------------------------------------ *)
 (* Queue                                                               *)
@@ -200,82 +219,36 @@ let prop_queue_model =
 
 module B = Serve.Batcher
 
-let test_batcher_single_flight () =
-  (* Shared mode is the identical-request single-flight the coalescer
-     provided: one leader executes, joiners register callbacks and share
-     the leader's result in registration order. *)
-  let c = B.create () in
-  let got = ref [] in
-  let lead key cb = match B.admit c ~key cb with `Lead b -> Some b | `Join -> None in
-  let b = match lead "k" (fun s -> got := ("leader", s.B.sl_result) :: !got) with
-    | Some b -> b
-    | None -> Alcotest.fail "first admit must lead"
-  in
-  Alcotest.(check int) "key in flight" 1 (B.in_flight c);
-  Alcotest.(check bool) "second admit joins" true
-    (lead "k" (fun s -> got := ("f1", s.B.sl_result) :: !got) = None);
-  Alcotest.(check bool) "third admit joins" true
-    (lead "k" (fun s -> got := ("f2", s.B.sl_result) :: !got) = None);
-  Alcotest.(check bool) "distinct key leads independently" true
-    (lead "other" (fun _ -> ()) <> None);
-  Alcotest.(check int) "three members before delivery" 3 (B.members b);
-  Alcotest.(check int) "two followers notified" 2 (B.deliver c b 42);
-  Alcotest.(check (list (pair string int))) "admission order preserved, leader first"
-    [ ("leader", 42); ("f1", 42); ("f2", 42) ] (List.rev !got);
-  Alcotest.(check int) "delivered key released" 1 (B.in_flight c);
-  Alcotest.(check bool) "released key can lead again" true (lead "k" (fun _ -> ()) <> None)
-
-let test_batcher_concurrent () =
-  (* 8 domains race onto one key: exactly one leads; the leader holds the
-     result until every loser has registered, so all 7 are demonstrably
-     batched onto an in-flight execution. *)
-  let n = 8 in
-  let c = B.create () in
-  let followers = Atomic.make 0 in
-  let leaders = Atomic.make 0 in
-  let results = Array.make n (-1) in
-  let worker i () =
-    match B.admit c ~key:"k" (fun s -> results.(i) <- s.B.sl_result) with
-    | `Join -> Atomic.incr followers
-    | `Lead b ->
-        Atomic.incr leaders;
-        while Atomic.get followers < n - 1 do
-          Domain.cpu_relax ()
-        done;
-        Alcotest.(check int) "leader delivered to all losers" (n - 1) (B.deliver c b 42)
-  in
-  let domains = List.init n (fun i -> Domain.spawn (worker i)) in
-  List.iter Domain.join domains;
-  Alcotest.(check int) "exactly one leader" 1 (Atomic.get leaders);
-  Alcotest.(check int) "everyone else batched" (n - 1) (Atomic.get followers);
-  Array.iteri (fun i r -> Alcotest.(check int) (Printf.sprintf "slot %d served" i) 42 r) results;
-  Alcotest.(check int) "nothing left in flight" 0 (B.in_flight c)
+let member ?(rows = 1) ?deadline cb = { B.m_rows = rows; m_deadline = deadline; m_tag = 0; m_cb = cb }
+let serve_whole b r = B.execute b ~clock:(fun () -> 0.0) ~run:(fun _ ~rows:_ -> `Served r)
 
 let test_batcher_sliced_rows_and_boundary () =
-  (* A Sliced batch forms complete: members stack their rows in admission
-     order up to the class boundary and each gets its own disjoint row
-     slice. A member list past the boundary is refused — the member that
-     does not fit leads the next batch instead. *)
-  let c = B.create () in
-  let boundary () =
-    match Obs.Metrics.find "batch.boundary_closes" with Some (Obs.Metrics.Counter n) -> n | _ -> 0
-  in
+  (* A batch forms complete: members stack their rows in admission order
+     up to the class boundary, one run serves them all, and each gets its
+     own disjoint row slice. A member list past the boundary is refused —
+     the member that does not fit leads the next batch instead. A
+     non-sliceable request is a one-member batch without a slice. *)
   let slots = ref [] in
-  let joiner tag rows =
-    { B.j_rows = rows; j_deadline = None; j_tag = 0; j_cb = (fun s -> slots := (tag, s) :: !slots) }
-  in
-  let full0 = boundary () in
-  let b = B.sliced ~cap:8 [ joiner "a" 3; joiner "b" 2; joiner "c" 3 ] in
-  Alcotest.(check int) "rows stacked" 8 (B.rows b);
+  let joiner tag rows = member ~rows (fun s -> slots := (tag, s) :: !slots) in
+  let full0 = counter "batch.boundary_closes" in
+  let b = B.form ~cap:8 [ joiner "a" 3; joiner "b" 2; joiner "c" 3 ] in
   Alcotest.(check int) "members" 3 (B.members b);
-  Alcotest.(check int) "a batch that reached the cap counts" 1 (boundary () - full0);
-  Alcotest.(check int) "a Sliced batch is never joinable" 0 (B.in_flight c);
+  Alcotest.(check int) "a batch that reached the cap counts" 1 (counter "batch.boundary_closes" - full0);
   Alcotest.check_raises "one row past the boundary"
-    (Invalid_argument "Batcher.sliced: 9 rows exceed the cap 8") (fun () ->
-      ignore (B.sliced ~cap:8 [ joiner "a" 3; joiner "b" 2; joiner "c" 3; joiner "d" 1 ]));
-  let b2 = B.sliced ~cap:8 [ joiner "d" 1 ] in
-  Alcotest.(check int) "a batch under the cap does not count" 1 (boundary () - full0);
-  Alcotest.(check int) "two non-leader members delivered" 2 (B.deliver c b 7);
+    (Invalid_argument "Batcher.form: 9 rows exceed the cap 8") (fun () ->
+      ignore (B.form ~cap:8 [ joiner "a" 3; joiner "b" 2; joiner "c" 3; joiner "d" 1 ]));
+  Alcotest.check_raises "a member without rows does not stack"
+    (Invalid_argument "Batcher.form: a member without rows") (fun () ->
+      ignore (B.form ~cap:8 [ joiner "a" 3; joiner "z" 0 ]));
+  let b2 = B.form ~cap:8 [ joiner "d" 1 ] in
+  let solo = B.form ~cap:0 [ joiner "e" 0 ] in
+  Alcotest.(check int) "a batch under the cap, or without rows, does not count" 1
+    (counter "batch.boundary_closes" - full0);
+  let runs = ref [] in
+  B.execute b ~clock:(fun () -> 0.0) ~run:(fun ms ~rows ->
+      runs := (List.length ms, rows) :: !runs;
+      `Served 7);
+  Alcotest.(check (list (pair int int))) "one run serves the whole batch, rows stacked" [ (3, 8) ] !runs;
   let find tag = List.assoc tag (List.rev !slots) in
   List.iter
     (fun (tag, off, len) ->
@@ -283,31 +256,35 @@ let test_batcher_sliced_rows_and_boundary () =
       Alcotest.(check (pair int int)) (tag ^ " slice") (off, len) (s.B.sl_off, s.B.sl_len);
       Alcotest.(check int) (tag ^ " members") 3 s.B.sl_members;
       Alcotest.(check int) (tag ^ " rows") 8 s.B.sl_rows;
+      Alcotest.(check int) (tag ^ " result") 7 s.B.sl_result;
       Alcotest.(check bool) (tag ^ " not expired") false s.B.sl_expired)
     [ ("a", 0, 3); ("b", 3, 2); ("c", 5, 3) ];
   Alcotest.(check (list string)) "callbacks run in admission order" [ "a"; "b"; "c" ]
     (List.rev_map fst !slots);
-  ignore (B.deliver c b2 9);
+  serve_whole b2 9;
   Alcotest.(check int) "follow-on batch delivered its own result" 9 (find "d").B.sl_result;
   Alcotest.(check (pair int int)) "follow-on batch starts at row 0" (0, 1)
-    ((find "d").B.sl_off, (find "d").B.sl_len)
+    ((find "d").B.sl_off, (find "d").B.sl_len);
+  serve_whole solo 5;
+  let e = find "e" in
+  Alcotest.(check (list int)) "a non-sliceable member: served alone, no rows" [ 5; 1; 0; 0 ]
+    [ e.B.sl_result; e.B.sl_members; e.B.sl_rows; e.B.sl_len ]
 
 let test_batcher_member_deadlines () =
   (* Each member of a batch keeps its own absolute deadline and expires
      independently at delivery — joining never substitutes the leader's
      deadline. The run honors the slackest member. *)
   let clock = ref 0.0 in
-  let c = B.create ~clock:(fun () -> !clock) () in
   let slots = ref [] in
-  let joiner tag deadline =
-    { B.j_rows = 1; j_deadline = deadline; j_tag = 0; j_cb = (fun s -> slots := (tag, s) :: !slots) }
-  in
+  let joiner tag deadline = member ?deadline (fun s -> slots := (tag, s) :: !slots) in
   Alcotest.(check (option (float 1e-9))) "run honors the slackest deadline" (Some 10.0)
-    (B.run_deadline (B.sliced ~cap:8 [ joiner "x" (Some 0.5); joiner "y" (Some 10.0) ]));
-  let b = B.sliced ~cap:8 [ joiner "leader" (Some 10.0); joiner "tight" (Some 0.5); joiner "slack" None ] in
+    (B.run_deadline (B.form ~cap:8 [ joiner "x" (Some 0.5); joiner "y" (Some 10.0) ]));
+  let b = B.form ~cap:8 [ joiner "leader" (Some 10.0); joiner "tight" (Some 0.5); joiner "slack" None ] in
   Alcotest.(check (option (float 1e-9))) "a deadline-free member frees the run" None (B.run_deadline b);
-  clock := 1.0;  (* the run takes long enough to blow only the tight deadline *)
-  ignore (B.deliver c b 1);
+  (* The run takes long enough to blow only the tight deadline. *)
+  B.execute b ~clock:(fun () -> !clock) ~run:(fun _ ~rows:_ ->
+      clock := 1.0;
+      `Served 1);
   let find tag = List.assoc tag (List.rev !slots) in
   Alcotest.(check bool) "leader within budget" false (find "leader").B.sl_expired;
   Alcotest.(check bool) "tight member expired on its own deadline" true (find "tight").B.sl_expired;
@@ -331,13 +308,7 @@ let test_shed_ewma () =
   Shed.observe sh ~key:"k" ~service_s:(-1.0);
   Shed.observe sh ~key:"k" ~service_s:Float.nan;
   Alcotest.(check (option (float 1e-12))) "bad samples ignored" (Some 1.3)
-    (Shed.estimate sh ~key:"k");
-  Shed.seed sh ~key:"k" ~service_s:9.0;
-  Alcotest.(check (option (float 1e-12))) "seed never overwrites live data" (Some 1.3)
-    (Shed.estimate sh ~key:"k");
-  Shed.seed sh ~key:"warm" ~service_s:0.25;
-  Alcotest.(check (option (float 1e-12))) "seed initialises a fresh key" (Some 0.25)
-    (Shed.estimate sh ~key:"warm")
+    (Shed.estimate sh ~key:"k")
 
 let test_shed_admission () =
   let sh = Shed.create ~workers:2 () in
@@ -432,9 +403,7 @@ let test_server_exactly_once_outcomes () =
   let plain = stub (Atomic.make 0) in
   let s = Serve.Server.start ~config:(config ~workers:1 ~capacity:2 ()) () in
   let t_a = Serve.Server.submit s ~arch gated (ln 32) in
-  while Atomic.get calls < 1 do
-    Domain.cpu_relax ()
-  done;
+  wait_until "the worker inside A's compile" (fun () -> Atomic.get calls >= 1);
   (* Worker is inside A's compile; the queue is empty again. *)
   let t_expired = Serve.Server.submit s ~deadline_s:(-1.0) ~arch plain (ln 40) in
   let t_b = Serve.Server.submit s ~arch plain (ln 48) in
@@ -460,34 +429,30 @@ let test_server_exactly_once_outcomes () =
   Alcotest.(check int) "timed out" 1 st.Serve.Stats.s_timed_out;
   Alcotest.(check bool) "conserved" true (Serve.Stats.conserved st)
 
-let test_server_coalesces_identical () =
-  (* Leader blocked in its compile, three identical requests arrive: all
-     three must coalesce (observable before release), and the whole batch
-     must cost exactly one compile. *)
+let test_server_identical_compile_once () =
+  (* Four identical non-sliceable requests on two workers, the first held
+     inside its compile: each request runs as its own one-member batch,
+     and the plan cache's single flight still compiles the plan once —
+     the other worker waits on that compile and is served it as a hit. *)
   let gate = Atomic.make false in
   let calls = Atomic.make 0 in
   let gated = stub ~be_name:"gated" ~gate calls in
-  let m = ln 32 in
   let s = Serve.Server.start ~config:(config ~workers:2 ()) () in
-  let tickets = List.init 4 (fun _ -> Serve.Server.submit s ~arch gated m) in
-  while (Serve.Server.stats s).Serve.Stats.s_coalesced < 3 do
-    Domain.cpu_relax ()
-  done;
+  let tickets = List.init 4 (fun _ -> Serve.Server.submit s ~arch gated (ln 32)) in
+  wait_until "the first compile to start" (fun () -> Atomic.get calls >= 1);
   Atomic.set gate true;
-  let rs = List.map (fun tk -> expect_done (Serve.Server.await tk)) tickets in
+  let rs = List.map (fun tk -> expect_done (await_within tk)) tickets in
   Serve.Server.shutdown s;
   Alcotest.(check int) "one compile for four requests" 1 (Atomic.get calls);
-  Alcotest.(check int) "exactly one leader" 1
-    (List.length (List.filter (fun (r : Serve.Server.response) -> not r.r_coalesced) rs));
   List.iter
     (fun (r : Serve.Server.response) ->
-      if r.r_coalesced then
-        Alcotest.(check bool) "followers share the leader's result" true
-          (r.r_result == (List.find (fun (l : Serve.Server.response) -> not l.r_coalesced) rs).r_result))
+      Alcotest.(check bool) "served by its own run" false r.r_coalesced;
+      Alcotest.(check int) "a one-member batch" 1 r.r_batch)
     rs;
   let st = Serve.Server.stats s in
   Alcotest.(check int) "all four done" 4 st.Serve.Stats.s_done;
-  Alcotest.(check int) "three coalesced" 3 st.Serve.Stats.s_coalesced;
+  Alcotest.(check int) "none coalesced" 0 st.Serve.Stats.s_coalesced;
+  Alcotest.(check int) "none batched" 0 st.Serve.Stats.s_batched;
   Alcotest.(check bool) "conserved" true (Serve.Stats.conserved st)
 
 let test_server_degrades_on_unschedulable () =
@@ -504,9 +469,6 @@ let test_server_degrades_on_unschedulable () =
   Serve.Server.shutdown s;
   Alcotest.(check bool) "served from the baseline" true r.Serve.Server.r_degraded;
   Alcotest.(check int) "degrade recorded" 1 (Serve.Server.stats s).Serve.Stats.s_degraded
-
-let counter name =
-  match Obs.Metrics.find name with Some (Obs.Metrics.Counter c) -> c | _ -> 0
 
 let test_server_arena_budget_relief () =
   (* A solo fused run that allocates past its arena budget takes a typed
@@ -614,41 +576,6 @@ let test_server_deadline_aware_backoff () =
   Alcotest.(check int) "timed out" 1 st.Serve.Stats.s_timed_out;
   Alcotest.(check bool) "conserved" true (Serve.Stats.conserved st)
 
-let test_server_follower_requeued_once () =
-  (* A coalesced follower whose leader exhausted its retries is requeued
-     exactly once (charged no retry for an attempt it never made) and is
-     then served by its own fresh run. *)
-  let gate = Atomic.make false in
-  let calls = Atomic.make 0 in
-  let flaky = stub ~be_name:"flaky" ~gate ~fail_first:3 calls in
-  let m = ln 32 in
-  let s = Serve.Server.start ~config:(config ~workers:2 ~retries:2 ()) () in
-  let t_a = Serve.Server.submit s ~arch flaky m in
-  while Atomic.get calls < 1 do
-    Domain.cpu_relax ()
-  done;
-  let t_b = Serve.Server.submit s ~arch flaky m in
-  while (Serve.Server.stats s).Serve.Stats.s_coalesced < 1 do
-    Domain.cpu_relax ()
-  done;
-  Atomic.set gate true;
-  (match Serve.Server.await t_a with
-  | Serve.Server.Failed msg ->
-      Alcotest.(check bool) "leader carries the transient error" true
-        (Astring.String.is_infix ~affix:"transient stub failure" msg)
-  | _ -> Alcotest.fail "leader must exhaust its retries");
-  let r = expect_done (Serve.Server.await t_b) in
-  Serve.Server.shutdown s;
-  Alcotest.(check bool) "follower served by its own fresh run" false r.Serve.Server.r_coalesced;
-  Alcotest.(check int) "follower charged no retries" 0 r.Serve.Server.r_retries;
-  Alcotest.(check int) "leader's 3 attempts + follower's 1" 4 (Atomic.get calls);
-  let st = Serve.Server.stats s in
-  Alcotest.(check int) "requeued exactly once" 1 st.Serve.Stats.s_requeued;
-  Alcotest.(check int) "follower done" 1 st.Serve.Stats.s_done;
-  Alcotest.(check int) "leader failed" 1 st.Serve.Stats.s_failed;
-  Alcotest.(check int) "only the leader's retries" 2 st.Serve.Stats.s_retries;
-  Alcotest.(check bool) "conserved" true (Serve.Stats.conserved st)
-
 let test_server_shutdown_no_drain () =
   (* Non-draining shutdown fails the backlog explicitly instead of
      serving it; the in-flight request still completes. *)
@@ -658,19 +585,16 @@ let test_server_shutdown_no_drain () =
   let plain = stub (Atomic.make 0) in
   let s = Serve.Server.start ~config:(config ~workers:1 ()) () in
   let t_a = Serve.Server.submit s ~arch gated (ln 32) in
-  while Atomic.get calls < 1 do
-    Domain.cpu_relax ()
-  done;
+  wait_until "the worker inside A's compile" (fun () -> Atomic.get calls >= 1);
   let t_b = Serve.Server.submit s ~arch plain (ln 40) in
   let t_c = Serve.Server.submit s ~arch plain (ln 48) in
   (* shutdown joins the gated worker, so release the gate once the backlog
      has been flushed (both tickets resolved). *)
   let opener =
     Domain.spawn (fun () ->
-        while Serve.Server.peek t_b = None || Serve.Server.peek t_c = None do
-          Domain.cpu_relax ()
-        done;
-        Atomic.set gate true)
+        Fun.protect ~finally:(fun () -> Atomic.set gate true) (fun () ->
+            wait_until "the flush to resolve the backlog" (fun () ->
+                Serve.Server.peek t_b <> None && Serve.Server.peek t_c <> None)))
   in
   Serve.Server.shutdown ~drain:false s;
   Domain.join opener;
@@ -772,21 +696,6 @@ let ln_rows ?(backend = stub (Atomic.make 0)) r =
   Runtime.Workload.make ~shapes:Runtime.Shape_class.Pow2 ~arch backend
     (model_of "ln-rows" (Ir.Models.layernorm_graph ~m:r ~n:64))
 
-(* A watchdog await: a request that never resolves fails the test instead
-   of hanging the suite. *)
-let await_within ?(seconds = 5.0) tk =
-  let stop = Unix.gettimeofday () +. seconds in
-  let rec go () =
-    match Serve.Server.peek tk with
-    | Some o -> o
-    | None ->
-        if Unix.gettimeofday () > stop then
-          Alcotest.failf "request still unresolved after %.0f s" seconds;
-        Unix.sleepf 1e-3;
-        go ()
-  in
-  go ()
-
 (* One worker on a frozen clock, the backlog staged behind [pause] so
    batch formation is a pure function of submit order. [prepare] runs
    before the backlog is staged. *)
@@ -806,6 +715,35 @@ let staged ?(shed_deadlines = false) ?(prepare = ignore) submits =
 let batch_of o =
   let r = expect_done o in
   (r.Serve.Server.r_batch, r.Serve.Server.r_rows)
+
+let test_server_follower_requeued_once () =
+  (* A gathered member whose batch's run exhausted its retries is requeued
+     exactly once (charged no retry for an attempt it never made) and is
+     then served by its own fresh run. The staged 5-row leader gathers
+     the 6-row member, and the stub fails the stacked run's three
+     attempts. *)
+  let calls = Atomic.make 0 in
+  let flaky = stub ~be_name:"flaky" ~fail_first:3 calls in
+  let s, outcomes =
+    staged (List.map (fun r s -> Serve.Server.submit_w s (ln_rows ~backend:flaky r)) [ 5; 6 ])
+  in
+  let r =
+    match outcomes with
+    | [ Serve.Server.Failed msg; follower ] ->
+        Alcotest.(check bool) "leader carries the transient error" true
+          (Astring.String.is_infix ~affix:"transient stub failure" msg);
+        expect_done follower
+    | _ -> Alcotest.fail "leader must exhaust its retries"
+  in
+  Alcotest.(check bool) "follower served by its own fresh run" false r.Serve.Server.r_coalesced;
+  Alcotest.(check int) "follower charged no retries" 0 r.Serve.Server.r_retries;
+  Alcotest.(check int) "leader's 3 attempts + follower's 1" 4 (Atomic.get calls);
+  let st = Serve.Server.stats s in
+  Alcotest.(check int) "requeued exactly once" 1 st.Serve.Stats.s_requeued;
+  Alcotest.(check int) "follower done" 1 st.Serve.Stats.s_done;
+  Alcotest.(check int) "leader failed" 1 st.Serve.Stats.s_failed;
+  Alcotest.(check int) "only the leader's retries" 2 st.Serve.Stats.s_retries;
+  Alcotest.(check bool) "conserved" true (Serve.Stats.conserved st)
 
 let test_gather_never_holds_a_worker () =
   (* The lone worker pops the 5-row request and takes the queued 6-row one
@@ -916,15 +854,12 @@ let test_gather_shutdown_no_drain () =
   let t_m = Serve.Server.submit_w s (ln_rows ~backend:gated 6) in
   let t_x = Serve.Server.submit_w s (Runtime.Workload.make ~arch (stub (Atomic.make 0)) (ln 40)) in
   Serve.Server.resume s;
-  while Atomic.get calls < 1 do
-    Domain.cpu_relax ()
-  done;
+  wait_until "the leader inside its compile" (fun () -> Atomic.get calls >= 1);
   let opener =
     Domain.spawn (fun () ->
-        while Serve.Server.peek t_x = None do
-          Domain.cpu_relax ()
-        done;
-        Atomic.set gate true)
+        Fun.protect ~finally:(fun () -> Atomic.set gate true) (fun () ->
+            wait_until "the flush to reject the queued request" (fun () ->
+                Serve.Server.peek t_x <> None)))
   in
   Serve.Server.shutdown ~drain:false s;
   Domain.join opener;
@@ -1013,8 +948,6 @@ let () =
         ] );
       ( "batcher",
         [
-          Alcotest.test_case "shared single flight" `Quick test_batcher_single_flight;
-          Alcotest.test_case "8-way concurrent join" `Quick test_batcher_concurrent;
           Alcotest.test_case "sliced rows + class boundary" `Quick
             test_batcher_sliced_rows_and_boundary;
           Alcotest.test_case "per-member deadlines" `Quick test_batcher_member_deadlines;
@@ -1029,8 +962,8 @@ let () =
         [
           Alcotest.test_case "serves distinct requests" `Quick test_server_serves;
           Alcotest.test_case "exactly-once outcomes" `Quick test_server_exactly_once_outcomes;
-          Alcotest.test_case "coalesces identical in-flight" `Quick
-            test_server_coalesces_identical;
+          Alcotest.test_case "identical concurrent requests compile once" `Quick
+            test_server_identical_compile_once;
           Alcotest.test_case "degrades on unschedulable" `Quick
             test_server_degrades_on_unschedulable;
           Alcotest.test_case "arena budget relief path" `Quick test_server_arena_budget_relief;
