@@ -161,9 +161,6 @@ let with_rows t rows =
   if rows < 1 then invalid_arg "Gen.with_rows: rows must be positive";
   { t with g_rows = rows }
 
-let batch_sliceable t =
-  List.for_all (fun e -> match e.e_kind with KColReduce _ -> false | _ -> true) t.g_entries
-
 let shrink ?(max_steps = 200) ~still_fails t0 =
   let candidates t =
     let n = List.length t.g_entries in

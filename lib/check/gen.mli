@@ -44,14 +44,10 @@ val graph_of_spec : spec -> Ir.Graph.t
 
 val with_rows : t -> int -> t
 (** Treat the leading (batch) dim as symbolic: the same trace rebuilt at
-    another row count. For a {!batch_sliceable} trace the entry semantics
+    another row count. For a trace with no column reductions (every live
+    value keeps the leading dim, nothing mixes rows) the entry semantics
     are rows-invariant, so this is exactly the graph family one
     shape-class plan serves. Raises [Invalid_argument] on [rows < 1]. *)
-
-val batch_sliceable : t -> bool
-(** Whether the trace builds a row-sliceable graph (no column reductions:
-    every live value keeps the leading dim, nothing mixes rows) — the
-    graphs shape-class guards and batching apply to. *)
 
 val shrink : ?max_steps:int -> still_fails:(t -> bool) -> t -> t
 (** Greedy shrinking: repeatedly adopt the first candidate (an entry

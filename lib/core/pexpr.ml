@@ -53,7 +53,6 @@ let build smg ~dim ~root node =
   in
   go node
 
-let of_node smg ~dim node = build smg ~dim ~root:(-1) node
 let defn smg ~dim node = build smg ~dim ~root:node node
 
 (* ------------------------------------------------------------------ *)

@@ -30,13 +30,11 @@ val is_t_reduction : Smg.t -> dim:int -> Ir.Graph.node_id -> bool
 (** The node reduces along the sliced dimension (a [Reduce] on it, or a
     [Matmul] contracting it). *)
 
-val of_node : Smg.t -> dim:int -> Ir.Graph.node_id -> expr
-(** Expression of a node's value, referencing other t-reductions as
-    [EScal] (their maintained values). *)
-
 val defn : Smg.t -> dim:int -> Ir.Graph.node_id -> expr
 (** One-level expansion of a t-reduction node: its own reduction applied to
-    the expanded argument. Equals {!of_node} for non-reductions. *)
+    the expanded argument. For any other node, the expression of its
+    value, referencing t-reductions as [EScal] (their maintained
+    values). *)
 
 val rewrite : extent:int -> expr -> expr
 (** Broadcast postposition to fixpoint. Semantics-preserving rules:

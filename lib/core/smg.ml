@@ -20,7 +20,6 @@ type t = {
   spaces : space array;
   mappings : mapping list;
   data_of : (G.node_id, int) Hashtbl.t;
-  iter_of : (G.node_id, int) Hashtbl.t;
 }
 
 let diff a b = List.filter (fun d -> not (List.mem d b)) a
@@ -35,7 +34,7 @@ let build graph =
   let fs = Fusedspace.infer graph in
   let spaces = ref [] in
   let mappings = ref [] in
-  let data_of = Hashtbl.create 32 and iter_of = Hashtbl.create 32 in
+  let data_of = Hashtbl.create 32 in
   let next = ref 0 in
   let add_space label kind node sdims =
     let s = { sid = !next; label; kind; node; sdims } in
@@ -53,7 +52,6 @@ let build graph =
       | _ ->
           let idims = Fusedspace.iter_dims fs n.G.id in
           let iter_sid = add_space (G.kind_to_string n.G.kind) Iter n.G.id idims in
-          Hashtbl.replace iter_of n.G.id iter_sid;
           (* Input mappings: predecessor data spaces into the iteration
              space. Missing dims mean the operand is reused along them. *)
           List.iter
@@ -84,7 +82,6 @@ let build graph =
     spaces = Array.of_list (List.rev !spaces);
     mappings = List.rev !mappings;
     data_of;
-    iter_of;
   }
 
 let graph t = t.graph
@@ -94,17 +91,12 @@ let mappings t = t.mappings
 let space t sid = t.spaces.(sid)
 let data_space t node = t.spaces.(Hashtbl.find t.data_of node)
 
-let iter_space t node =
-  match Hashtbl.find_opt t.iter_of node with Some sid -> Some t.spaces.(sid) | None -> None
-
 let is_input_space t s =
   s.kind = Data
   &&
   match (G.node t.graph s.node).G.kind with
   | G.Input _ | G.Weight _ | G.Const _ -> true
   | _ -> false
-
-let is_output_space t s = s.kind = Data && G.is_output t.graph s.node
 
 let mappings_along t d = List.filter (fun m -> List.mem d m.mdims) t.mappings
 

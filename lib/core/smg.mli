@@ -41,14 +41,10 @@ val space : t -> int -> space
 val data_space : t -> Ir.Graph.node_id -> space
 (** The (shared) data space holding a node's value. *)
 
-val iter_space : t -> Ir.Graph.node_id -> space option
-(** The iteration space of a compute node; [None] for leaves. *)
-
 val is_input_space : t -> space -> bool
 (** True for data spaces backed by kernel inputs (activations, weights,
     constants) — the sources a spatial slicer may cut through (§4.2). *)
 
-val is_output_space : t -> space -> bool
 val mappings_along : t -> int -> mapping list
 (** All mappings whose direction includes the given fused dimension. *)
 

@@ -1,5 +1,3 @@
-let alpha = 0.25
-
 let kernel_cost arch device kernel =
   let stats = Gpu.Exec.run ~mode:Gpu.Exec.Analytic device kernel in
   let cache = Gpu.Cost.fresh_cache arch in

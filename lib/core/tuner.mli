@@ -9,7 +9,11 @@
     ({!Gpu.Cost.time_lower_bound} over the graph's mandatory DRAM traffic,
     GEMM flops and the configuration's grid size) is compared against the
     best cost so far, and configurations that provably cannot beat it are
-    skipped — these are what {!Cstats.t.n_early_quit} counts.
+    skipped — these are what {!Cstats.t.n_early_quit} counts. The paper's
+    α = 0.25 early-quit threshold (§6.5) gives partial hardware
+    measurements a [best / α] slack; an analytic bound is certain, so it
+    prunes at [bound > best] with none. [bench --only ablate] emulates the
+    paper's rule over its own list of α values.
 
     Called from the main domain with at least 64 candidates, the tuner
     first costs all of them on up to {!Parallel.default_jobs} domains
@@ -27,14 +31,6 @@
     {!Schedule.enum_cfgs} order); and because pruning requires the lower
     bound to {i strictly} exceed the best cost so far, no candidate
     costing as little as the final best is ever pruned. *)
-
-val alpha : float
-(** α = 0.25, the paper's §6.5 early-quit threshold: sequential hardware
-    tuning abandons a candidate once its accumulated measurement exceeds
-    [best / α]. The 1/α slack compensates for measurements being partial.
-    This reproduction's analytic pruning needs no slack — the bound is a
-    certain lower bound, so it prunes at [bound > best] directly — but α is
-    kept (and swept by [bench --only ablate]) to emulate the paper's rule. *)
 
 val kernel_cost : Gpu.Arch.t -> Gpu.Device.t -> Gpu.Kernel.t -> float
 (** Simulated seconds for one kernel on a fresh L2. *)

@@ -157,8 +157,3 @@ let poison_stream_base = 1 lsl 40
 let poisoned t ~request =
   if t.p_rates.poison_request <= 0.0 then false
   else uniform t ~stream:(poison_stream_base + request) ~seq:0 < t.p_rates.poison_request
-
-let decision_to_string = function
-  | Pass -> "pass"
-  | Slow m -> Printf.sprintf "slow(%gx)" m
-  | Fail k -> Printf.sprintf "fail(%s)" (kind_to_string k)

@@ -104,5 +104,3 @@ val poisoned : t -> request:int -> bool
     dedicated stream namespace disjoint from every launch-injection
     stream, so the same seed always poisons the same request ids and a
     zero [poison_request] rate returns [false] without hashing. *)
-
-val decision_to_string : decision -> string

@@ -9,7 +9,6 @@ type t = { tensors : (string, entry) Hashtbl.t; mutable inj : Fault.Inject.t opt
 let create () = { tensors = Hashtbl.create 64; inj = None }
 
 let attach_faults t inj = t.inj <- Some inj
-let detach_faults t = t.inj <- None
 let faults t = t.inj
 
 let declare t name shape =
@@ -71,6 +70,3 @@ let release_owned t arena =
     t.tensors
 
 let names t = Hashtbl.fold (fun k _ acc -> k :: acc) t.tensors []
-
-let footprint_bytes t =
-  Hashtbl.fold (fun _ e acc -> acc + (Shape.numel e.eshape * Arch.elt_bytes)) t.tensors 0

@@ -32,10 +32,6 @@ val attach_faults : t -> Fault.Inject.t -> unit
 (** Attach a fault injector: subsequent kernel launches on this device
     consult it (see {!Exec.run}) and may raise {!Fault.Plan.Injected}. *)
 
-val detach_faults : t -> unit
 val faults : t -> Fault.Inject.t option
 
 val names : t -> string list
-val footprint_bytes : t -> int
-(** Total declared bytes at FP16 accounting — the device-memory usage the
-    paper's fusion reduces. *)

@@ -30,11 +30,6 @@ let single arch = make arch ~devices:1
 
 type mapping = One_to_all | All_to_one | All_to_all
 
-let mapping_name = function
-  | One_to_all -> "one_to_all"
-  | All_to_one -> "all_to_one"
-  | All_to_all -> "all_to_all"
-
 let contention t =
   Float.max 1.0 (float_of_int t.nd_devices /. float_of_int t.nd_links)
 
@@ -59,8 +54,6 @@ let all_gather_time t ~bytes =
   else
     ((d -. 1.0) /. d *. (bytes /. t.nd_link_bw *. contention t))
     +. ((d -. 1.0) *. t.nd_link_latency_s)
-
-let broadcast_time t ~bytes = mapping_time t One_to_all ~bytes
 
 let to_json t =
   Obs.Json.(

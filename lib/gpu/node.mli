@@ -71,9 +71,5 @@ val all_gather_time : t -> bytes:float -> float
 (** Ring all-gather: [(d-1)/d * bytes / bw * contention + (d-1) * lat] —
     the payload moves once instead of twice, otherwise like all-reduce. *)
 
-val broadcast_time : t -> bytes:float -> float
-(** [mapping_time t One_to_all ~bytes]. *)
-
-val mapping_name : mapping -> string
 val to_json : t -> Obs.Json.t
 val pp : Format.formatter -> t -> unit

@@ -1,7 +1,7 @@
 (** Process-wide registry of named counters, gauges and histograms.
 
     This is the single sink that absorbs the pipeline's previously ad-hoc
-    counters: plan-cache hits/misses/evictions, {!Core.Cstats} phase times
+    counters: plan-cache hits/misses, {!Core.Cstats} phase times
     and tuner prune/evaluation counts, fuzzing statistics. Handles are
     interned by name — asking twice for the same counter returns the same
     cell — and updates are lock-free for counters/gauges (atomics) and a

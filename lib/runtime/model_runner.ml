@@ -16,17 +16,11 @@ let m_runs = Obs.Metrics.counter "model.runs"
 let m_latency = Obs.Metrics.histogram "model.latency_seconds"
 let m_compile = Obs.Metrics.histogram "model.compile_seconds"
 let m_warm_fast = Obs.Metrics.counter "run.warm_fast_path"
-let m_class_hits = Obs.Metrics.counter "shape_class.hits"
-
-(* A classed lookup that still compiled: its bucket had no plan yet. The
-   fallback is compile-and-insert under the classed key — never an error —
-   so after one warm pass per class this counter must stay flat. *)
-let m_guard_miss = Obs.Metrics.counter "shape_class.guard_misses"
 
 (* Plans are cached across calls when [cache] is supplied: the paper's
    program-preprocessing compiles each distinct (repetitive) subprogram
    once, and e.g. Bert and Albert share every block. *)
-let run_workload_r ?cache ?inject ?arena ?(functional = `Never) (w : Workload.t) =
+let run_workload_r ?cache ?inject ?(functional = `Never) (w : Workload.t) =
   let backend = w.Workload.backend
   and arch = w.Workload.arch
   and model = w.Workload.model
@@ -47,6 +41,23 @@ let run_workload_r ?cache ?inject ?arena ?(functional = `Never) (w : Workload.t)
          the one the report names. *)
       let shard = ref None in
       let node = if devices > 1 then Some (Gpu.Node.nvlink arch ~devices) else None in
+      let run mode plan =
+        let device = Gpu.Device.create () in
+        (match inject with Some inj -> Gpu.Device.attach_faults device inj | None -> ());
+        let r = Runner.run_plan ~mode ~arch ~dispatch_us:backend.dispatch_us device plan in
+        (* Nothing reads the device after the run here: recycle its
+           buffers into the ambient arena (if any) for the next plan. *)
+        (match Tensor.Arena.current () with
+        | Some a -> Gpu.Device.release_owned device a
+        | None -> ());
+        r
+      in
+      (* Execution mode. [`Never] is the analytic default; [`Auto] runs a
+         plan's first execution functionally — inside the cache's single
+         flight, so identical concurrent requests run it once — and every
+         verified hit takes the analytic walk: the same counters without
+         the data plane. *)
+      let first_run = match functional with `Auto -> Some (run Gpu.Exec.Full) | `Never -> None in
       List.iter
         (fun (sp : Ir.Models.subprogram) ->
           Obs.Trace.with_span ~attrs:[ ("name", sp.sp_name) ] "subprogram" @@ fun () ->
@@ -61,53 +72,27 @@ let run_workload_r ?cache ?inject ?arena ?(functional = `Never) (w : Workload.t)
             | Some (c, cg) -> (Some c, cg)
             | None -> (None, sp.graph)
           in
-          let t0 = Unix.gettimeofday () in
-          let plan, hit, verified =
+          let found =
             match cache with
-            | None -> (backend.compile arch ~name run_graph, false, false)
-            | Some c ->
-                Plan_cache.compile_hit_verified c ~devices ?cls backend arch ~name run_graph
+            | Some c -> Plan_cache.lookup c ~devices ?cls ?first_run backend arch ~name run_graph
+            | None ->
+                let t0 = Unix.gettimeofday () in
+                let plan = backend.compile arch ~name run_graph in
+                let compile_s = Unix.gettimeofday () -. t0 in
+                { Plan_cache.plan; hit = false; compile_s;
+                  first = Option.map (fun f -> f plan) first_run }
           in
-          if Option.is_some cls then
-            Obs.Metrics.incr (if hit then m_class_hits else m_guard_miss);
-          (* A hit's wall-clock is a table lookup, not compilation: report
-             it as zero so cached latencies do not inflate compile time. *)
-          if hit then incr hits
-          else begin
-            incr misses;
-            compile_s := !compile_s +. (Unix.gettimeofday () -. t0)
-          end;
-          (* Execution mode. [`Never] is the analytic default; [`Always]
-             forces the functional interpreter (oracle/fuzz paths);
-             [`Auto] runs a plan functionally until its first complete
-             execution stamps it verified, after which warm cache hits
-             take the analytic fast path — the same counters without the
-             data plane. *)
-          let mode =
-            match functional with
-            | `Never -> Gpu.Exec.Analytic
-            | `Always -> Gpu.Exec.Full
-            | `Auto ->
-                if hit && verified then begin
-                  Obs.Metrics.incr m_warm_fast;
-                  Gpu.Exec.Analytic
-                end
-                else Gpu.Exec.Full
+          (* Compile time is the compile's alone: a hit reports zero, and
+             a first run inside the claim is execution, not compilation. *)
+          if found.hit then incr hits else incr misses;
+          compile_s := !compile_s +. found.compile_s;
+          let r =
+            match found.first with
+            | Some r -> r
+            | None ->
+                if functional = `Auto then Obs.Metrics.incr m_warm_fast;
+                run Gpu.Exec.Analytic found.plan
           in
-          let device = Gpu.Device.create () in
-          (match inject with Some inj -> Gpu.Device.attach_faults device inj | None -> ());
-          let r = Runner.run_plan ~mode ~arch ~dispatch_us:backend.dispatch_us device plan in
-          (* Completed functionally: stamp the cached plan so the next warm
-             hit can skip re-execution. *)
-          (if mode = Gpu.Exec.Full && functional = `Auto then
-             match cache with
-             | Some c -> Plan_cache.mark_verified c ~devices ?cls backend arch ~name run_graph
-             | None -> ());
-          (* Nothing reads the device after the run here: recycle its
-             buffers into the ambient arena (if any) for the next plan. *)
-          (match Tensor.Arena.current () with
-          | Some a -> Gpu.Device.release_owned device a
-          | None -> ());
           (* Multi-device: cost the sharding candidates and rescale this
              subprogram's simulated time by the picked plan's speedup. The
              work counters (flops, kernels, traffic) stay unscaled — the
@@ -117,7 +102,7 @@ let run_workload_r ?cache ?inject ?arena ?(functional = `Never) (w : Workload.t)
             | None -> r
             | Some node ->
                 let d =
-                  Core.Shard.best ~reps:sp.count ~dispatch_us:backend.dispatch_us node plan
+                  Core.Shard.best ~reps:sp.count ~dispatch_us:backend.dispatch_us node found.plan
                 in
                 let weight d = d.Core.Shard.d_baseline_s *. float_of_int sp.count in
                 (match !shard with
@@ -148,9 +133,6 @@ let run_workload_r ?cache ?inject ?arena ?(functional = `Never) (w : Workload.t)
         m_cache_hits = !hits;
         m_cache_misses = !misses;
       }
-    in
-    let body () =
-      match arena with Some a -> Tensor.Arena.with_arena a body | None -> body ()
     in
     match body () with
     | r -> Ok r

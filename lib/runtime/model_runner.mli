@@ -22,8 +22,7 @@ type result = {
 val run_workload_r :
   ?cache:Plan_cache.t ->
   ?inject:Fault.Inject.t ->
-  ?arena:Tensor.Arena.t ->
-  ?functional:[ `Auto | `Always | `Never ] ->
+  ?functional:[ `Auto | `Never ] ->
   Workload.t ->
   (result, Core.Spacefusion.Error.t) Stdlib.result
 (** The canonical entry point: [Error (Unsupported _)] when the backend
@@ -48,20 +47,22 @@ val run_workload_r :
 
     [functional] selects the execution mode per subprogram. [`Never] (the
     default) runs the analytic walk only — counters without data, the mode
-    paper-scale benchmarks need. [`Always] forces the functional
-    interpreter every time (the oracle/fuzz bypass flag: measurements stay
-    honest even for verified plans). [`Auto] is the serving policy: a plan
-    runs functionally until one complete execution stamps its cache entry
-    verified; from then on warm hits skip functional re-execution and take
-    the analytic walk. Each subprogram that runs functionally counts one
-    [run.functional_execs] (in {!Runner.run_plan}); each warm hit that
-    skips it counts one [run.warm_fast_path]. [`Auto] without [cache] (or
-    on a miss) always runs functionally.
+    paper-scale benchmarks need. [`Auto] is the serving policy: a plan's
+    first run executes the functional interpreter, inside the cache's
+    single flight ({!Plan_cache.lookup}'s [first_run]), so identical
+    concurrent requests compile once and run it once; once it completes,
+    the entry is stamped verified and every hit takes the analytic walk.
+    Each subprogram that runs functionally counts one
+    [run.functional_execs] (in {!Runner.run_plan}); each verified hit
+    that skips it counts one [run.warm_fast_path]. [`Auto] without
+    [cache] always runs functionally. A first run that raises (an
+    injected fault) leaves the plan unverified, and the next [`Auto]
+    request runs it again.
 
-    With [arena] (installed for the whole run via
-    {!Tensor.Arena.with_arena}), device buffers and kernel tile stores are
-    drawn from — and returned to — the arena, so a warm serving loop
-    reaches a steady state that allocates nothing per request. *)
+    Device buffers and kernel tile stores are drawn from — and returned
+    to — the ambient {!Tensor.Arena} when one is installed, so a warm
+    serving loop reaches a steady state that allocates nothing per
+    request. *)
 
 type fault_action =
   | Retry  (** transient: retry the same path *)

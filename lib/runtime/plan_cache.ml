@@ -7,35 +7,44 @@ type key = {
   k_class : string;  (* shape-class id ("-" = exact/unclassed) *)
 }
 
+(* Written only by the domain holding the key's claim in [pending]. *)
 type entry = {
-  e_plan : Gpu.Plan.t;
-  mutable e_last_use : int;
-  mutable e_verified : bool;  (* a functional (or oracle) execution of this plan completed *)
+  plan : Gpu.Plan.t;
+  verified : bool;  (* a first functional run of this plan completed *)
 }
 
 type t = {
   table : (key, entry) Hashtbl.t;
-  pending : (key, unit) Hashtbl.t;  (* keys whose compile is in flight *)
-  (* Keys whose plan content was ever functionally verified. The [verified]
-     stamp names the {e content} (the key digests it), not the resident
-     record: an entry evicted and recompiled — or marked while its key was
-     absent/pending — must come back stamped, not silently lose the work
-     the functional interpreter already did. *)
-  stamps : (key, unit) Hashtbl.t;
+  pending : (key, unit) Hashtbl.t;  (* keys claimed for a compile and/or a first run *)
   lock : Mutex.t;
-  filled : Condition.t;  (* signalled whenever a pending compile resolves *)
-  capacity : int option;
-  mutable tick : int;  (* logical clock for LRU ordering *)
+  filled : Condition.t;  (* signalled whenever a claim is released *)
   mutable hits : int;
   mutable misses : int;
-  mutable evictions : int;
-  store : Store.Plan_store.t option;  (* write-behind persistence *)
+  store : Store.Plan_store.t option;
+}
+
+type 'a found = {
+  plan : Gpu.Plan.t;
+  hit : bool;
+  compile_s : float;
+  first : 'a option;
 }
 
 let m_hits = Obs.Metrics.counter "cache.hits"
 let m_misses = Obs.Metrics.counter "cache.misses"
-let m_evictions = Obs.Metrics.counter "cache.evictions"
 let m_size = Obs.Metrics.gauge "cache.size"
+let m_class_hits = Obs.Metrics.counter "shape_class.hits"
+
+(* A classed lookup that still compiled: its bucket had no plan yet. The
+   fallback is compile-and-insert under the classed key — never an error —
+   so after one warm pass per class this counter must stay flat. *)
+let m_guard_misses = Obs.Metrics.counter "shape_class.guard_misses"
+
+(* Counted when the lookup is decided, so a compile or first run that
+   raises afterwards is still counted. *)
+let count ~cls ~hit =
+  Obs.Metrics.incr (if hit then m_hits else m_misses);
+  if Option.is_some cls then Obs.Metrics.incr (if hit then m_class_hits else m_guard_misses)
 
 let locked t f =
   Mutex.lock t.lock;
@@ -59,70 +68,25 @@ let key_of_store (sk : Store.Plan_store.key) =
           k_graph = digest; k_devices = sk.sk_devices; k_class = sk.sk_class }
   | exception Invalid_argument _ -> None
 
-let evict_over_capacity t =
-  match t.capacity with
-  | None -> ()
-  | Some cap ->
-      while Hashtbl.length t.table > cap do
-        let lru =
-          Hashtbl.fold
-            (fun k e acc ->
-              match acc with
-              | Some (_, stamp) when stamp <= e.e_last_use -> acc
-              | _ -> Some (k, e.e_last_use))
-            t.table None
-        in
-        match lru with
-        | Some (k, _) ->
-            Hashtbl.remove t.table k;
-            t.evictions <- t.evictions + 1;
-            Obs.Metrics.incr m_evictions
-        | None -> ()
-      done
-
-let create ?capacity ?store () =
-  (match capacity with
-  | Some c when c < 1 -> invalid_arg "Plan_cache.create: capacity must be >= 1"
-  | _ -> ());
+let create ?store () =
   let t =
-    { table = Hashtbl.create 64; pending = Hashtbl.create 8; stamps = Hashtbl.create 16;
-      lock = Mutex.create (); filled = Condition.create (); capacity; tick = 0;
-      hits = 0; misses = 0; evictions = 0; store }
+    { table = Hashtbl.create 64; pending = Hashtbl.create 8; lock = Mutex.create ();
+      filled = Condition.create (); hits = 0; misses = 0; store }
   in
-  (* Zero-compile cold start: every plan the store holds becomes resident
-     (up to capacity — excess entries are LRU-trimmed but stay on disk),
+  (* Zero-compile cold start: every plan the store holds becomes resident,
      and persisted [verified] stamps license the warm fast path from the
      very first hit after a restart. *)
-  (match store with
-  | None -> ()
-  | Some s ->
-      locked t (fun () ->
-          List.iter
-            (fun (sk, verified, plan) ->
-              match key_of_store sk with
-              | None -> ()
-              | Some key ->
-                  t.tick <- t.tick + 1;
-                  if verified then Hashtbl.replace t.stamps key ();
-                  Hashtbl.replace t.table key
-                    { e_plan = plan; e_last_use = t.tick; e_verified = verified })
-            (Store.Plan_store.entries s);
-          evict_over_capacity t;
-          Obs.Metrics.set m_size (float_of_int (Hashtbl.length t.table))));
+  Option.iter
+    (fun s ->
+      List.iter
+        (fun (sk, verified, plan) ->
+          Option.iter
+            (fun key -> Hashtbl.replace t.table key { plan; verified })
+            (key_of_store sk))
+        (Store.Plan_store.entries s);
+      Obs.Metrics.set m_size (float_of_int (Hashtbl.length t.table)))
+    store;
   t
-
-(* Write-behind: persistence never holds the cache lock while touching the
-   filesystem. The stamp is re-read under the lock right before the write
-   (and re-checked after) so a [mark_verified] racing with the compile's
-   insert cannot leave the store permanently unstamped. *)
-let write_behind t key plan =
-  match t.store with
-  | None -> ()
-  | Some s ->
-      let verified = locked t (fun () -> Hashtbl.mem t.stamps key) in
-      Store.Plan_store.put s (store_key key) ~verified plan;
-      if (not verified) && locked t (fun () -> Hashtbl.mem t.stamps key) then
-        Store.Plan_store.mark_verified s (store_key key)
 
 let key_of ?(devices = 1) ?cls (backend : Backends.Policy.t) arch ~name graph =
   if devices < 1 then invalid_arg "Plan_cache: devices < 1";
@@ -138,110 +102,92 @@ let key_of ?(devices = 1) ?cls (backend : Backends.Policy.t) arch ~name graph =
     k_class = (match cls with None -> "-" | Some c -> Shape_class.id c);
   }
 
-let compile_hit_verified t ?devices ?cls (backend : Backends.Policy.t) arch ~name graph =
+let lookup t ?devices ?cls ?first_run (backend : Backends.Policy.t) arch ~name graph =
   (* Hash the canonical DSL outside the lock: it is the expensive part of
      the key, and it needs no cache state. *)
   let key = key_of ?devices ?cls backend arch ~name graph in
-  (* Single-flight: the first domain to miss a key claims it in [pending]
-     and compiles outside the lock; domains racing on the same key wait on
-     [filled] and are served the winner's plan as a hit — the expensive
-     compile runs exactly once per resident miss. Distinct keys still
-     compile concurrently. *)
-  let decide () =
-    Mutex.lock t.lock;
-    let rec loop () =
-      match Hashtbl.find_opt t.table key with
-      | Some e ->
-          t.tick <- t.tick + 1;
-          e.e_last_use <- t.tick;
-          t.hits <- t.hits + 1;
-          let verified = e.e_verified in
-          Mutex.unlock t.lock;
-          Obs.Metrics.incr m_hits;
-          `Hit (e.e_plan, verified)
-      | None ->
-          if Hashtbl.mem t.pending key then begin
-            Condition.wait t.filled t.lock;
-            loop ()
-          end
-          else begin
-            Hashtbl.replace t.pending key ();
-            t.misses <- t.misses + 1;
-            Mutex.unlock t.lock;
-            Obs.Metrics.incr m_misses;
-            `Compile
-          end
-    in
-    loop ()
+  (* Single flight: the first domain that needs work done on a key (a
+     compile, a first run, or both) claims it in [pending] and does that
+     work outside the lock; domains racing on the key wait on [filled] and
+     then find the claimer's entry. A verified entry, or any resident
+     entry when the caller has no first run, is served at once: the table
+     is checked before [pending]. *)
+  let rec decide () =
+    match Hashtbl.find_opt t.table key with
+    | Some e when e.verified || Option.is_none first_run ->
+        t.hits <- t.hits + 1;
+        `Hit e.plan
+    | resident ->
+        if Hashtbl.mem t.pending key then begin
+          Condition.wait t.filled t.lock;
+          decide ()
+        end
+        else begin
+          Hashtbl.replace t.pending key ();
+          (match resident with
+          | Some _ -> t.hits <- t.hits + 1
+          | None -> t.misses <- t.misses + 1);
+          `Claim (Option.map (fun (e : entry) -> e.plan) resident)
+        end
   in
-  match decide () with
-  | `Hit (plan, verified) -> (plan, true, verified)
-  | `Compile -> (
-      let resolve f =
-        locked t (fun () ->
-            Hashtbl.remove t.pending key;
-            let r = f () in
-            Obs.Metrics.set m_size (float_of_int (Hashtbl.length t.table));
-            Condition.broadcast t.filled;
-            r)
+  Mutex.lock t.lock;
+  let decision = decide () in
+  Mutex.unlock t.lock;
+  match decision with
+  | `Hit plan ->
+      count ~cls ~hit:true;
+      { plan; hit = true; compile_s = 0.0; first = None }
+  | `Claim resident ->
+      count ~cls ~hit:(Option.is_some resident);
+      (* Every exit releases the claim, so a waiter retries the key (a
+         failed compile, a raising first run) rather than block on it. *)
+      Fun.protect
+        ~finally:(fun () ->
+          locked t (fun () ->
+              Hashtbl.remove t.pending key;
+              Obs.Metrics.set m_size (float_of_int (Hashtbl.length t.table));
+              Condition.broadcast t.filled))
+      @@ fun () ->
+      let plan, compile_s =
+        match resident with
+        | Some plan -> (plan, 0.0)
+        | None ->
+            let t0 = Unix.gettimeofday () in
+            let plan =
+              Obs.Trace.with_span
+                ~attrs:[ ("name", name); ("backend", backend.be_name) ]
+                "cache_compile"
+                (fun () -> backend.compile arch ~name graph)
+            in
+            (plan, Unix.gettimeofday () -. t0)
       in
-      match
-        Obs.Trace.with_span
-          ~attrs:[ ("name", name); ("backend", backend.Backends.Policy.be_name) ]
-          "cache_compile"
-          (fun () -> backend.compile arch ~name graph)
-      with
-      | exception e ->
-          (* Release the claim so a waiter can retry (and fail) itself
-             rather than block forever on a key that will never fill. *)
-          resolve (fun () -> ());
-          raise e
-      | plan ->
-          let r =
-            resolve (fun () ->
-                (match Hashtbl.find_opt t.table key with
-                | Some e ->
-                    t.tick <- t.tick + 1;
-                    e.e_last_use <- t.tick
-                | None ->
-                    t.tick <- t.tick + 1;
-                    (* Not unconditionally [false]: a [mark_verified] that
-                       landed while this key was evicted or in flight is in
-                       [stamps], and the same content digest means the same
-                       plan semantics — re-stamp on insert instead of
-                       dropping the completed verification. *)
-                    Hashtbl.replace t.table key
-                      { e_plan = plan; e_last_use = t.tick;
-                        e_verified = Hashtbl.mem t.stamps key };
-                    evict_over_capacity t);
-                (plan, false, Hashtbl.mem t.stamps key))
-          in
-          write_behind t key plan;
-          r)
-
-let compile_hit t ?devices ?cls backend arch ~name graph =
-  let plan, hit, _verified = compile_hit_verified t ?devices ?cls backend arch ~name graph in
-  (plan, hit)
+      (* Insert, then persist under the claim: one writer per key, so the
+         store never ends up behind the table. *)
+      let settle verified =
+        locked t (fun () -> Hashtbl.replace t.table key { plan; verified });
+        Option.iter (fun s -> Store.Plan_store.put s (store_key key) ~verified plan) t.store
+      in
+      let first =
+        match first_run with
+        | None ->
+            settle false;
+            None
+        | Some f -> (
+            match f plan with
+            | r ->
+                settle true;
+                Some r
+            | exception e ->
+                (* Resident and unstamped, as a plan that never ran: the
+                   next lookup with a first run claims it again. *)
+                if Option.is_none resident then settle false;
+                raise e)
+      in
+      { plan; hit = Option.is_some resident; compile_s; first }
 
 let compile t ?devices ?cls backend arch ~name graph =
-  fst (compile_hit t ?devices ?cls backend arch ~name graph)
-
-let mark_verified t ?devices ?cls backend arch ~name graph =
-  let key = key_of ?devices ?cls backend arch ~name graph in
-  locked t (fun () ->
-      (* Stamp the content, then the resident record if there is one. A
-         key that is absent (evicted, or still pending its re-insert) is
-         no longer a silent drop: the stamp survives in [stamps] and is
-         re-applied on the next insert of the same digest. *)
-      Hashtbl.replace t.stamps key ();
-      match Hashtbl.find_opt t.table key with
-      | Some e -> e.e_verified <- true
-      | None -> ());
-  match t.store with
-  | None -> ()
-  | Some s -> Store.Plan_store.mark_verified s (store_key key)
+  (lookup t ?devices ?cls backend arch ~name graph).plan
 
 let hits t = locked t (fun () -> t.hits)
 let misses t = locked t (fun () -> t.misses)
-let evictions t = locked t (fun () -> t.evictions)
 let length t = locked t (fun () -> Hashtbl.length t.table)

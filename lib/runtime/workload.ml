@@ -88,8 +88,6 @@ let describe w =
     w.arch.Gpu.Arch.name
     (if w.devices > 1 then Printf.sprintf " x%d" w.devices else "")
 
-let supported w = w.backend.Backends.Policy.supports w.arch
-
 let to_json w =
   Obs.Json.(
     Obj

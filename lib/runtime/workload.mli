@@ -72,7 +72,4 @@ val path_key : t -> string
 val describe : t -> string
 (** Human-readable one-liner, e.g. ["bert/spacefusion@ampere x4"]. *)
 
-val supported : t -> bool
-(** Whether the backend runs on the architecture. *)
-
 val to_json : t -> Obs.Json.t

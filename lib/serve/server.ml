@@ -202,8 +202,9 @@ let finish_served t rq ~queue_s ~coalesced ?(batch = 1) ?rows = function
 (* ------------------------------------------------------------------ *)
 
 (* Every run is [`Auto]: a plan's first run executes the functional
-   interpreter end to end, and only verified warm hits take the analytic
-   fast path (see {!Runtime.Model_runner.run_workload_r}). *)
+   interpreter end to end, once, inside the plan cache's single flight,
+   and verified hits take the analytic fast path (see
+   {!Runtime.Model_runner.run_workload_r}). *)
 let baseline_run t rq ~inject =
   let w = rq.rq_work in
   match

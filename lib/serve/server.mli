@@ -7,8 +7,8 @@
     exactly what makes a serving workload cheap after warm-up) and
     simulated on its own device. Every run is [`Auto]
     ({!Runtime.Model_runner.run_workload_r}): a plan's first execution
-    goes through the functional interpreter, and verified warm hits take
-    the analytic fast path.
+    goes through the functional interpreter once, inside the plan cache's
+    single flight, and verified hits take the analytic fast path.
 
     Request lifecycle — every submitted request resolves to {e exactly
     one} outcome:

@@ -37,7 +37,6 @@ let m_loaded = Obs.Metrics.counter "store.loaded"
 let m_quarantined = Obs.Metrics.counter "store.quarantined"
 let m_rejected = Obs.Metrics.counter "store.rejected"
 let m_writes = Obs.Metrics.counter "store.writes"
-let m_restamps = Obs.Metrics.counter "store.restamps"
 
 let filename_of_key k =
   let id =
@@ -238,20 +237,6 @@ let put t key ~verified plan =
   locked t (fun () ->
       write_atomic t.dir (filename_of_key key) (entry_to_string ~code:t.code key ~verified plan);
       Obs.Metrics.incr m_writes)
-
-let mark_verified t key =
-  locked t (fun () ->
-      let file = filename_of_key key in
-      let path = Filename.concat t.dir file in
-      if Sys.file_exists path then
-        match parse_entry ~code:t.code (read_file path) with
-        | Entry (k, false, plan) ->
-            write_atomic t.dir file (entry_to_string ~code:t.code k ~verified:true plan);
-            Obs.Metrics.incr m_restamps
-        | Entry (_, true, _) | Corrupt _ | Stale _ ->
-            (* Already stamped, or not ours to touch: the next [put] of
-               this key will carry the stamp. *)
-            ())
 
 let mem t key = Sys.file_exists (Filename.concat t.dir (filename_of_key key))
 

@@ -7,6 +7,11 @@
     uses, stamped with (backend, architecture, plan name, graph digest)
     plus a format and code version.
 
+    {b Whole-entry writes.} An entry is never edited in place: {!put}
+    writes the plan and its [verified] stamp together. The plan cache
+    calls it once per entry it settles, from the domain that holds the
+    key's claim, so two writes of one key never race.
+
     {b Durability.} Every write goes to a temp file in the same directory
     followed by an atomic [rename]: a reader (or a crash) never observes a
     half-written entry under its final name.
@@ -60,10 +65,6 @@ val report : t -> load_report
 
 val put : t -> key -> verified:bool -> Gpu.Plan.t -> unit
 (** Write (or overwrite) the entry for [key] atomically. *)
-
-val mark_verified : t -> key -> unit
-(** Re-stamp the resident entry for [key] as verified (atomic rewrite).
-    No-op when the key has no readable entry. *)
 
 val mem : t -> key -> bool
 (** Whether an entry file for this key exists right now. *)

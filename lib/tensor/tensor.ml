@@ -220,15 +220,6 @@ let init shape f =
   done;
   { shape; data }
 
-let randu rng shape =
-  Shape.validate shape;
-  let n = Shape.numel shape in
-  let data = alloc n in
-  for i = 0 to n - 1 do
-    unsafe_set data i (Rng.uniform rng ~lo:(-1.0) ~hi:1.0)
-  done;
-  { shape; data }
-
 let randn ?(scale = 1.0) rng shape =
   Shape.validate shape;
   let n = Shape.numel shape in
@@ -263,12 +254,6 @@ let reshape t shape =
     invalid_arg
       (Printf.sprintf "Tensor.reshape: %s -> %s" (Shape.to_string t.shape) (Shape.to_string shape));
   { shape; data = t.data }
-
-let copy t =
-  let n = numel t in
-  let data = alloc n in
-  Bigarray.Array1.blit t.data data;
-  { shape = t.shape; data }
 
 (* ------------------------------------------------------------------ *)
 (* Elementwise                                                         *)
@@ -540,14 +525,6 @@ let sum_all t =
   let acc = ref 0.0 in
   for i = 0 to n - 1 do
     acc := !acc +. unsafe_get t.data i
-  done;
-  !acc
-
-let max_all t =
-  let n = numel t in
-  let acc = ref Float.neg_infinity in
-  for i = 0 to n - 1 do
-    acc := Float.max !acc (unsafe_get t.data i)
   done;
   !acc
 

@@ -85,9 +85,6 @@ val of_buffer : Shape.t -> buf -> t
     on size mismatch. *)
 
 val init : Shape.t -> (int array -> float) -> t
-val randu : Rng.t -> Shape.t -> t
-(** Uniform in [-1, 1). *)
-
 val randn : ?scale:float -> Rng.t -> Shape.t -> t
 val arange : int -> t
 (** [arange n] is the 1-d tensor [0.; 1.; ...; n-1.]. *)
@@ -108,8 +105,6 @@ val data : t -> float array
 
 val reshape : t -> Shape.t -> t
 (** Same buffer, new shape; element counts must match. *)
-
-val copy : t -> t
 
 (** {1 Elementwise, with broadcasting} *)
 
@@ -139,7 +134,6 @@ val sum : ?axis:int -> ?keepdims:bool -> t -> t
 val max_ : ?axis:int -> ?keepdims:bool -> t -> t
 val mean : ?axis:int -> ?keepdims:bool -> t -> t
 val sum_all : t -> float
-val max_all : t -> float
 
 (** {1 Linear algebra} *)
 

@@ -61,6 +61,15 @@ grep -q '"conserved":true' "$serve_out" || {
     echo "ci: serve report not conserved" >&2; cat "$serve_out" >&2; exit 1; }
 grep -q '"failed":0' "$serve_out" || {
     echo "ci: serve report has failures" >&2; cat "$serve_out" >&2; exit 1; }
+# One first run per plan: this smoke injects no faults and sets no
+# deadlines, so every plan the cache compiles runs functionally exactly
+# once, inside the cache's single flight, and every other request takes
+# the analytic fast path.
+misses=$(grep -o '"plan_cache":{[^}]*}' "$serve_out" | grep -o '"misses":[0-9]*' | cut -d: -f2)
+execs=$(grep -o '"run":{[^}]*}' "$serve_out" | grep -o '"functional_execs":[0-9]*' | cut -d: -f2)
+[ -n "$misses" ] && [ "$misses" = "$execs" ] || {
+    echo "ci: serve smoke ran ${execs:-?} functional executions for ${misses:-?} plan-cache misses" >&2
+    cat "$serve_out" >&2; exit 1; }
 rm -f "$serve_out"
 
 # Serving soak: the seeded stress test must pass three consecutive runs

@@ -1,6 +1,7 @@
 (* Tests for the thread-safe memoizing plan cache: hit/miss accounting,
-   LRU eviction order, key separation across every key component, and a
-   concurrent-access smoke test from multiple domains. *)
+   key separation across every key component, a concurrent-access smoke
+   test from multiple domains, and the single flight over a key's compile
+   and first run. *)
 
 module PC = Runtime.Plan_cache
 module Policy = Backends.Policy
@@ -35,25 +36,7 @@ let test_hit_miss () =
   Alcotest.(check int) "one compile" 1 (Atomic.get calls);
   Alcotest.(check int) "one hit" 1 (PC.hits c);
   Alcotest.(check int) "one miss" 1 (PC.misses c);
-  Alcotest.(check int) "one resident plan" 1 (PC.length c);
-  Alcotest.(check int) "no evictions" 0 (PC.evictions c)
-
-let test_lru_eviction () =
-  let calls = Atomic.make 0 in
-  let b = stub calls in
-  let c = PC.create ~capacity:2 () in
-  ignore (PC.compile c b arch ~name:"m" g_a);
-  ignore (PC.compile c b arch ~name:"m" g_b);
-  (* Touch A so B becomes least-recently-used. *)
-  ignore (PC.compile c b arch ~name:"m" g_a);
-  ignore (PC.compile c b arch ~name:"m" g_c);
-  Alcotest.(check int) "C evicted exactly one entry" 1 (PC.evictions c);
-  Alcotest.(check int) "length stays at capacity" 2 (PC.length c);
-  ignore (PC.compile c b arch ~name:"m" g_a);
-  Alcotest.(check int) "A survived the eviction" 2 (PC.hits c);
-  ignore (PC.compile c b arch ~name:"m" g_b);
-  Alcotest.(check int) "B was the victim (recompiled)" 4 (PC.misses c);
-  Alcotest.(check int) "compiles track misses" 4 (Atomic.get calls)
+  Alcotest.(check int) "one resident plan" 1 (PC.length c)
 
 let test_key_separation () =
   let calls = Atomic.make 0 in
@@ -74,15 +57,10 @@ let test_key_separation () =
   Alcotest.(check int) "revisits hit" 2 (PC.hits c);
   Alcotest.(check int) "no extra compiles" 5 (Atomic.get calls)
 
-let test_capacity_validation () =
-  Alcotest.check_raises "capacity 0 rejected"
-    (Invalid_argument "Plan_cache.create: capacity must be >= 1") (fun () ->
-      ignore (PC.create ~capacity:0 ()))
-
 let test_concurrent_smoke () =
   let calls = Atomic.make 0 in
   let b = stub calls in
-  let c = PC.create ~capacity:3 () in
+  let c = PC.create () in
   let graphs = [| g_a; g_b; g_c; g_d |] in
   let per_domain = 25 in
   let worker seed () =
@@ -95,9 +73,9 @@ let test_concurrent_smoke () =
   List.iter Domain.join domains;
   Alcotest.(check int) "every lookup accounted as hit or miss" (4 * per_domain)
     (PC.hits c + PC.misses c);
-  Alcotest.(check bool) "length within capacity" true (PC.length c <= 3);
-  Alcotest.(check int) "one compile per miss, even racing" (PC.misses c)
-    (Atomic.get calls)
+  Alcotest.(check int) "one compile per key, even racing" 4 (Atomic.get calls);
+  Alcotest.(check int) "one miss per key" 4 (PC.misses c);
+  Alcotest.(check int) "four resident plans" 4 (PC.length c)
 
 let test_single_flight_same_key () =
   (* Four domains hammer one key. The first to miss claims the in-flight
@@ -200,62 +178,82 @@ let test_failed_compile_releases_claim () =
   Alcotest.(check int) "both lookups were misses" 2 (PC.misses c);
   Alcotest.(check int) "plan cached on the retry" 1 (PC.length c)
 
-let test_verified_survives_eviction () =
-  (* Regression: the verified stamp names plan *content* (the key digests
-     the graph), so eviction must not burn it — a re-insert of the same
-     digest comes back stamped instead of re-running the functional
-     interpreter for work that already completed. *)
-  let calls = Atomic.make 0 in
-  let b = stub calls in
-  let c = PC.create ~capacity:1 () in
-  ignore (PC.compile c b arch ~name:"m" g_a);
-  PC.mark_verified c b arch ~name:"m" g_a;
-  let _, _, v = PC.compile_hit_verified c b arch ~name:"m" g_a in
-  Alcotest.(check bool) "stamped while resident" true v;
-  ignore (PC.compile c b arch ~name:"m" g_b);
-  let _, hit, v = PC.compile_hit_verified c b arch ~name:"m" g_a in
-  Alcotest.(check bool) "A recompiled (miss)" false hit;
-  Alcotest.(check bool) "content stamp survives the eviction" true v;
-  let _, hit, v = PC.compile_hit_verified c b arch ~name:"m" g_a in
-  Alcotest.(check bool) "warm hit" true hit;
-  Alcotest.(check bool) "re-inserted entry is stamped" true v
-
-let test_mark_verified_during_compile () =
-  (* Regression for the single-flight re-insert clobber: mark_verified
-     lands while the key's compile is still in flight (the entry is in
-     [pending], not [table]). The resolve path used to insert with
-     [e_verified = false], silently discarding the stamp; it must re-apply
-     it instead. *)
-  let in_compile = Atomic.make false in
-  let release = Atomic.make false in
-  let b =
-    {
-      Policy.be_name = "slow-stub-mv";
-      dispatch_us = 0.0;
-      supports = (fun _ -> true);
-      compile =
-        (fun arch ~name g ->
-          Atomic.set in_compile true;
-          while not (Atomic.get release) do
-            Domain.cpu_relax ()
-          done;
-          Policy.compile_groups arch ~name g (Policy.singletons g));
-    }
-  in
-  let c = PC.create () in
-  let compiler = Domain.spawn (fun () -> PC.compile_hit_verified c b arch ~name:"m" g_a) in
-  while not (Atomic.get in_compile) do
+(* A first run that blocks until [n] lookups have started (and a moment
+   more, for them to reach the cache), counting its calls; the first
+   [fail_first] of them raise instead of returning. *)
+let gated_first_run ?(fail_first = 0) ~started n runs _plan =
+  let k = Atomic.fetch_and_add runs 1 in
+  while Atomic.get started < n do
     Domain.cpu_relax ()
   done;
-  (* The compile is demonstrably in flight; stamp the key now. *)
-  PC.mark_verified c b arch ~name:"m" g_a;
-  Atomic.set release true;
-  let _, hit, v = Domain.join compiler in
-  Alcotest.(check bool) "compiler saw its own miss" false hit;
-  Alcotest.(check bool) "stamp raced into the in-flight compile" true v;
-  let _, hit, v = PC.compile_hit_verified c b arch ~name:"m" g_a in
-  Alcotest.(check bool) "next lookup hits" true hit;
-  Alcotest.(check bool) "and is verified — the stamp was not clobbered" true v
+  Unix.sleepf 0.01;
+  if k < fail_first then failwith "first run failed"
+
+let test_single_flight_first_run () =
+  (* Eight domains look up one cold key, each with a first run. The first
+     claims the key for its compile and its first run; the first run holds
+     until all eight have started, so the others arrive while it is in
+     flight — and must wait for the verified entry, not run it again. *)
+  let n = 8 in
+  let started = Atomic.make 0 and calls = Atomic.make 0 and runs = Atomic.make 0 in
+  let b = stub calls in
+  let c = PC.create () in
+  let first_run = gated_first_run ~started n runs in
+  let worker () =
+    Atomic.incr started;
+    PC.lookup c ~first_run b arch ~name:"m" g_a
+  in
+  let found = List.map Domain.join (List.init n (fun _ -> Domain.spawn worker)) in
+  Alcotest.(check int) "one compile" 1 (Atomic.get calls);
+  Alcotest.(check int) "one first run" 1 (Atomic.get runs);
+  Alcotest.(check int) "one miss" 1 (PC.misses c);
+  Alcotest.(check int) "seven hits" (n - 1) (PC.hits c);
+  let ran, served = List.partition (fun (f : unit PC.found) -> Option.is_some f.first) found in
+  Alcotest.(check int) "the claimer ran it" 1 (List.length ran);
+  Alcotest.(check bool) "the claimer compiled" false (List.hd ran).hit;
+  Alcotest.(check int) "seven hits ran nothing" (n - 1)
+    (List.length (List.filter (fun (f : unit PC.found) -> f.hit && f.compile_s = 0.0) served));
+  List.iter
+    (fun (f : unit PC.found) ->
+      Alcotest.(check bool) "one shared plan" true (f.plan == (List.hd ran).plan))
+    served
+
+let test_raising_first_run () =
+  (* A first run that raises releases the claim: a lookup waiting on the
+     key is served the plan, which stays resident and unstamped. The next
+     lookup with a first run runs it again without recompiling; the one
+     after is a verified hit. *)
+  let started = Atomic.make 0 and calls = Atomic.make 0 and runs = Atomic.make 0 in
+  let b = stub calls in
+  let c = PC.create () in
+  let first_run = gated_first_run ~fail_first:1 ~started 2 runs in
+  let claimer =
+    Domain.spawn (fun () ->
+        Atomic.incr started;
+        match PC.lookup c ~first_run b arch ~name:"m" g_a with
+        | _ -> Alcotest.fail "the first run should have raised"
+        | exception Failure _ -> ())
+  in
+  while Atomic.get runs < 1 do
+    Domain.cpu_relax ()
+  done;
+  (* The claimer is inside its first run: this lookup waits on the claim. *)
+  let waiter =
+    Domain.spawn (fun () ->
+        Atomic.incr started;
+        PC.compile c b arch ~name:"m" g_a)
+  in
+  Domain.join claimer;
+  ignore (Domain.join waiter);
+  Alcotest.(check int) "one compile" 1 (Atomic.get calls);
+  Alcotest.(check int) "the plan stays resident" 1 (PC.length c);
+  let f = PC.lookup c ~first_run b arch ~name:"m" g_a in
+  Alcotest.(check bool) "rerun is a hit" true f.hit;
+  Alcotest.(check bool) "unstamped: the first run runs again" true (Option.is_some f.first);
+  Alcotest.(check int) "no recompile" 1 (Atomic.get calls);
+  let f = PC.lookup c ~first_run b arch ~name:"m" g_a in
+  Alcotest.(check bool) "then a verified hit" true (f.hit && Option.is_none f.first);
+  Alcotest.(check int) "two first runs in all" 2 (Atomic.get runs)
 
 let () =
   Alcotest.run "plan_cache"
@@ -263,19 +261,17 @@ let () =
       ( "plan_cache",
         [
           Alcotest.test_case "hit/miss accounting" `Quick test_hit_miss;
-          Alcotest.test_case "LRU eviction order" `Quick test_lru_eviction;
           Alcotest.test_case "key separation" `Quick test_key_separation;
-          Alcotest.test_case "capacity validation" `Quick test_capacity_validation;
           Alcotest.test_case "concurrent access smoke" `Quick test_concurrent_smoke;
           Alcotest.test_case "single flight on one key" `Quick
             test_single_flight_same_key;
+          Alcotest.test_case "one first run for 8 concurrent lookups" `Quick
+            test_single_flight_first_run;
+          Alcotest.test_case "raising first run releases claim" `Quick
+            test_raising_first_run;
           Alcotest.test_case "single flight, 8 concurrent misses" `Quick
             test_single_flight_eight_way;
           Alcotest.test_case "failed compile releases claim" `Quick
             test_failed_compile_releases_claim;
-          Alcotest.test_case "verified stamp survives eviction" `Quick
-            test_verified_survives_eviction;
-          Alcotest.test_case "mark_verified during in-flight compile" `Quick
-            test_mark_verified_during_compile;
         ] );
     ]

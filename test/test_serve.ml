@@ -432,11 +432,13 @@ let test_server_exactly_once_outcomes () =
 let test_server_identical_compile_once () =
   (* Four identical non-sliceable requests on two workers, the first held
      inside its compile: each request runs as its own one-member batch,
-     and the plan cache's single flight still compiles the plan once —
-     the other worker waits on that compile and is served it as a hit. *)
+     and the plan cache's single flight still compiles the plan once and
+     runs its functional first run once — the other worker waits on that
+     claim and is served the verified plan on the analytic fast path. *)
   let gate = Atomic.make false in
   let calls = Atomic.make 0 in
   let gated = stub ~be_name:"gated" ~gate calls in
+  let f0 = counter "run.functional_execs" and w0 = counter "run.warm_fast_path" in
   let s = Serve.Server.start ~config:(config ~workers:2 ()) () in
   let tickets = List.init 4 (fun _ -> Serve.Server.submit s ~arch gated (ln 32)) in
   wait_until "the first compile to start" (fun () -> Atomic.get calls >= 1);
@@ -444,6 +446,8 @@ let test_server_identical_compile_once () =
   let rs = List.map (fun tk -> expect_done (await_within tk)) tickets in
   Serve.Server.shutdown s;
   Alcotest.(check int) "one compile for four requests" 1 (Atomic.get calls);
+  Alcotest.(check int) "one functional first run" 1 (counter "run.functional_execs" - f0);
+  Alcotest.(check int) "three warm fast paths" 3 (counter "run.warm_fast_path" - w0);
   List.iter
     (fun (r : Serve.Server.response) ->
       Alcotest.(check bool) "served by its own run" false r.r_coalesced;

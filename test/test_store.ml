@@ -97,11 +97,9 @@ let test_store_roundtrip () =
   Alcotest.(check int) "fresh store is empty" 0 (PS.report s).PS.lr_loaded;
   let plan = compile_plan "ln" g_a in
   let k = key_of "ln" g_a in
-  PS.put s k ~verified:false plan;
+  PS.put s k ~verified:true plan;
   Alcotest.(check bool) "mem after put" true (PS.mem s k);
   Alcotest.(check int) "one entry file" 1 (PS.length s);
-  PS.mark_verified s k;
-  PS.mark_verified s k (* restamp is idempotent *);
   let s2 = PS.open_ dir in
   (match PS.entries s2 with
   | [ (k', verified, plan') ] ->
@@ -221,30 +219,41 @@ let test_version_mismatch () =
   let back = PS.open_ ~code_version:"store-v0-test" dir in
   Alcotest.(check int) "rollback reads it again" 1 (PS.report back).PS.lr_loaded
 
+let writes () =
+  match Obs.Metrics.find "store.writes" with Some (Obs.Metrics.Counter c) -> c | _ -> 0
+
 let test_cache_restart_integration () =
   (* The end-to-end contract the warm CLI gates on, at library level: a
-     cache backed by the store persists plans and verified stamps, and a
-     restarted cache serves them without one compile. *)
+     cache backed by the store persists plans and verified stamps with one
+     write per settled entry, and a restarted cache serves them without
+     one compile. *)
   let dir = fresh_dir () in
-  let calls = Atomic.make 0 in
+  let calls = Atomic.make 0 and runs = Atomic.make 0 in
   let b = stub calls in
+  let first_run _ = Atomic.incr runs in
   let c = PC.create ~store:(PS.open_ dir) () in
-  ignore (PC.compile c b arch ~name:"m" g_a);
-  PC.mark_verified c b arch ~name:"m" g_a;
+  let w0 = writes () in
+  ignore (PC.lookup c ~first_run b arch ~name:"m" g_a);
+  Alcotest.(check int) "compile + first run: one store write" 1 (writes () - w0);
   ignore (PC.compile c b arch ~name:"m" g_b);
+  Alcotest.(check int) "compile without a first run: one store write" 2 (writes () - w0);
   Alcotest.(check int) "two compiles before restart" 2 (Atomic.get calls);
+  Alcotest.(check int) "one first run before restart" 1 (Atomic.get runs);
   let c2 = PC.create ~store:(PS.open_ dir) () in
   Alcotest.(check int) "restart loads both entries" 2 (PC.length c2);
-  let _, hit, verified = PC.compile_hit_verified c2 b arch ~name:"m" g_a in
-  Alcotest.(check bool) "verified entry hits from disk" (true && true) (hit && verified);
-  let _, hit, verified = PC.compile_hit_verified c2 b arch ~name:"m" g_b in
-  Alcotest.(check bool) "unverified entry hits from disk, unstamped" true (hit && not verified);
+  let f = PC.lookup c2 ~first_run b arch ~name:"m" g_a in
+  Alcotest.(check bool) "verified entry hits from disk, no first run" true
+    (f.PC.hit && Option.is_none f.PC.first);
+  let f = PC.lookup c2 ~first_run b arch ~name:"m" g_b in
+  Alcotest.(check bool) "unverified entry hits from disk and runs first" true
+    (f.PC.hit && Option.is_some f.PC.first);
   Alcotest.(check int) "restart compiled nothing" 2 (Atomic.get calls);
-  (* mark_verified on the restarted cache restamps the store... *)
-  PC.mark_verified c2 b arch ~name:"m" g_b;
+  Alcotest.(check int) "the stamp is one more write" 3 (writes () - w0);
   let c3 = PC.create ~store:(PS.open_ dir) () in
-  let _, hit, verified = PC.compile_hit_verified c3 b arch ~name:"m" g_b in
-  Alcotest.(check bool) "restamp persisted across another restart" true (hit && verified)
+  let f = PC.lookup c3 ~first_run b arch ~name:"m" g_b in
+  Alcotest.(check bool) "stamp persisted across another restart" true
+    (f.PC.hit && Option.is_none f.PC.first);
+  Alcotest.(check int) "two first runs in all" 2 (Atomic.get runs)
 
 (* ------------------------------------------------------------------ *)
 (* Telemetry                                                           *)
