@@ -59,25 +59,23 @@ let run_workload_r ?cache ?inject ?(functional = `Never) (w : Workload.t) =
          the data plane. *)
       let first_run = match functional with `Auto -> Some (run Gpu.Exec.Full) | `Never -> None in
       List.iter
-        (fun (sp : Ir.Models.subprogram) ->
+        (fun (s : Workload.sub) ->
+          let sp = s.sp in
           Obs.Trace.with_span ~attrs:[ ("name", sp.sp_name) ] "subprogram" @@ fun () ->
-          let name = model.model_name ^ "." ^ sp.sp_name in
           (* Shape classing: a sliceable subprogram compiles, verifies and
              executes at its class representative (the canonical graph),
              under a classed cache key — one plan per bucket, every
              in-class shape a warm hit. Non-sliceable (or [Exact]-policy)
-             subprograms keep their concrete graph and unclassed key. *)
-          let cls, run_graph =
-            match Shape_class.plan_graph ~policy:w.Workload.shapes sp.graph with
-            | Some (c, cg) -> (Some c, cg)
-            | None -> (None, sp.graph)
-          in
+             subprograms keep their concrete graph and unclassed key. The
+             workload derived both, with the graph's digest, at [make]. *)
           let found =
             match cache with
-            | Some c -> Plan_cache.lookup c ~devices ?cls ?first_run backend arch ~name run_graph
+            | Some c ->
+                Plan_cache.lookup c ~devices ?cls:s.cls ?first_run backend arch ~name:s.name
+                  ~digest:s.digest s.graph
             | None ->
                 let t0 = Unix.gettimeofday () in
-                let plan = backend.compile arch ~name run_graph in
+                let plan = backend.compile arch ~name:s.name s.graph in
                 let compile_s = Unix.gettimeofday () -. t0 in
                 { Plan_cache.plan; hit = false; compile_s;
                   first = Option.map (fun f -> f plan) first_run }
@@ -118,7 +116,7 @@ let run_workload_r ?cache ?inject ?(functional = `Never) (w : Workload.t) =
                   }
           in
           exec := Exec_stats.add !exec (Exec_stats.scale r sp.count))
-        model.subprograms;
+        w.Workload.subs;
       Obs.Metrics.incr m_runs;
       Obs.Metrics.observe m_latency !exec.Exec_stats.x_time;
       Obs.Metrics.observe m_compile !compile_s;

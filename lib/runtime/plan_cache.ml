@@ -88,13 +88,15 @@ let create ?store () =
     store;
   t
 
-let key_of ?(devices = 1) ?cls (backend : Backends.Policy.t) arch ~name graph =
+let graph_digest g = Digest.string (Ir.Parse.to_dsl g)
+
+let key_of ?(devices = 1) ?cls (backend : Backends.Policy.t) arch ~name ~digest =
   if devices < 1 then invalid_arg "Plan_cache: devices < 1";
   {
     k_backend = backend.be_name;
     k_arch = arch.Gpu.Arch.name;
     k_name = name;
-    k_graph = Digest.string (Ir.Parse.to_dsl graph);
+    k_graph = digest;
     k_devices = devices;
     (* A classed key digests the *canonical* graph (the class
        representative); the class id keeps it disjoint from the exact key
@@ -102,10 +104,8 @@ let key_of ?(devices = 1) ?cls (backend : Backends.Policy.t) arch ~name graph =
     k_class = (match cls with None -> "-" | Some c -> Shape_class.id c);
   }
 
-let lookup t ?devices ?cls ?first_run (backend : Backends.Policy.t) arch ~name graph =
-  (* Hash the canonical DSL outside the lock: it is the expensive part of
-     the key, and it needs no cache state. *)
-  let key = key_of ?devices ?cls backend arch ~name graph in
+let lookup t ?devices ?cls ?first_run (backend : Backends.Policy.t) arch ~name ~digest graph =
+  let key = key_of ?devices ?cls backend arch ~name ~digest in
   (* Single flight: the first domain that needs work done on a key (a
      compile, a first run, or both) claims it in [pending] and does that
      work outside the lock; domains racing on the key wait on [filled] and
@@ -186,7 +186,7 @@ let lookup t ?devices ?cls ?first_run (backend : Backends.Policy.t) arch ~name g
       { plan; hit = Option.is_some resident; compile_s; first }
 
 let compile t ?devices ?cls backend arch ~name graph =
-  (lookup t ?devices ?cls backend arch ~name graph).plan
+  (lookup t ?devices ?cls backend arch ~name ~digest:(graph_digest graph) graph).plan
 
 let hits t = locked t (fun () -> t.hits)
 let misses t = locked t (fun () -> t.misses)

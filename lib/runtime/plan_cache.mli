@@ -4,8 +4,11 @@
 
     Keys are (policy, architecture, plan-name-prefix, graph): tensor names
     are baked into plans, and {!Ir.Parse.to_dsl} is deterministic and
-    name-stable, so its MD5 digest identifies the graph — the cache stores a
-    16-byte digest per entry instead of the whole DSL text.
+    name-stable, so its MD5 digest ({!graph_digest}) identifies the graph —
+    the cache stores a 16-byte digest per entry instead of the whole DSL
+    text. A served request does not serialize its graphs again: its
+    {!Workload} derived each subprogram's digest once, at [make], and
+    {!lookup} takes it from there.
 
     An entry is a plan and its [verified] stamp: a first functional run of
     the plan completed. The cache is safe to share across domains: a mutex
@@ -23,6 +26,11 @@ type 'a found = {
   first : 'a option;  (** [first_run]'s result, when this lookup ran it *)
 }
 
+val graph_digest : Ir.Graph.t -> Digest.t
+(** MD5 of the graph's canonical DSL text: the one content digest of a
+    graph, in every cache key, every store key (its hex) and
+    {!Workload.digest}. *)
+
 val create : ?store:Store.Plan_store.t -> unit -> t
 (** With [store], the cache is backed by the on-disk plan store: every
     entry the store holds is loaded on create (with its persisted
@@ -37,14 +45,18 @@ val lookup :
   Backends.Policy.t ->
   Gpu.Arch.t ->
   name:string ->
+  digest:Digest.t ->
   Ir.Graph.t ->
   'a found
 (** The policy's [compile], memoized, with an optional single-flight first
-    run. A lookup that compiles counts one miss; any other counts one hit.
-    Events are mirrored into {!Obs.Metrics} ([cache.hits] /
-    [cache.misses] counters, the [cache.size] gauge; a classed lookup also
-    counts [shape_class.hits] / [shape_class.guard_misses]) and the
-    compile itself runs under a [cache_compile] span.
+    run. [digest] must be [graph_digest graph]: the key is built from it,
+    and the graph is only read to compile it. A {!Workload} stores it per
+    subprogram, so a warm lookup hashes nothing. A lookup that compiles
+    counts one miss; any other counts one hit. Events are mirrored into
+    {!Obs.Metrics} ([cache.hits] / [cache.misses] counters, the
+    [cache.size] gauge; a classed lookup also counts [shape_class.hits] /
+    [shape_class.guard_misses]) and the compile itself runs under a
+    [cache_compile] span.
 
     A resident entry is served at once when it is verified or when the
     caller passes no [first_run]: one lock, one table lookup. Otherwise
@@ -82,7 +94,8 @@ val compile :
   name:string ->
   Ir.Graph.t ->
   Gpu.Plan.t
-(** {!lookup} without a first run: the plan only. *)
+(** {!lookup} without a first run: the plan only. It derives the key's
+    digest from the graph ({!graph_digest}). *)
 
 val hits : t -> int
 val misses : t -> int

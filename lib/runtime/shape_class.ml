@@ -122,14 +122,12 @@ let rebatch g ~rows =
   List.iter (fun o -> G.mark_output g' (find o)) (G.outputs g);
   g'
 
+let canonical g ~rows =
+  let c = classify rows in
+  let r = representative c in
+  if r = rows then Some (c, g) else try Some (c, rebatch g ~rows:r) with _ -> None
+
 let plan_graph ~policy g =
   match policy with
   | Exact -> None
-  | Pow2 -> (
-      match slice_dim g with
-      | None -> None
-      | Some d ->
-          let c = classify d in
-          let r = representative c in
-          if r = d then Some (c, g)
-          else ( try Some (c, rebatch g ~rows:r) with _ -> None))
+  | Pow2 -> Option.bind (slice_dim g) (fun rows -> canonical g ~rows)

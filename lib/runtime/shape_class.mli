@@ -61,8 +61,15 @@ val rebatch : Ir.Graph.t -> rows:int -> Ir.Graph.t
     the builders raise if the resized graph is ill-typed (callers treat
     that as "not sliceable"). *)
 
+val canonical : Ir.Graph.t -> rows:int -> (t * Ir.Graph.t) option
+(** For a graph that slices along a leading dim of [rows] (its
+    {!slice_dim}): the class of [rows] and the {e canonical} graph
+    rebatched to the class representative (the graph the plan is compiled
+    and verified against; the graph itself when [rows] is already the
+    representative). [None] when rebatching fails. *)
+
 val plan_graph : policy:policy -> Ir.Graph.t -> (t * Ir.Graph.t) option
-(** Under [Pow2], for a sliceable graph: the class of its leading dim and
-    the {e canonical} graph rebatched to the class representative (the
-    graph the plan is compiled and verified against). [None] under
-    [Exact], for non-sliceable graphs, or when rebatching fails. *)
+(** Under [Pow2], for a sliceable graph: {!canonical} at its
+    {!slice_dim}. [None] under [Exact], for non-sliceable graphs, or when
+    rebatching fails. {!Workload.make} derives this once per subprogram
+    and stores it. *)

@@ -1,5 +1,13 @@
 type placement = Auto | Pin of int
 
+type sub = {
+  sp : Ir.Models.subprogram;
+  name : string;
+  cls : Shape_class.t option;
+  graph : Ir.Graph.t;
+  digest : Digest.t;
+}
+
 type t = {
   backend : Backends.Policy.t;
   arch : Gpu.Arch.t;
@@ -7,7 +15,52 @@ type t = {
   devices : int;
   placement : placement;
   shapes : Shape_class.policy;
+  subs : sub list;
+  key : string;
+  space : (int * int) option;
 }
+
+(* Same identity a warm plan cache sees: policy, architecture, device
+   count and the digest of every subprogram — equal digests license
+   coalescing two requests end to end. A classed subprogram contributes
+   its (class id, canonical-graph digest) instead of its concrete digest,
+   so every in-class shape shares one identity — the batch key. Under
+   [Exact] the digest is byte-identical to the legacy one. *)
+let key_of (backend : Backends.Policy.t) arch ~devices (model : Ir.Models.model) subs =
+  let b = Buffer.create 256 in
+  Buffer.add_string b backend.be_name;
+  Buffer.add_char b '\x00';
+  Buffer.add_string b arch.Gpu.Arch.name;
+  Buffer.add_char b '\x00';
+  Buffer.add_string b (string_of_int devices);
+  Buffer.add_char b '\x00';
+  Buffer.add_string b model.model_name;
+  List.iter
+    (fun s ->
+      Buffer.add_char b '\x00';
+      Buffer.add_string b s.sp.sp_name;
+      Buffer.add_string b (string_of_int s.sp.count);
+      Option.iter (fun c -> Buffer.add_string b (Shape_class.id c)) s.cls;
+      Buffer.add_string b s.digest)
+    subs;
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+(* Row batching is sound only when every subprogram rows-slices along
+   one shared leading dim (and canonicalizes cleanly); a model that mixes
+   sliceable and exact subprograms still shares classed plans but runs
+   each request as a one-member batch. [dims] holds each classed
+   subprogram's leading dim, [None] for an exact one. *)
+let space_of dims =
+  match dims with
+  | Some d :: rest when List.for_all (( = ) (Some d)) rest ->
+      (* The batch caps at the NEXT shape-class boundary, not this class's
+         representative: every in-class dim exceeds half the
+         representative, so capping at the representative could never
+         stack two members. At [2 * hi] a multi-member batch's row total
+         always lands in [(hi, 2*hi]] — exactly one class up, one cached
+         plan. *)
+      Some (d, 2 * Shape_class.representative (Shape_class.classify d))
+  | _ -> None
 
 let make ?(devices = 1) ?(placement = Auto) ?(shapes = Shape_class.Exact) ~arch backend model =
   if devices < 1 then invalid_arg "Workload.make: devices < 1";
@@ -15,71 +68,44 @@ let make ?(devices = 1) ?(placement = Auto) ?(shapes = Shape_class.Exact) ~arch 
   | Pin i when i < 0 || i >= devices ->
       invalid_arg (Printf.sprintf "Workload.make: Pin %d outside [0, %d)" i devices)
   | Pin _ | Auto -> ());
-  { backend; arch; model; devices; placement; shapes }
+  (* Each subprogram's identity, derived once: under [Pow2] a sliceable
+     subprogram is classed by its leading dim and planned at the class
+     representative; anything else keeps its concrete graph. *)
+  let derived =
+    List.map
+      (fun (sp : Ir.Models.subprogram) ->
+        let rows =
+          match shapes with Shape_class.Exact -> None | Pow2 -> Shape_class.slice_dim sp.graph
+        in
+        let cls, graph, rows =
+          match Option.bind rows (fun rows -> Shape_class.canonical sp.graph ~rows) with
+          | Some (c, cg) -> (Some c, cg, rows)
+          | None -> (None, sp.graph, None)
+        in
+        let name = model.Ir.Models.model_name ^ "." ^ sp.sp_name in
+        ({ sp; name; cls; graph; digest = Plan_cache.graph_digest graph }, rows))
+      model.Ir.Models.subprograms
+  in
+  let subs = List.map fst derived in
+  {
+    backend; arch; model; devices; placement; shapes; subs;
+    key = key_of backend arch ~devices model subs;
+    space = space_of (List.map snd derived);
+  }
 
-(* Same identity a warm plan cache sees: policy, architecture, device
-   count and the digest of every subprogram — equal digests license
-   coalescing two requests end to end. Under [Pow2], a sliceable
-   subprogram contributes its (class id, canonical-graph digest) instead
-   of its concrete digest, so every in-class shape shares one identity —
-   the batch key. Under [Exact] the digest is byte-identical to the
-   legacy one. *)
-let digest w =
-  let b = Buffer.create 256 in
-  Buffer.add_string b w.backend.Backends.Policy.be_name;
-  Buffer.add_char b '\x00';
-  Buffer.add_string b w.arch.Gpu.Arch.name;
-  Buffer.add_char b '\x00';
-  Buffer.add_string b (string_of_int w.devices);
-  Buffer.add_char b '\x00';
-  Buffer.add_string b w.model.Ir.Models.model_name;
-  List.iter
-    (fun (sp : Ir.Models.subprogram) ->
-      Buffer.add_char b '\x00';
-      Buffer.add_string b sp.sp_name;
-      Buffer.add_string b (string_of_int sp.count);
-      match Shape_class.plan_graph ~policy:w.shapes sp.graph with
-      | Some (c, cg) ->
-          Buffer.add_string b (Shape_class.id c);
-          Buffer.add_string b (Digest.string (Ir.Parse.to_dsl cg))
-      | None -> Buffer.add_string b (Digest.string (Ir.Parse.to_dsl sp.graph)))
-    w.model.Ir.Models.subprograms;
-  Digest.to_hex (Digest.string (Buffer.contents b))
-
-(* Row batching is sound only when every subprogram rows-slices along
-   one shared leading dim (and canonicalizes cleanly); a model that mixes
-   sliceable and exact subprograms still shares classed plans but runs
-   each request as a one-member batch. *)
-let batch_space w =
-  match w.shapes with
-  | Shape_class.Exact -> None
-  | Shape_class.Pow2 -> (
-      let dim (sp : Ir.Models.subprogram) =
-        match Shape_class.plan_graph ~policy:w.shapes sp.graph with
-        | None -> None
-        | Some _ -> Shape_class.slice_dim sp.graph
-      in
-      match List.map dim w.model.Ir.Models.subprograms with
-      | [] -> None
-      | Some d :: rest when List.for_all (( = ) (Some d)) rest ->
-          (* The batch caps at the NEXT shape-class boundary, not this
-             class's representative: every in-class dim exceeds half the
-             representative, so capping at the representative could never
-             stack two members. At [2 * hi] a multi-member batch's row
-             total always lands in [(hi, 2*hi]] — exactly one class up,
-             one cached plan. *)
-          Some (d, 2 * Shape_class.representative (Shape_class.classify d))
-      | _ -> None)
+let digest w = w.key
+let batch_space w = w.space
 
 let rebatch w ~rows =
-  if batch_space w = None then invalid_arg "Workload.rebatch: workload is not row-sliceable";
+  if Option.is_none w.space then invalid_arg "Workload.rebatch: workload is not row-sliceable";
   let subprograms =
     List.map
       (fun (sp : Ir.Models.subprogram) ->
         { sp with Ir.Models.graph = Shape_class.rebatch sp.graph ~rows })
       w.model.Ir.Models.subprograms
   in
-  { w with model = { w.model with Ir.Models.subprograms } }
+  make ~devices:w.devices ~placement:w.placement ~shapes:w.shapes ~arch:w.arch w.backend
+    { w.model with Ir.Models.subprograms }
 
 let path_key w = w.backend.Backends.Policy.be_name ^ "|" ^ w.arch.Gpu.Arch.name
 

@@ -13,7 +13,21 @@ type placement =
   | Auto  (** the fleet router picks by plan locality and device load *)
   | Pin of int  (** always serve on this device index *)
 
-type t = {
+type sub = private {
+  sp : Ir.Models.subprogram;  (** the request's own subprogram: concrete graph, count *)
+  name : string;  (** its plan name, [model_name ^ "." ^ sp_name] *)
+  cls : Shape_class.t option;
+      (** its shape class under [Pow2] when it slices by rows; [None] =
+          exact (unclassed) *)
+  graph : Ir.Graph.t;
+      (** the graph its plan is compiled, verified and run at: the class
+          representative ({!Shape_class.plan_graph}) when classed, [sp]'s
+          own graph otherwise *)
+  digest : Digest.t;  (** {!Plan_cache.graph_digest} of [graph] *)
+}
+(** A subprogram with its identity, derived once by {!make}. *)
+
+type t = private {
   backend : Backends.Policy.t;
   arch : Gpu.Arch.t;
   model : Ir.Models.model;
@@ -24,7 +38,18 @@ type t = {
   shapes : Shape_class.policy;
       (** shape-bucketing policy; [Exact] (the default) is bit-identical
           to the legacy per-shape behavior *)
+  subs : sub list;  (** [model]'s subprograms with their identities, in order *)
+  key : string;  (** what {!digest} returns *)
+  space : (int * int) option;  (** what {!batch_space} returns *)
 }
+(** Private: only {!make} and {!rebatch} build one, so the identity
+    fields ([subs], [key], [space]) always match the rest of the record.
+    They are computed eagerly, not lazily: a workload is read from many
+    domains at once, and forcing one lazy value from two domains raises.
+
+    A workload's graphs must not change after {!make}: {!Ir.Graph.t} is
+    mutable, and the identity derived from them is not derived again
+    (nor is it between a request's submit and its run). *)
 
 val make :
   ?devices:int ->
@@ -36,7 +61,12 @@ val make :
   t
 (** [devices] defaults to 1, [placement] to [Auto]. Raises
     [Invalid_argument] on [devices < 1] or [Pin i] outside
-    [\[0, devices)]. *)
+    [\[0, devices)]. Derives the workload's identity here, once: each
+    subprogram's shape class, canonical graph, graph digest and plan name,
+    then the workload's {!digest} and {!batch_space}. Every reader —
+    the runner's plan-cache lookups, the server's batching, shedding and
+    fleet placement — reads these fields instead of serializing, hashing
+    or rebatching a graph again. *)
 
 val digest : t -> string
 (** Hex MD5 identity of the workload: policy, architecture, device count
@@ -46,7 +76,8 @@ val digest : t -> string
     locality all use it (the same identity a warm plan cache sees).
     Under [Pow2], sliceable subprograms contribute their
     (shape class, canonical graph) instead of the concrete shape, so
-    every in-class shape shares one digest — the batch-admission key. *)
+    every in-class shape shares one digest — the batch-admission key.
+    A field read: computed by {!make}. *)
 
 val batch_space : t -> (int * int) option
 (** [Some (rows, cap)] when the workload is row-sliceable under its
@@ -57,13 +88,16 @@ val batch_space : t -> (int * int) option
     always lands one class up (each member's rows exceed half its class
     representative), so the stacked run executes at [cap] — one cached
     plan per boundary. [None] under [Exact] or for non-sliceable models:
-    the server runs such a request as a one-member batch. *)
+    the server runs such a request as a one-member batch. A field read:
+    computed by {!make}. *)
 
 val rebatch : t -> rows:int -> t
 (** The same workload with every subprogram's leading (batch) dimension
     replayed at [rows] — what a batch leader executes when members
-    stacked their rows past its own dim. Raises [Invalid_argument] when
-    {!batch_space} is [None]. *)
+    stacked their rows past its own dim. Its identity is derived afresh,
+    as {!make} derives it for the rebatched model: one derivation per
+    stacked run. Raises [Invalid_argument] when {!batch_space} is
+    [None]. *)
 
 val path_key : t -> string
 (** The ["backend|arch"] fused-path identity a circuit breaker guards

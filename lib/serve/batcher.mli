@@ -2,8 +2,8 @@
 
     A batch is the request a worker popped (its leader) plus the requests
     with the leader's key that the worker gathered from the backlog. The
-    server derives the key from a shape-class-aware
-    {!Runtime.Workload.digest}, so "same key" means "same backend,
+    key is the request's shape-class-aware {!Runtime.Workload.digest},
+    so "same key" means "same backend,
     architecture, model and shape class". A non-sliceable request, or a
     sliceable one that finds nothing to gather, is a one-member batch.
     A batch is sealed as it forms: members stack their rows in admission

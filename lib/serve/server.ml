@@ -62,12 +62,11 @@ type ticket = {
 
 type request = {
   rq_work : Runtime.Workload.t;
-  rq_key : string;
-      (* [Workload.digest rq_work], computed once at submit: the identity
-         a warm plan cache sees, so requests with equal keys are
-         interchangeable end to end — what licenses batching them.
-         Shedding, quarantine and fleet locality key on it too. *)
-  rq_space : (int * int) option;  (* [Workload.batch_space rq_work] *)
+      (* Its [Workload.digest] is the request key: the identity a warm
+         plan cache sees, so requests with equal keys are interchangeable
+         end to end — what licenses batching them. Shedding, quarantine
+         and fleet locality key on it too. The workload derived it, and
+         its batch space, once at [make]. *)
   rq_submit_at : float;
   rq_ticket : ticket;
   rq_stream : int;  (* injection-stream id, unique per request in submit order *)
@@ -209,7 +208,8 @@ let baseline_run t rq ~inject =
   let w = rq.rq_work in
   match
     Runtime.Model_runner.run_workload_r ~cache:t.cache ?inject ~functional:`Auto
-      { w with Runtime.Workload.backend = Backends.Baselines.pytorch }
+      (Runtime.Workload.make ~devices:w.devices ~placement:w.placement ~shapes:w.shapes
+         ~arch:w.arch Backends.Baselines.pytorch w.model)
   with
   | Ok r -> `Served (r, true)
   | Error e -> `Reject (Error.to_string e)
@@ -302,9 +302,9 @@ let serve_once t rq ~device ~inject ~batched =
 
 (* Fleet routing: pick a device for this attempt (plan locality first,
    then least load; a [Pin] placement is honored until its device dies).
-   [place_key] names the workload the attempt runs: a rebatched run
-   executes a stacked workload whose digest is not its leader's key. *)
-let place_attempt t rq ~place_key =
+   Locality keys on the digest of the workload the attempt runs: a
+   stacked run's, not its leader's. *)
+let place_attempt t rq =
   match t.fleet with
   | None -> `Ok None
   | Some fl -> (
@@ -313,13 +313,13 @@ let place_attempt t rq ~place_key =
           if Fleet.is_dead fl i then `All_dead else `Ok (Some i)
       | Runtime.Workload.Pin _ -> `All_dead
       | Runtime.Workload.Auto -> (
-          match Fleet.place fl ~key:(place_key ()) with
+          match Fleet.place fl ~key:(Runtime.Workload.digest rq.rq_work) with
           | None -> `All_dead
           | Some i -> `Ok (Some i)))
 
-let serve_with_retries t rq ~place_key ~deadline ~batched =
+let serve_with_retries t rq ~deadline ~batched =
   let rec go attempt =
-    match place_attempt t rq ~place_key with
+    match place_attempt t rq with
     | `All_dead -> S_failed ("all devices dead", `Permanent)
     | `Ok device ->
         (* Each attempt runs on its own injection stream: in fleet mode
@@ -406,7 +406,10 @@ let confirm_poison t ~key =
   ignore (Shed.offense t.shed ~key);
   S_poisoned "injected poison_request: payload rejected"
 
-let own_rows rq = match rq.rq_space with Some (rows, _) -> rows | None -> 0
+let key_of rq = Runtime.Workload.digest rq.rq_work
+
+let own_rows rq =
+  match Runtime.Workload.batch_space rq.rq_work with Some (rows, _) -> rows | None -> 0
 
 (* Whether a gathered member handed [served] goes back into the queue
    (once, see [deliver_member]): the run failed transiently or was
@@ -476,7 +479,7 @@ let deliver_member t ~leader (p : request Queue.popped) (s : served Batcher.slot
    sub-run and only genuinely poisoned members fail. The runs honor the
    batch's deadline ({!Batcher.run_deadline}), not any single member's. *)
 let lead t rq b =
-  let key = rq.rq_key in
+  let key = key_of rq in
   let deadline = Batcher.run_deadline b in
   let stacked = Batcher.members b > 1 in
   let saw_pressure = ref false in
@@ -489,8 +492,7 @@ let lead t rq b =
       match
         try
           let attempt = if stacked then { rq with rq_work = Runtime.Workload.rebatch rq.rq_work ~rows } else rq in
-          let place_key () = if stacked then Runtime.Workload.digest attempt.rq_work else key in
-          serve_with_retries t attempt ~place_key ~deadline ~batched:(List.length ms > 1)
+          serve_with_retries t attempt ~deadline ~batched:(List.length ms > 1)
         with e -> S_failed (Printexc.to_string e, `Permanent)
       with
       | S_pressure _ as sp ->
@@ -515,10 +517,10 @@ let expire t (p : request Queue.popped) =
    that expired in the backlog resolves [Timed_out] here, as
    [worker_loop] would have resolved it. *)
 let gather t rq ~cap =
-  let total = ref (own_rows rq) in
+  let total = ref (own_rows rq) and k = key_of rq in
   let fits ~expired (o : request) =
     let r = own_rows o in
-    o.rq_key = rq.rq_key && (expired || (r > 0 && !total + r <= cap && (total := !total + r; true)))
+    String.equal (key_of o) k && (expired || (r > 0 && !total + r <= cap && (total := !total + r; true)))
   in
   let taken = Queue.take t.queue fits in
   if taken <> [] then Stats.set_queue_depth t.stats (Queue.length t.queue);
@@ -539,7 +541,7 @@ let handle t (p : request Queue.popped) =
       ]
     "serve.request"
   @@ fun () ->
-  if Shed.quarantined t.shed ~key:rq.rq_key then
+  if Shed.quarantined t.shed ~key:(key_of rq) then
     (* The key exceeded its poison offense threshold: resolve without
        executing — repeat offenders don't get to keep riding batches. *)
     finish t rq Quarantined
@@ -550,7 +552,7 @@ let handle t (p : request Queue.popped) =
        boundary, itself halved while under memory pressure (never below
        the leader's own rows); anything else runs as a one-member batch. *)
     let cap, gathered =
-      match rq.rq_space with
+      match Runtime.Workload.batch_space rq.rq_work with
       | Some (rows, cap) ->
           let cap = max rows (effective_cap t cap) in
           (cap, gather t rq ~cap)
@@ -622,8 +624,6 @@ let submit_w t ?(priority = 0) ?deadline_s work =
   let rq =
     {
       rq_work = work;
-      rq_key = Runtime.Workload.digest work;
-      rq_space = Runtime.Workload.batch_space work;
       rq_submit_at = now;
       rq_ticket = tk;
       rq_stream = Atomic.fetch_and_add t.stream 1;
@@ -637,7 +637,7 @@ let submit_w t ?(priority = 0) ?deadline_s work =
      is doomed to time out of. *)
   let admission =
     if t.cfg.shed_deadlines then
-      Shed.admit t.shed ~key:rq.rq_key ?deadline_rel:deadline_s ()
+      Shed.admit t.shed ~key:(key_of rq) ?deadline_rel:deadline_s ()
     else `Admit 0.0
   in
   (match admission with

@@ -52,11 +52,10 @@
     batching"): every request the worker pops leads a {!Batcher} batch.
     A row-sliceable request under a [Pow2] shape policy gathers, in pop
     order, every queued request with its shape-class-aware workload
-    digest (computed once, at submit) whose rows still fit under the
-    shape-class row boundary, and the batch runs one stacked
-    class-representative execution at once — no worker ever waits for
-    joiners. A request that does not fit stays queued and leads the next
-    batch. Each member is handed its own row slice. A non-sliceable
+    digest whose rows still fit under the shape-class row boundary, and
+    the batch runs one stacked class-representative execution at once —
+    no worker ever waits for joiners. A request that does not fit stays
+    queued and leads the next batch. Each member is handed its own row slice. A non-sliceable
     request, or one that finds nothing to gather, is a one-member batch;
     identical concurrent requests then compile once through the plan
     cache's single flight. Every member — leader included — times out
@@ -170,10 +169,14 @@ val start : ?cache:Runtime.Plan_cache.t -> ?config:config -> unit -> t
 val submit_w : t -> ?priority:int -> ?deadline_s:float -> Runtime.Workload.t -> ticket
 (** The canonical entry point: never blocks — either admits the request
     or resolves the ticket [Rejected] immediately. [deadline_s] is
-    relative to now. The workload carries its own device count and
-    placement hint; a {!Runtime.Workload.Pin} placement is honored until
-    that device dies, after which the request fails rather than silently
-    moving. *)
+    relative to now. The request key ({!Runtime.Workload.digest}) and
+    batch space are the workload's own fields, derived once by
+    {!Runtime.Workload.make}: submitting a workload value again derives
+    nothing, so build a value once per distinct request and reuse it.
+    Its graphs must not change until the request resolves. The workload
+    carries its own device count and placement hint; a
+    {!Runtime.Workload.Pin} placement is honored until that device dies,
+    after which the request fails rather than silently moving. *)
 
 val submit :
   t ->

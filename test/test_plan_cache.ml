@@ -201,7 +201,7 @@ let test_single_flight_first_run () =
   let first_run = gated_first_run ~started n runs in
   let worker () =
     Atomic.incr started;
-    PC.lookup c ~first_run b arch ~name:"m" g_a
+    PC.lookup c ~first_run b arch ~name:"m" ~digest:(PC.graph_digest g_a) g_a
   in
   let found = List.map Domain.join (List.init n (fun _ -> Domain.spawn worker)) in
   Alcotest.(check int) "one compile" 1 (Atomic.get calls);
@@ -230,7 +230,7 @@ let test_raising_first_run () =
   let claimer =
     Domain.spawn (fun () ->
         Atomic.incr started;
-        match PC.lookup c ~first_run b arch ~name:"m" g_a with
+        match PC.lookup c ~first_run b arch ~name:"m" ~digest:(PC.graph_digest g_a) g_a with
         | _ -> Alcotest.fail "the first run should have raised"
         | exception Failure _ -> ())
   in
@@ -247,11 +247,11 @@ let test_raising_first_run () =
   ignore (Domain.join waiter);
   Alcotest.(check int) "one compile" 1 (Atomic.get calls);
   Alcotest.(check int) "the plan stays resident" 1 (PC.length c);
-  let f = PC.lookup c ~first_run b arch ~name:"m" g_a in
+  let f = PC.lookup c ~first_run b arch ~name:"m" ~digest:(PC.graph_digest g_a) g_a in
   Alcotest.(check bool) "rerun is a hit" true f.hit;
   Alcotest.(check bool) "unstamped: the first run runs again" true (Option.is_some f.first);
   Alcotest.(check int) "no recompile" 1 (Atomic.get calls);
-  let f = PC.lookup c ~first_run b arch ~name:"m" g_a in
+  let f = PC.lookup c ~first_run b arch ~name:"m" ~digest:(PC.graph_digest g_a) g_a in
   Alcotest.(check bool) "then a verified hit" true (f.hit && Option.is_none f.first);
   Alcotest.(check int) "two first runs in all" 2 (Atomic.get runs)
 

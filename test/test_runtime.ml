@@ -141,6 +141,37 @@ let test_warm_fast_path () =
   Alcotest.(check bool) "warm exec stats equal cold" true
     (cold.Runtime.Model_runner.m_exec = warm.Runtime.Model_runner.m_exec)
 
+let test_warm_run_alloc () =
+  (* A warm request reads its workload's identity instead of deriving it
+     (no graph rebatch, DSL serialization or MD5 per subprogram), so one
+     verified-hit run of an already-made 37-row [Pow2] workload allocates
+     only the analytic walk's bookkeeping. *)
+  let one name g =
+    { Ir.Models.model_name = name; subprograms = [ { Ir.Models.sp_name = "g"; graph = g; count = 1 } ] }
+  in
+  List.iter
+    (fun (name, g) ->
+      let cache = Runtime.Plan_cache.create () in
+      let w = Runtime.Workload.make ~shapes:Runtime.Shape_class.Pow2 ~arch B.spacefusion (one name g) in
+      let run () =
+        match Runtime.Model_runner.run_workload_r ~cache ~functional:`Auto w with
+        | Ok r -> r
+        | Error e -> Alcotest.fail (Core.Spacefusion.Error.to_string e)
+      in
+      ignore (run ());
+      ignore (run ());
+      let before = Gc.minor_words () in
+      let r = run () in
+      let words = Gc.minor_words () -. before in
+      Alcotest.(check int) (name ^ ": a verified hit") 1 r.Runtime.Model_runner.m_cache_hits;
+      Alcotest.(check bool) (Printf.sprintf "%s: %.0f words per warm run" name words) true
+        (words <= 2_000.0))
+    [
+      ("ln", Ir.Models.layernorm_graph ~m:37 ~n:64);
+      ("softmax", Ir.Models.softmax_graph ~m:37 ~n:64);
+      ("mlp", Ir.Models.mlp ~layers:2 ~m:37 ~n:32 ~k:32);
+    ]
+
 (* ------------------------------------------------------------------ *)
 (* Verify                                                              *)
 (* ------------------------------------------------------------------ *)
@@ -215,6 +246,7 @@ let () =
           Alcotest.test_case "latency scales with count" `Quick test_latency_scales_with_count;
           Alcotest.test_case "plan cache" `Quick test_plan_cache;
           Alcotest.test_case "warm fast path" `Quick test_warm_fast_path;
+          Alcotest.test_case "warm run allocation bounded" `Quick test_warm_run_alloc;
         ] );
       ( "verify",
         [

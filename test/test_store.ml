@@ -1,7 +1,9 @@
 (* Tests for lib/store: plan codec round-trip, the crash-safe plan store
    (kill-mid-write recovery, corrupted-entry quarantine, version-mismatch
-   rejection, restart integration with the plan cache), and the columnar
-   telemetry store (record/query round-trip, torn-tail tolerance). *)
+   rejection, restart integration with the plan cache), the columnar
+   telemetry store (record/query round-trip, torn-tail tolerance), and
+   the workload identity every store key derives from (pinned bytes,
+   rebatched identities). *)
 
 module PS = Store.Plan_store
 module T = Store.Telemetry
@@ -10,12 +12,25 @@ module Policy = Backends.Policy
 
 let arch = Gpu.Arch.ampere
 
-let fresh_dir =
+let rec remove_tree path =
+  match (Unix.lstat path).Unix.st_kind with
+  | Unix.S_DIR ->
+      Array.iter (fun e -> remove_tree (Filename.concat path e)) (Sys.readdir path);
+      Unix.rmdir path
+  | _ -> Sys.remove path
+  | exception Unix.Unix_error (Unix.ENOENT, _, _) -> ()
+
+(* [f] on a fresh directory under the system temp dir, removed when [f]
+   returns or raises. *)
+let with_dir =
   let n = ref 0 in
-  fun () ->
+  fun f ->
     incr n;
-    Filename.concat (Filename.get_temp_dir_name ())
-      (Printf.sprintf "sf-store-test-%d-%d" (Unix.getpid ()) !n)
+    let dir =
+      Filename.concat (Filename.get_temp_dir_name ())
+        (Printf.sprintf "sf-store-test-%d-%d" (Unix.getpid ()) !n)
+    in
+    Fun.protect ~finally:(fun () -> remove_tree dir) (fun () -> f dir)
 
 let g_a = Ir.Models.layernorm_graph ~m:32 ~n:32
 let g_b = Ir.Models.rmsnorm_graph ~m:32 ~n:32
@@ -92,7 +107,7 @@ let test_codec_rejects_garbage () =
 (* ------------------------------------------------------------------ *)
 
 let test_store_roundtrip () =
-  let dir = fresh_dir () in
+  with_dir @@ fun dir ->
   let s = PS.open_ dir in
   Alcotest.(check int) "fresh store is empty" 0 (PS.report s).PS.lr_loaded;
   let plan = compile_plan "ln" g_a in
@@ -113,7 +128,7 @@ let test_store_roundtrip () =
   Alcotest.(check int) "nothing rejected" 0 (List.length rep.PS.lr_rejected)
 
 let test_kill_mid_write () =
-  let dir = fresh_dir () in
+  with_dir @@ fun dir ->
   let s = PS.open_ dir in
   PS.put s (key_of "ln" g_a) ~verified:true (compile_plan "ln" g_a);
   PS.put s (key_of "rms" g_b) ~verified:false (compile_plan "rms" g_b);
@@ -155,7 +170,7 @@ let test_kill_mid_write () =
   | _ -> Alcotest.fail "expected exactly the intact verified entry"
 
 let test_tamper_quarantine () =
-  let dir = fresh_dir () in
+  with_dir @@ fun dir ->
   let s = PS.open_ dir in
   PS.put s (key_of "ln" g_a) ~verified:false (compile_plan "ln" g_a);
   let file = Filename.concat dir (PS.filename_of_key (key_of "ln" g_a)) in
@@ -201,7 +216,7 @@ let test_tamper_quarantine () =
   | q -> Alcotest.failf "expected one quarantined entry, got %d" (List.length q)
 
 let test_version_mismatch () =
-  let dir = fresh_dir () in
+  with_dir @@ fun dir ->
   let old = PS.open_ ~code_version:"store-v0-test" dir in
   PS.put old (key_of "ln" g_a) ~verified:true (compile_plan "ln" g_a);
   (* A new code version must reject — not quarantine, not crash — so a
@@ -227,13 +242,13 @@ let test_cache_restart_integration () =
      cache backed by the store persists plans and verified stamps with one
      write per settled entry, and a restarted cache serves them without
      one compile. *)
-  let dir = fresh_dir () in
+  with_dir @@ fun dir ->
   let calls = Atomic.make 0 and runs = Atomic.make 0 in
   let b = stub calls in
   let first_run _ = Atomic.incr runs in
   let c = PC.create ~store:(PS.open_ dir) () in
   let w0 = writes () in
-  ignore (PC.lookup c ~first_run b arch ~name:"m" g_a);
+  ignore (PC.lookup c ~first_run b arch ~name:"m" ~digest:(PC.graph_digest g_a) g_a);
   Alcotest.(check int) "compile + first run: one store write" 1 (writes () - w0);
   ignore (PC.compile c b arch ~name:"m" g_b);
   Alcotest.(check int) "compile without a first run: one store write" 2 (writes () - w0);
@@ -241,16 +256,16 @@ let test_cache_restart_integration () =
   Alcotest.(check int) "one first run before restart" 1 (Atomic.get runs);
   let c2 = PC.create ~store:(PS.open_ dir) () in
   Alcotest.(check int) "restart loads both entries" 2 (PC.length c2);
-  let f = PC.lookup c2 ~first_run b arch ~name:"m" g_a in
+  let f = PC.lookup c2 ~first_run b arch ~name:"m" ~digest:(PC.graph_digest g_a) g_a in
   Alcotest.(check bool) "verified entry hits from disk, no first run" true
     (f.PC.hit && Option.is_none f.PC.first);
-  let f = PC.lookup c2 ~first_run b arch ~name:"m" g_b in
+  let f = PC.lookup c2 ~first_run b arch ~name:"m" ~digest:(PC.graph_digest g_b) g_b in
   Alcotest.(check bool) "unverified entry hits from disk and runs first" true
     (f.PC.hit && Option.is_some f.PC.first);
   Alcotest.(check int) "restart compiled nothing" 2 (Atomic.get calls);
   Alcotest.(check int) "the stamp is one more write" 3 (writes () - w0);
   let c3 = PC.create ~store:(PS.open_ dir) () in
-  let f = PC.lookup c3 ~first_run b arch ~name:"m" g_b in
+  let f = PC.lookup c3 ~first_run b arch ~name:"m" ~digest:(PC.graph_digest g_b) g_b in
   Alcotest.(check bool) "stamp persisted across another restart" true
     (f.PC.hit && Option.is_none f.PC.first);
   Alcotest.(check int) "two first runs in all" 2 (Atomic.get runs)
@@ -262,7 +277,7 @@ let test_cache_restart_integration () =
 let feps = Alcotest.float 1e-9
 
 let test_telemetry_roundtrip () =
-  let dir = fresh_dir () in
+  with_dir @@ fun dir ->
   let t = T.open_ dir in
   let s1 = T.record t ~kind:"bench" ~label:"a" [ ("x", 1.0); ("y", 10.0) ] in
   let s2 = T.record t ~kind:"bench" ~label:"b" [ ("x", 3.0) ] in
@@ -296,7 +311,7 @@ let test_telemetry_roundtrip () =
   | _ -> Alcotest.fail "last-N filter lost the column"
 
 let test_telemetry_torn_tail () =
-  let dir = fresh_dir () in
+  with_dir @@ fun dir ->
   let t = T.open_ dir in
   ignore (T.record t ~kind:"chaos" [ ("g", 0.5) ]);
   (* A killed writer tears both an index line and a column line. *)
@@ -324,6 +339,127 @@ let test_telemetry_torn_tail () =
   | [ ("g", Some a) ] -> Alcotest.check feps "new value aggregated" 0.7 a.T.a_last
   | _ -> Alcotest.fail "column lost after healing append"
 
+(* ------------------------------------------------------------------ *)
+(* Identity                                                            *)
+(* ------------------------------------------------------------------ *)
+
+module W = Runtime.Workload
+module SC = Runtime.Shape_class
+
+let one name g =
+  { Ir.Models.model_name = name; subprograms = [ { Ir.Models.sp_name = "g"; graph = g; count = 1 } ] }
+
+(* The workload digest derived from scratch, as the code derived it per
+   request before [Workload.make] stored it. *)
+let legacy_digest (w : W.t) =
+  let b = Buffer.create 256 in
+  List.iter (Buffer.add_string b)
+    [ w.backend.be_name; "\x00"; w.arch.name; "\x00"; string_of_int w.devices; "\x00";
+      w.model.model_name ];
+  List.iter
+    (fun (sp : Ir.Models.subprogram) ->
+      List.iter (Buffer.add_string b) [ "\x00"; sp.sp_name; string_of_int sp.count ];
+      match SC.plan_graph ~policy:w.shapes sp.graph with
+      | Some (c, cg) -> List.iter (Buffer.add_string b) [ SC.id c; Digest.string (Ir.Parse.to_dsl cg) ]
+      | None -> Buffer.add_string b (Digest.string (Ir.Parse.to_dsl sp.graph)))
+    w.model.subprograms;
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+(* Request keys, batch spaces and the store files a store-backed run
+   writes, recorded from the code that derived them per request. Plan
+   stores written by it must keep loading and hitting, so none of these
+   bytes may move. *)
+let pinned () =
+  let b = Backends.Baselines.spacefusion and pt = Backends.Baselines.pytorch in
+  let pow2 = SC.Pow2 in
+  let ln m = one "ln" (Ir.Models.layernorm_graph ~m ~n:64) in
+  let bert = Ir.Models.bert ~batch:1 ~seq:64 in
+  [
+    ( "ln 37x64 pow2", W.make ~shapes:pow2 ~arch b (ln 37),
+      "81f72c67738dfce83293a5b35d7280cd", Some (37, 128),
+      [ "16584be18ec49c588d059cbc717beeee.plan" ] );
+    ( "ln 64x64 pow2", W.make ~shapes:pow2 ~arch b (ln 64),
+      "81f72c67738dfce83293a5b35d7280cd", Some (64, 128),
+      [ "16584be18ec49c588d059cbc717beeee.plan" ] );
+    ( "rmsnorm 128x128 exact", W.make ~arch b (one "rms" (Ir.Models.rmsnorm_graph ~m:128 ~n:128)),
+      "0e569714dc1e4e1cc1d6a8d48fa66a1a", None,
+      [ "402b5eab461877b72bbf465f5ee8b084.plan" ] );
+    ( "bert b1 s64", W.make ~arch b bert, "d513050d9b3618d7cc72a13b8fb62997", None,
+      [ "d03db926b0f04381104513b9574f871a.plan"; "eb455bb164dafe2681dfed4d279880ec.plan";
+        "ec888d2566d5926e61dd92b71ec897ff.plan"; "f83a461ba405a55ad660ba6a9f85c5df.plan" ] );
+    ( "bert b1 s64 x4", W.make ~devices:4 ~arch b bert, "d6e87724f6a8e4f96a8e56f394dd5c8b", None,
+      [ "392edf6f8aa8d952a294858190bfaf60.plan"; "82cfe99a11b2676932b4ab397cbc627d.plan";
+        "f8b76bc06428861ca031b700380ed361.plan"; "fe7a4f99b59639b4b34c0bf124d3d335.plan" ] );
+    ( "ln 37x64 pow2 pytorch", W.make ~shapes:pow2 ~arch pt (ln 37),
+      "c29505e0d75ed44e44849106ed5443ba", Some (37, 128),
+      [ "600666e5ea37f9e53d25c1f444b068bd.plan" ] );
+    ( "batchnorm 128x128 pow2 pytorch",
+      W.make ~shapes:pow2 ~arch pt (one "bn" (Ir.Models.batchnorm_graph ~m:128 ~n:128)),
+      "2ab862c1d77d7e23b2ee17863ee95011", None,
+      [ "0644ca316ebd7879b06d76b3a6bbe338.plan" ] );
+  ]
+
+let test_identity_pinned () =
+  List.iter
+    (fun (label, w, digest, space, files) ->
+      Alcotest.(check string) (label ^ ": digest") digest (W.digest w);
+      Alcotest.(check string) (label ^ ": digest derived from scratch") digest (legacy_digest w);
+      Alcotest.(check (option (pair int int))) (label ^ ": batch space") space (W.batch_space w);
+      with_dir @@ fun dir ->
+      let cache = PC.create ~store:(PS.open_ dir) () in
+      (match Runtime.Model_runner.run_workload_r ~cache w with
+      | Ok _ -> ()
+      | Error e -> Alcotest.failf "%s: %s" label (Core.Spacefusion.Error.to_string e));
+      let written =
+        List.sort compare
+          (List.filter (fun f -> Filename.check_suffix f ".plan") (Array.to_list (Sys.readdir dir)))
+      in
+      Alcotest.(check (list string)) (label ^ ": store files") files written)
+    (pinned ())
+
+(* The identity a rebatched workload carries is the one [make] derives
+   for the rebatched model, at every row count a batch of the serving
+   families can stack to — so a cheaper [rebatch] cannot carry its
+   leader's stale identity into a stacked run — and both match the
+   per-request derivation. *)
+let test_rebatch_identity () =
+  let families =
+    [
+      ("ln", fun m -> Ir.Models.layernorm_graph ~m ~n:64);
+      ("rms", fun m -> Ir.Models.rmsnorm_graph ~m ~n:64);
+      ("softmax", fun m -> Ir.Models.softmax_graph ~m ~n:64);
+      ("mlp", fun m -> Ir.Models.mlp ~layers:2 ~m ~n:32 ~k:32);
+    ]
+  in
+  let make m = W.make ~shapes:SC.Pow2 ~arch Backends.Baselines.spacefusion m in
+  List.iter
+    (fun (fam, graph) ->
+      for d = 9 to 64 do
+        let w = make (one fam (graph d)) in
+        let cap =
+          match W.batch_space w with
+          | Some (d', cap) when d' = d -> cap
+          | _ -> Alcotest.failf "%s/%d: not row-sliceable at its own rows" fam d
+        in
+        for rows = d to cap do
+          let r = W.rebatch w ~rows in
+          let fresh =
+            make
+              { w.model with
+                subprograms =
+                  List.map
+                    (fun (sp : Ir.Models.subprogram) -> { sp with graph = SC.rebatch sp.graph ~rows })
+                    w.model.subprograms }
+          in
+          let label = Printf.sprintf "%s/%d at %d rows" fam d rows in
+          if W.digest r <> W.digest fresh || W.batch_space r <> W.batch_space fresh then
+            Alcotest.failf "%s: rebatched identity differs from a fresh make" label;
+          if W.digest r <> legacy_digest r then
+            Alcotest.failf "%s: digest differs from the per-request derivation" label
+        done
+      done)
+    families
+
 let () =
   Alcotest.run "store"
     [
@@ -344,5 +480,10 @@ let () =
         [
           Alcotest.test_case "record / query round-trip" `Quick test_telemetry_roundtrip;
           Alcotest.test_case "torn tail tolerated and healed" `Quick test_telemetry_torn_tail;
+        ] );
+      ( "identity",
+        [
+          Alcotest.test_case "digests and store files pinned" `Quick test_identity_pinned;
+          Alcotest.test_case "rebatch derives make's identity" `Quick test_rebatch_identity;
         ] );
     ]
