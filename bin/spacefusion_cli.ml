@@ -430,7 +430,6 @@ let serve_cmd =
         let tele = Store.Telemetry.open_ dir in
         let cols =
           Store.Telemetry.metrics_columns ()
-          @ Serve.Stats.snapshot_columns st
           @ [
               ("throughput_rps", float_of_int st.Serve.Stats.s_done /. elapsed);
               ("latency_ms.p50", p 50.0);
@@ -607,7 +606,6 @@ let chaos_cmd =
         let tele = Store.Telemetry.open_ dir in
         let cols =
           Store.Telemetry.metrics_columns ()
-          @ Serve.Stats.snapshot_columns st
           @ [
               ("goodput", goodput);
               ("latency_ms.p99", p 99.0);

@@ -3,7 +3,6 @@ module Error = Core.Spacefusion.Error
 type config = {
   workers : int;
   queue_capacity : int;
-  priorities : int;
   max_retries : int;
   backoff_s : float;
   backoff_cap_s : float;
@@ -21,7 +20,6 @@ let default_config () =
   {
     workers = Core.Parallel.default_jobs ();
     queue_capacity = 256;
-    priorities = 2;
     max_retries = 2;
     backoff_s = 1e-3;
     backoff_cap_s = 0.05;
@@ -70,22 +68,19 @@ type request = {
   rq_submit_at : float;
   rq_ticket : ticket;
   rq_stream : int;  (* injection-stream id, unique per request in submit order *)
-  mutable rq_requeued : bool;  (* a gathered member gets one requeue *)
   mutable rq_charge : float;  (* backlog seconds charged at admission *)
 }
 
 (* What one run hands to the batch members it served: the shared serving
    result, stripped of per-request metadata (each member stamps its own
-   latency / coalesced flag when the callback delivers it). [S_failed]
-   carries the error class so a gathered member can tell a retryable
-   failure of the run (requeue once — the member never attempted anything
-   itself) from a crash of the serving machinery. [S_expired] means the
-   run was abandoned at the batch's deadline; gathered members also
-   requeue. *)
+   latency / coalesced flag when the callback delivers it). Every member
+   takes the outcome of the (sub-)run that carried its rows: its rows rode
+   each of that run's attempts. [S_expired] means the run was abandoned at
+   the batch's deadline. *)
 type served =
   | S_done of Runtime.Model_runner.result * bool * int  (* result, degraded, retries *)
   | S_rejected of string
-  | S_failed of string * [ `Permanent | `Transient ]
+  | S_failed of string
   | S_expired
   | S_poisoned of string
       (* member-attributable payload failure, confirmed on the member's
@@ -104,8 +99,8 @@ type t = {
   fleet : Fleet.t option;  (* Some iff cfg.devices > 1 *)
   stream : int Atomic.t;
   (* Memory-pressure response: each resource_exhausted trip halves the
-     batch-admission cap (cap lsr shift); sustained clean batched
-     runs walk it back one doubling at a time. *)
+     batch-admission cap (cap lsr shift); sustained clean runs walk it
+     back one doubling at a time. *)
   cap_shift : int Atomic.t;
   clean_runs : int Atomic.t;
   join_lock : Mutex.t;
@@ -115,7 +110,8 @@ type t = {
 let m_cap_halved = Obs.Metrics.counter "serve.batch_cap_halvings"
 let m_cap_shift = Obs.Metrics.gauge "serve.batch_cap_shift"
 
-(* Clean batched runs required before the cap recovers one halving. *)
+(* Clean runs, solo or stacked, required before the cap recovers one
+   halving. *)
 let cap_recovery_runs = 32
 
 (* ------------------------------------------------------------------ *)
@@ -192,8 +188,7 @@ let finish_served t rq ~queue_s ~coalesced ?(batch = 1) ?rows = function
              r_rows = rows;
            })
   | S_rejected msg -> finish t rq (Rejected msg)
-  | S_failed (msg, _) -> finish t rq (Failed msg)
-  | S_poisoned msg | S_pressure msg -> finish t rq (Failed msg)
+  | S_failed msg | S_poisoned msg | S_pressure msg -> finish t rq (Failed msg)
   | S_expired -> finish t rq Timed_out
 
 (* ------------------------------------------------------------------ *)
@@ -217,8 +212,10 @@ let baseline_run t rq ~inject =
 
 (* Memory-pressure response, step 1: halve the batch-admission cap
    so the next batches stack fewer rows under the same budget. Recovery is
-   slow on purpose (one doubling per [cap_recovery_runs] clean batched
-   runs) — flapping the cap would churn batch formation. *)
+   slow on purpose (one doubling per [cap_recovery_runs] clean runs) —
+   flapping the cap would churn batch formation. A clean run may be solo:
+   once halved, the cap can be too small for two members of the class to
+   stack, so counting only stacked runs would never recover. *)
 let note_pressure t =
   Atomic.set t.clean_runs 0;
   let shift = Atomic.get t.cap_shift in
@@ -250,7 +247,10 @@ let with_request_budget t f =
       | Some a -> Tensor.Arena.with_budget a ~bytes f
       | None -> f ())
 
-let fused_run t rq ~inject ~batched =
+(* [pressured] is set when the attempt trips memory pressure, also when
+   a solo attempt is then relieved by the baseline, so the batch that ran
+   it never counts as clean. *)
+let fused_run t rq ~inject ~batched ~pressured =
   match
     with_request_budget t (fun () ->
         Runtime.Model_runner.run_workload_r ~cache:t.cache ?inject ~functional:`Auto rq.rq_work)
@@ -265,6 +265,7 @@ let fused_run t rq ~inject ~batched =
          bisection layer (smaller halves allocate less), a solo run is
          served from the unfused relief path. *)
       note_pressure t;
+      pressured := true;
       if batched then `Pressure e else baseline_run t rq ~inject
   | exception Fault.Plan.Injected f
     when Fault.Plan.severity_of_kind f.Fault.Plan.f_kind = Fault.Plan.Degraded ->
@@ -285,13 +286,13 @@ let breaker_key work ~device =
    short-circuited attempts degrade straight to the baseline without
    touching the fused path, and every admitted attempt reports back so the
    breaker can trip, probe and close. *)
-let serve_once t rq ~device ~inject ~batched =
+let serve_once t rq ~device ~inject ~batched ~pressured =
   let bkey = breaker_key rq.rq_work ~device in
   match Breaker.acquire t.breakers ~key:bkey with
   | `Short_circuit -> baseline_run t rq ~inject
   | (`Proceed | `Probe) as d ->
       let probe = d = `Probe in
-      let o = fused_run t rq ~inject ~batched in
+      let o = fused_run t rq ~inject ~batched ~pressured in
       (match o with
       | `Served _ | `Reject _ -> Breaker.success t.breakers ~key:bkey ~probe
       | `Fault _ -> Breaker.failure t.breakers ~key:bkey ~probe
@@ -317,10 +318,10 @@ let place_attempt t rq =
           | None -> `All_dead
           | Some i -> `Ok (Some i)))
 
-let serve_with_retries t rq ~deadline ~batched =
+let serve_with_retries t rq ~deadline ~batched ~pressured =
   let rec go attempt =
     match place_attempt t rq with
-    | `All_dead -> S_failed ("all devices dead", `Permanent)
+    | `All_dead -> S_failed "all devices dead"
     | `Ok device ->
         (* Each attempt runs on its own injection stream: in fleet mode
            the chosen device's persistent injector (so a device death
@@ -340,8 +341,8 @@ let serve_with_retries t rq ~deadline ~batched =
               Fleet.acquire fl i;
               Fun.protect
                 ~finally:(fun () -> Fleet.release fl i)
-                (fun () -> serve_once t rq ~device ~inject ~batched)
-          | _ -> serve_once t rq ~device ~inject ~batched
+                (fun () -> serve_once t rq ~device ~inject ~batched ~pressured)
+          | _ -> serve_once t rq ~device ~inject ~batched ~pressured
         in
         (match o with
         | `Served (r, degraded) -> S_done (r, degraded, attempt)
@@ -363,7 +364,7 @@ let serve_with_retries t rq ~deadline ~batched =
                 Fleet.mark_dead fl i;
                 Fleet.note_reroute fl
             | _ -> ());
-            if attempt >= t.cfg.max_retries then S_failed (Printexc.to_string e, `Transient)
+            if attempt >= t.cfg.max_retries then S_failed (Printexc.to_string e)
             else
               (* A dead device is rerouted immediately — backing off would
                  wait on hardware that cannot recover. *)
@@ -411,13 +412,6 @@ let key_of rq = Runtime.Workload.digest rq.rq_work
 let own_rows rq =
   match Runtime.Workload.batch_space rq.rq_work with Some (rows, _) -> rows | None -> 0
 
-(* Whether a gathered member handed [served] goes back into the queue
-   (once, see [deliver_member]): the run failed transiently or was
-   abandoned at the batch's deadline. *)
-let requeueable = function
-  | S_failed (_, `Transient) | S_expired -> true
-  | S_done _ | S_rejected _ | S_failed (_, `Permanent) | S_poisoned _ | S_pressure _ -> false
-
 (* EWMA service-time feed for admission control: simulated execution
    seconds (deterministic), scaled to this request's share of the run's
    rows so batch-sized runs don't inflate per-request estimates. *)
@@ -433,8 +427,7 @@ let observe_service t ~key ~own_rows ~run_rows = function
   | _ -> ()
 
 (* The request left the backlog (served or expired, either way): release
-   its admission charge so the shed estimator stops counting its wait. A
-   requeued request re-enters with charge 0 — it was already drained. *)
+   its admission charge so the shed estimator stops counting its wait. *)
 let drain_charge t (p : request Queue.popped) =
   let rq = p.Queue.p_payload in
   if rq.rq_charge > 0.0 then begin
@@ -443,30 +436,19 @@ let drain_charge t (p : request Queue.popped) =
   end
 
 (* Per-member delivery. Every member — leader included — expires against
-   its {e own} absolute deadline ([sl_expired]), never an inherited one.
-   A gathered member never attempted anything itself: if the run failed
-   transiently or was abandoned at the batch's deadline, the member goes
-   back into the queue exactly once with its original priority and
-   deadline, instead of being charged a failure for an attempt it never
-   made. A delivered [S_poisoned] is terminal: bisection confirmed
-   {e this} member's own draw. *)
+   its {e own} absolute deadline ([sl_expired]), never an inherited one,
+   and otherwise takes the outcome of the (sub-)run that carried its rows:
+   those rows rode each of the run's attempts, so a gathered member gets
+   no second retry budget. A delivered [S_poisoned] is terminal:
+   bisection confirmed {e this} member's own draw. *)
 let deliver_member t ~leader (p : request Queue.popped) (s : served Batcher.slot) =
   let rq = p.p_payload in
   if s.sl_members > 1 then Stats.record t.stats Stats.Batched;
   let rows = if s.sl_len > 0 then Some (s.sl_off, s.sl_len) else None in
   if s.sl_expired then finish t rq Timed_out
-  else if leader then
-    finish_served t rq ~queue_s:p.p_queued_s ~coalesced:false ~batch:s.sl_members ?rows s.sl_result
   else
-    match s.sl_result with
-    | r when requeueable r && not rq.rq_requeued ->
-        rq.rq_requeued <- true;
-        Stats.record t.stats Stats.Requeued;
-        if not (Queue.push t.queue ~priority:p.p_priority ?deadline:p.p_deadline rq) then
-          finish t rq (Rejected "queue full on requeue")
-    | S_expired -> finish t rq (Failed "batch leader abandoned by deadline")
-    | served ->
-        finish_served t rq ~queue_s:p.p_queued_s ~coalesced:true ~batch:s.sl_members ?rows served
+    finish_served t rq ~queue_s:p.p_queued_s ~coalesced:(not leader) ~batch:s.sl_members ?rows
+      s.sl_result
 
 (* Execute a formed batch and deliver it to every member. A one-member
    batch runs the request's own workload; a stacked one runs the leader's
@@ -477,12 +459,14 @@ let deliver_member t ~leader (p : request Queue.popped) (s : served Batcher.slot
    splits when the memory budget exhausts (size-attributable); halves
    retry independently, so every clean member is served by some passing
    sub-run and only genuinely poisoned members fail. The runs honor the
-   batch's deadline ({!Batcher.run_deadline}), not any single member's. *)
+   batch's deadline ({!Batcher.run_deadline}), not any single member's.
+   A batch none of whose attempts tripped memory pressure counts toward
+   the cap's recovery, whether it ran solo or stacked. *)
 let lead t rq b =
   let key = key_of rq in
   let deadline = Batcher.run_deadline b in
   let stacked = Batcher.members b > 1 in
-  let saw_pressure = ref false in
+  let pressured = ref false in
   let run (ms : served Batcher.member list) ~rows =
     if List.exists (fun (m : served Batcher.member) -> poisoned_stream t m.m_tag) ms then
       match ms with
@@ -492,26 +476,24 @@ let lead t rq b =
       match
         try
           let attempt = if stacked then { rq with rq_work = Runtime.Workload.rebatch rq.rq_work ~rows } else rq in
-          serve_with_retries t attempt ~deadline ~batched:(List.length ms > 1)
-        with e -> S_failed (Printexc.to_string e, `Permanent)
+          serve_with_retries t attempt ~deadline ~batched:(List.length ms > 1) ~pressured
+        with e -> S_failed (Printexc.to_string e)
       with
-      | S_pressure _ as sp ->
-          saw_pressure := true;
-          `Split sp
+      | S_pressure _ as sp -> `Split sp
       | served ->
           observe_service t ~key ~own_rows:(own_rows rq) ~run_rows:rows served;
           `Served served
     end
   in
   Batcher.execute b ~clock:t.cfg.clock ~run;
-  if stacked && not !saw_pressure then note_clean_run t
+  if not !pressured then note_clean_run t
 
 let expire t (p : request Queue.popped) =
   drain_charge t p;
   finish t p.Queue.p_payload Timed_out
 
 (* Batch formation from the backlog: take every queued request
-   with the leader's key whose rows still fit under [cap], in pop order,
+   with the leader's key whose rows still fit under [cap], oldest first,
    so the batch runs at once and no worker waits for joiners. A request
    that does not fit stays queued and leads the next batch; a taken one
    that expired in the backlog resolves [Timed_out] here, as
@@ -600,7 +582,7 @@ let start ?cache ?config () =
       cfg;
       cache = (match cache with Some c -> c | None -> Runtime.Plan_cache.create ());
       queue =
-        Queue.create ~clock:cfg.clock ~priorities:cfg.priorities ~capacity:cfg.queue_capacity ();
+        Queue.create ~clock:cfg.clock ~capacity:cfg.queue_capacity ();
       stats = Stats.create ();
       breakers = Breaker.create ~clock:cfg.clock cfg.breaker;
       shed = Shed.create ~workers ~quarantine_threshold:cfg.quarantine_threshold ();
@@ -617,7 +599,7 @@ let start ?cache ?config () =
   t.worker_domains <- List.init workers (fun _ -> Domain.spawn (fun () -> worker_main t));
   t
 
-let submit_w t ?(priority = 0) ?deadline_s work =
+let submit_w t ?deadline_s work =
   let tk = new_ticket () in
   Stats.record t.stats Stats.Submitted;
   let now = t.cfg.clock () in
@@ -627,7 +609,6 @@ let submit_w t ?(priority = 0) ?deadline_s work =
       rq_submit_at = now;
       rq_ticket = tk;
       rq_stream = Atomic.fetch_and_add t.stream 1;
-      rq_requeued = false;
       rq_charge = 0.0;
     }
   in
@@ -645,7 +626,7 @@ let submit_w t ?(priority = 0) ?deadline_s work =
   | `Admit charge ->
       rq.rq_charge <- charge;
       let deadline = Option.map (fun d -> now +. d) deadline_s in
-      if Queue.push t.queue ~priority ?deadline rq then begin
+      if Queue.push t.queue ?deadline rq then begin
         Stats.record t.stats Stats.Admitted;
         Stats.set_queue_depth t.stats (Queue.length t.queue)
       end
@@ -658,8 +639,8 @@ let submit_w t ?(priority = 0) ?deadline_s work =
 
 (* Legacy positional submit: a workload sized to the server's fleet and
    bucketed by its shape policy. *)
-let submit t ?priority ?deadline_s ~arch backend model =
-  submit_w t ?priority ?deadline_s
+let submit t ?deadline_s ~arch backend model =
+  submit_w t ?deadline_s
     (Runtime.Workload.make ~devices:t.cfg.devices ~shapes:t.cfg.shapes ~arch backend model)
 
 let stats t = Stats.snapshot t.stats
@@ -681,11 +662,8 @@ let breaker_trips_w t ?device work = Breaker.trips t.breakers ~key:(breaker_key 
 let fleet_alive t = Option.map Fleet.alive_count t.fleet
 let fleet_json t = Option.map Fleet.to_json t.fleet
 
-let shutdown ?(drain = true) t =
+let shutdown t =
   Queue.close t.queue;
-  if not drain then
-    List.iter (fun (p : request Queue.popped) -> finish t p.p_payload (Rejected "shutdown"))
-    (Queue.flush t.queue);
   let workers =
     Mutex.lock t.join_lock;
     let w = t.worker_domains in

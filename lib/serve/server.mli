@@ -1,7 +1,7 @@
 (** Concurrent inference server over {!Runtime.Model_runner}.
 
     The runtime the ROADMAP's "heavy traffic" north star needs on top of
-    the one-shot entry points: a bounded admission {!Queue} feeding a pool
+    the one-shot entry points: a bounded FIFO admission {!Queue} feeding a pool
     of worker domains, each request compiled through a shared
     {!Runtime.Plan_cache} (the paper's §5 repetitive-subprogram caching is
     exactly what makes a serving workload cheap after warm-up) and
@@ -12,11 +12,12 @@
 
     Request lifecycle — every submitted request resolves to {e exactly
     one} outcome:
-    - [Rejected] at admission when the queue is full or the server is
-      shutting down, or after admission when the (backend, arch) pair is
+    - [Rejected] at admission when the queue is full or the server has
+      shut down, or after admission when the (backend, arch) pair is
       unsupported;
     - [Timed_out] when its deadline passed while it sat in the backlog
-      (decided by the worker that dequeues it);
+      (decided by the worker that dequeues it), or when the run that
+      carried it was abandoned at its batch's deadline;
     - [Done] when it was served — possibly batched with requests of its
       key that were queued behind it ({!Batcher}), and possibly degraded;
     - [Failed] when transient errors survived every retry.
@@ -50,8 +51,8 @@
 
     Continuous batching (see DESIGN.md, "Shape classes & continuous
     batching"): every request the worker pops leads a {!Batcher} batch.
-    A row-sliceable request under a [Pow2] shape policy gathers, in pop
-    order, every queued request with its shape-class-aware workload
+    A row-sliceable request under a [Pow2] shape policy gathers, oldest
+    first, every queued request with its shape-class-aware workload
     digest whose rows still fit under the shape-class row boundary, and
     the batch runs one stacked class-representative execution at once —
     no worker ever waits for joiners. A request that does not fit stays
@@ -62,10 +63,13 @@
     against {e its own} absolute deadline at delivery; batch membership
     never substitutes the leader's deadline.
 
-    A gathered member whose batch's run failed transiently (or was
-    abandoned at the batch's deadline) is requeued exactly once with its
-    original priority and deadline rather than inheriting a failure for
-    an attempt it never made; a second such failure fails it for real.
+    Every member takes the outcome of the (sub-)run that carried its
+    rows: those rows rode each of the run's attempts, so a gathered
+    member shares the run's retry budget and its failure, and a run
+    abandoned at the batch's deadline times out every member it carried.
+    Two paths re-execute, one per kind of failure: retries with backoff
+    for faults no member caused, and bisection for poison and memory
+    pressure.
 
     Overload control & blast radius (see DESIGN.md): with
     [shed_deadlines] the server estimates deadline feasibility at
@@ -78,7 +82,7 @@
     poisoned members fail. Repeat poison offenders are quarantined by request key
     ([quarantine_threshold]) and resolve [Quarantined] without
     executing. Memory pressure additionally halves the batch-admission
-    cap (recovering one doubling per 32 clean batched runs).
+    cap (recovering one doubling per 32 clean runs, solo or stacked).
 
     The pool of worker domains is the only parallelism axis: a request's
     compile runs on the worker domain that took it. *)
@@ -86,7 +90,6 @@
 type config = {
   workers : int;  (** worker domains, clamped to [\[1, 24\]] *)
   queue_capacity : int;
-  priorities : int;  (** admission classes, 0 = most urgent *)
   max_retries : int;  (** transient-failure retries per request *)
   backoff_s : float;  (** retry [k] sleeps [backoff_s * 2^k] ... *)
   backoff_cap_s : float;  (** ... capped at this *)
@@ -125,8 +128,8 @@ type config = {
 
 val default_config : unit -> config
 (** [workers = Core.Parallel.default_jobs ()] (so [SPACEFUSION_JOBS]
-    sizes the pool), [queue_capacity = 256], [priorities = 2],
-    [max_retries = 2], [backoff_s = 1e-3], [backoff_cap_s = 0.05],
+    sizes the pool), [queue_capacity = 256], [max_retries = 2],
+    [backoff_s = 1e-3], [backoff_cap_s = 0.05],
     [clock = Unix.gettimeofday], [fault_plan = None],
     [breaker = Breaker.default_config], [devices = 1], [shapes = Exact],
     [shed_deadlines = false], [quarantine_threshold = 3],
@@ -166,7 +169,7 @@ val start : ?cache:Runtime.Plan_cache.t -> ?config:config -> unit -> t
     unbounded one; pass a shared cache to pool plans across servers (or
     pre-warm it). *)
 
-val submit_w : t -> ?priority:int -> ?deadline_s:float -> Runtime.Workload.t -> ticket
+val submit_w : t -> ?deadline_s:float -> Runtime.Workload.t -> ticket
 (** The canonical entry point: never blocks — either admits the request
     or resolves the ticket [Rejected] immediately. [deadline_s] is
     relative to now. The request key ({!Runtime.Workload.digest}) and
@@ -180,7 +183,6 @@ val submit_w : t -> ?priority:int -> ?deadline_s:float -> Runtime.Workload.t -> 
 
 val submit :
   t ->
-  ?priority:int ->
   ?deadline_s:float ->
   arch:Gpu.Arch.t ->
   Backends.Policy.t ->
@@ -234,7 +236,5 @@ val fleet_json : t -> Obs.Json.t option
 (** Deterministic fleet snapshot (device count, dead devices, per-device
     served counts, reroutes); [None] on a single-device server. *)
 
-val shutdown : ?drain:bool -> t -> unit
-(** Stop admitting and join the workers. [drain] (default [true]) serves
-    the backlog first; [drain:false] resolves the backlog [Rejected].
-    Idempotent; in-flight requests always finish either way. *)
+val shutdown : t -> unit
+(** Stop admitting, serve the backlog, and join the workers. Idempotent. *)

@@ -48,7 +48,7 @@ val admit : t -> key:string -> ?deadline_rel:float -> unit -> [ `Admit of float 
 (** Judge an arrival. [`Admit charge] means feasible (or no basis to
     judge): [charge] seconds were added to the backlog and the caller
     must {!drain} exactly that amount when the request leaves the queue
-    (popped, expired, or flushed). [`Shed reason] means the deadline is
+    (popped, gathered, or expired). [`Shed reason] means the deadline is
     already infeasible; nothing was charged and the caller should
     resolve the request as shed without enqueueing it. [deadline_rel] is
     relative (seconds from now); absent means no deadline and always

@@ -9,7 +9,6 @@ type event =
   | Batched
   | Degraded
   | Retried
-  | Requeued
   | Shed
   | Quarantined
 
@@ -24,7 +23,6 @@ type snapshot = {
   s_batched : int;
   s_degraded : int;
   s_retries : int;
-  s_requeued : int;
   s_shed : int;
   s_quarantined : int;
 }
@@ -40,7 +38,6 @@ type t = {
   batched : int Atomic.t;
   degraded : int Atomic.t;
   retries : int Atomic.t;
-  requeued : int Atomic.t;
   shed : int Atomic.t;
   quarantined : int Atomic.t;
   lat_lock : Mutex.t;
@@ -61,7 +58,6 @@ let m_coalesced = Obs.Metrics.counter "serve.coalesced"
 let m_batched = Obs.Metrics.counter "serve.batched"
 let m_degraded = Obs.Metrics.counter "serve.degraded"
 let m_retries = Obs.Metrics.counter "serve.retries"
-let m_requeued = Obs.Metrics.counter "serve.requeued"
 let m_shed = Obs.Metrics.counter "serve.shed"
 let m_quarantined = Obs.Metrics.counter "serve.quarantined"
 let m_queue_depth = Obs.Metrics.gauge "serve.queue_depth"
@@ -80,7 +76,6 @@ let create () =
     batched = Atomic.make 0;
     degraded = Atomic.make 0;
     retries = Atomic.make 0;
-    requeued = Atomic.make 0;
     shed = Atomic.make 0;
     quarantined = Atomic.make 0;
     lat_lock = Mutex.create ();
@@ -99,7 +94,6 @@ let cell t = function
   | Batched -> (t.batched, m_batched)
   | Degraded -> (t.degraded, m_degraded)
   | Retried -> (t.retries, m_retries)
-  | Requeued -> (t.requeued, m_requeued)
   | Shed -> (t.shed, m_shed)
   | Quarantined -> (t.quarantined, m_quarantined)
 
@@ -130,7 +124,6 @@ let snapshot t =
     s_batched = Atomic.get t.batched;
     s_degraded = Atomic.get t.degraded;
     s_retries = Atomic.get t.retries;
-    s_requeued = Atomic.get t.requeued;
     s_shed = Atomic.get t.shed;
     s_quarantined = Atomic.get t.quarantined;
   }
@@ -171,33 +164,15 @@ let snapshot_to_json s =
       ("batched", num s.s_batched);
       ("degraded", num s.s_degraded);
       ("retries", num s.s_retries);
-      ("requeued", num s.s_requeued);
       ("shed", num s.s_shed);
       ("quarantined", num s.s_quarantined);
       ("conserved", Obs.Json.Bool (conserved s));
     ]
 
-let snapshot_columns s =
-  [
-    ("serve.submitted", float_of_int s.s_submitted);
-    ("serve.admitted", float_of_int s.s_admitted);
-    ("serve.rejected", float_of_int s.s_rejected);
-    ("serve.timed_out", float_of_int s.s_timed_out);
-    ("serve.done", float_of_int s.s_done);
-    ("serve.failed", float_of_int s.s_failed);
-    ("serve.coalesced", float_of_int s.s_coalesced);
-    ("serve.batched", float_of_int s.s_batched);
-    ("serve.degraded", float_of_int s.s_degraded);
-    ("serve.retries", float_of_int s.s_retries);
-    ("serve.requeued", float_of_int s.s_requeued);
-    ("serve.shed", float_of_int s.s_shed);
-    ("serve.quarantined", float_of_int s.s_quarantined);
-  ]
-
 let pp_snapshot fmt s =
   Format.fprintf fmt
     "submitted %d  admitted %d  done %d  rejected %d  timed_out %d  failed %d  shed %d  \
-     quarantined %d  coalesced %d  batched %d  degraded %d  retries %d  requeued %d%s"
+     quarantined %d  coalesced %d  batched %d  degraded %d  retries %d%s"
     s.s_submitted s.s_admitted s.s_done s.s_rejected s.s_timed_out s.s_failed s.s_shed
-    s.s_quarantined s.s_coalesced s.s_batched s.s_degraded s.s_retries s.s_requeued
+    s.s_quarantined s.s_coalesced s.s_batched s.s_degraded s.s_retries
     (if conserved s then "" else "  (NOT CONSERVED)")

@@ -11,9 +11,11 @@
     - [Submitted] — {!Serve.Server.submit} was called (counted always).
     - [Admitted] — the request entered the queue (complement: an
       admission-time [Rejected]).
-    - terminal: [Done] | [Rejected] (queue full, shutdown, or unsupported
-      backend/arch) | [Timed_out] (deadline passed in the backlog) |
-      [Failed] (retries exhausted, or a poisoned payload) | [Shed]
+    - terminal: [Done] | [Rejected] (queue full, submitted after
+      shutdown, or unsupported backend/arch) | [Timed_out] (deadline
+      passed in the backlog, or before the run that carried the request
+      delivered — a retry's backoff would have outlived the batch's
+      deadline) | [Failed] (retries exhausted, or a poisoned payload) | [Shed]
       (admission control judged the deadline infeasible; resolved without
       executing) | [Quarantined] (the request key exceeded its poison
       offense threshold; resolved without executing).
@@ -21,15 +23,12 @@
       (gathered from the backlog into a batch led by another request),
       [Batched] (delivered from a run of 2+ members — counted once per
       member, leader included), [Degraded] (served from the unfused
-      baseline), [Retried] (one per retry attempt), [Requeued] (a
-      gathered member re-entered the queue after its batch's run failed
-      transiently — the member is charged no retry for an attempt it
-      never made).
+      baseline), [Retried] (one per retry attempt).
 
     Global metric names: [serve.submitted], [serve.admitted],
     [serve.rejected], [serve.timed_out], [serve.done], [serve.failed],
     [serve.coalesced], [serve.batched], [serve.degraded], [serve.retries],
-    [serve.requeued], [serve.shed], [serve.quarantined] (counters);
+    [serve.shed], [serve.quarantined] (counters);
     [serve.queue_depth] (gauge); [serve.latency_seconds],
     [serve.queue_wait_seconds] (histograms). The registry is process-wide
     and additive across servers; per-server numbers come from
@@ -48,7 +47,6 @@ type event =
   | Batched
   | Degraded
   | Retried
-  | Requeued
   | Shed
   | Quarantined
 
@@ -63,7 +61,6 @@ type snapshot = {
   s_batched : int;
   s_degraded : int;
   s_retries : int;
-  s_requeued : int;
   s_shed : int;
   s_quarantined : int;
 }
@@ -100,10 +97,5 @@ val percentile : float list -> float -> float
     copy; 0 on the empty list. *)
 
 val snapshot_to_json : snapshot -> Obs.Json.t
-
-val snapshot_columns : snapshot -> (string * float) list
-(** The snapshot as flat [serve.*] columns — the per-run rows the
-    telemetry store appends so serve/chaos runs across PRs stay
-    comparable. *)
 
 val pp_snapshot : Format.formatter -> snapshot -> unit

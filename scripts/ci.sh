@@ -139,10 +139,17 @@ same_seed_gate "poison chaos storm" "outcomes faults" \
 # Fleet determinism gate: same-seed chaos storms against a 4-device fleet
 # must agree byte-for-byte on terminal outcomes, injected faults AND the
 # fleet snapshot (which devices died, per-device served counts, reroutes).
-# workers=1 keeps placement order a pure function of the seed.
+# workers=1 keeps placement order a pure function of the seed. Seed 9
+# kills a device; a storm where none dies would replay no death or
+# reroute, so it fails the gate.
 same_seed_gate "fleet chaos soak" "outcomes faults fleet" \
-    dune exec bin/spacefusion_cli.exe -- chaos -n 200 --rate 0.01 --seed 11 \
+    dune exec bin/spacefusion_cli.exe -- chaos -n 200 --rate 0.01 --seed 9 \
     --devices 4 --workers 1 --check
+case "$gate_objects" in
+*'"dead":[]'*)
+    echo "ci: fleet chaos storm killed no device; its determinism gate is vacuous" >&2
+    echo "$gate_objects" >&2; exit 1 ;;
+esac
 
 # Plan-store gate: `warm` populates the on-disk store and proves in-process
 # that a simulated restart compiles nothing; then a genuinely separate serve

@@ -165,7 +165,6 @@ let prop_conservation =
           (Serve.Server.default_config ()) with
           Serve.Server.workers = 3;
           queue_capacity = 16;
-          priorities = 2;
           shapes = SC.Pow2;
         }
       in
@@ -177,7 +176,6 @@ let prop_conservation =
                requests share a digest and stack; ~10% arrive already
                expired, and the tight queue exercises rejection. *)
             let rows = 5 + Random.State.int rng 4 in
-            let priority = Random.State.int rng 2 in
             let deadline_s =
               if Random.State.int rng 10 = 0 then Some (-1.0) else None
             in
@@ -185,7 +183,7 @@ let prop_conservation =
               Runtime.Workload.make ~shapes:SC.Pow2 ~arch
                 Backends.Baselines.pytorch (model_at trace rows)
             in
-            Serve.Server.submit_w s ~priority ?deadline_s w)
+            Serve.Server.submit_w s ?deadline_s w)
       in
       let done_ = ref 0
       and rejected = ref 0

@@ -1,9 +1,8 @@
 (* Tests for the serving runtime: admission-queue invariants (capacity
-   bound, FIFO within priority, deadline expiry), batch formation,
-   bisection and delivery, batches gathered from the backlog, and the
-   server's exactly-once outcome guarantee across the Done / Rejected /
-   Timed_out / Failed terminal states, including degrade, retry and
-   requeue paths. *)
+   bound, FIFO order, deadline expiry), batch formation, bisection and
+   delivery, batches gathered from the backlog, and the server's
+   exactly-once outcome guarantee across the Done / Rejected / Timed_out /
+   Failed terminal states, including degrade and retry paths. *)
 
 module Q = Serve.Queue
 module Policy = Backends.Policy
@@ -58,25 +57,22 @@ let counter name =
 (* Queue                                                               *)
 (* ------------------------------------------------------------------ *)
 
-let test_queue_priority_fifo () =
-  let q = Q.create ~priorities:3 ~capacity:16 () in
-  Alcotest.(check bool) "push a1" true (Q.push q ~priority:1 "a1");
-  Alcotest.(check bool) "push a2" true (Q.push q ~priority:1 "a2");
-  Alcotest.(check bool) "push b1" true (Q.push q ~priority:0 "b1");
-  Alcotest.(check bool) "push c1" true (Q.push q ~priority:2 "c1");
-  Alcotest.(check bool) "push a3" true (Q.push q ~priority:1 "a3");
+let test_queue_fifo () =
+  let q = Q.create ~capacity:16 () in
+  List.iter (fun x -> Alcotest.(check bool) ("push " ^ x) true (Q.push q x)) [ "a1"; "a2"; "b1"; "c1"; "a3" ];
   let popped () =
     match Q.pop q with
     | `Item p -> p.Q.p_payload
     | `Expired _ -> Alcotest.fail "unexpected expiry"
     | `Closed -> Alcotest.fail "unexpected close"
   in
-  Alcotest.(check (list string))
-    "most urgent class first, FIFO within class"
-    [ "b1"; "a1"; "a2"; "a3"; "c1" ]
-    (List.init 5 (fun _ -> popped ()));
+  Alcotest.(check (list string)) "admission order" [ "a1"; "a2" ] (List.init 2 (fun _ -> popped ()));
+  Alcotest.(check bool) "push after pops" true (Q.push q "d1");
+  Alcotest.(check (list string)) "a later arrival queues behind the backlog" [ "b1"; "c1"; "a3" ]
+    (List.init 3 (fun _ -> popped ()));
   Q.close q;
   Alcotest.(check bool) "push after close refused" false (Q.push q "late");
+  Alcotest.(check string) "a closed queue still drains its backlog" "d1" (popped ());
   Alcotest.(check bool) "pop after close+empty" true (Q.pop q = `Closed)
 
 let test_queue_capacity () =
@@ -87,8 +83,7 @@ let test_queue_capacity () =
   Alcotest.(check int) "backlog capped" 3 (Q.length q);
   (match Q.pop q with `Item _ -> () | _ -> Alcotest.fail "expected an item");
   Alcotest.(check bool) "slot freed" true (Q.push q 4);
-  (* Out-of-range priorities clamp instead of raising. *)
-  Alcotest.(check bool) "priority clamped high" false (Q.push q ~priority:99 5);
+  Alcotest.(check bool) "full again" false (Q.push q 5);
   Alcotest.(check int) "still capped" 3 (Q.length q)
 
 let test_queue_deadline_expiry () =
@@ -115,10 +110,10 @@ let test_queue_take () =
      reports an expired one as [`Expired] the way [pop] would, leaves the
      rest in order, and takes nothing while the queue is paused. *)
   let now = ref 0.0 in
-  let q = Q.create ~clock:(fun () -> !now) ~priorities:2 ~capacity:8 () in
+  let q = Q.create ~clock:(fun () -> !now) ~capacity:8 () in
   List.iter
-    (fun (x, priority, deadline) -> ignore (Q.push q ~priority ?deadline x))
-    [ ("a1", 1, None); ("b1", 0, Some 5.0); ("a2", 1, None); ("b2", 0, None); ("b3", 1, None) ];
+    (fun (x, deadline) -> ignore (Q.push q ?deadline x))
+    [ ("a1", None); ("b1", Some 5.0); ("a2", None); ("b2", None); ("b3", None) ];
   Q.pause q;
   let calls = ref 0 in
   Alcotest.(check int) "nothing taken while paused" 0
@@ -134,7 +129,7 @@ let test_queue_take () =
         x.[0] = 'b' && (expired || x <> "b3"))
   in
   Alcotest.(check (list string)) "predicate sees every item once, in pop order"
-    [ "b1"; "b2"; "a1"; "a2"; "b3" ] (List.rev !seen);
+    [ "a1"; "b1"; "a2"; "b2"; "b3" ] (List.rev !seen);
   Alcotest.(check (list string)) "taken in pop order, expiry reported"
     [ "expired b1"; "item b2" ]
     (List.map
@@ -145,33 +140,26 @@ let test_queue_take () =
   Alcotest.(check (list string)) "the rest keep their order" [ "a1"; "a2"; "b3" ]
     (List.init 3 (fun _ -> popped ()))
 
-(* Model-based property: against a reference (array of FIFO queues), the
-   real queue accepts exactly when the model is under capacity, never
-   exceeds capacity, pops in priority-then-FIFO order, and [take]s exactly
-   the items a stateful predicate accepts (here: at most two ids of one
-   residue mod 3) in pop order while the rest keep their order. At the
-   end every admitted item has left exactly once. *)
+(* Model-based property: against a reference FIFO, the real queue accepts
+   exactly when the model is under capacity, never exceeds capacity, pops
+   in admission order, and [take]s exactly the items a stateful predicate
+   accepts (here: at most two ids of one residue mod 3) oldest first while
+   the rest keep their order. At the end every admitted item has left
+   exactly once. *)
 let prop_queue_model =
-  QCheck.Test.make ~count:300 ~name:"queue model: capacity + priority-FIFO"
+  QCheck.Test.make ~count:300 ~name:"queue model: capacity + FIFO"
     QCheck.(list (pair (int_bound 2) (int_bound 2)))
     (fun ops ->
       let cap = 4 in
-      let q = Q.create ~priorities:3 ~capacity:cap () in
-      let model = Array.init 3 (fun _ -> Stdlib.Queue.create ()) in
-      let mlen () = Array.fold_left (fun a c -> a + Stdlib.Queue.length c) 0 model in
-      let in_pop_order () = List.concat_map (fun c -> List.of_seq (Stdlib.Queue.to_seq c)) (Array.to_list model) in
+      let q = Q.create ~capacity:cap () in
+      let model = ref (Stdlib.Queue.create ()) in
+      let mlen () = Stdlib.Queue.length !model in
       let admitted = ref [] and left = ref [] in
       let next = ref 0 in
       let pop () =
         match Q.pop q with
         | `Item p ->
-            let expected =
-              let rec first i =
-                if Stdlib.Queue.is_empty model.(i) then first (i + 1)
-                else Stdlib.Queue.pop model.(i)
-              in
-              first 0
-            in
+            let expected = Stdlib.Queue.pop !model in
             left := p.Q.p_payload :: !left;
             p.Q.p_payload = expected && Q.length q = mlen ()
         | `Expired _ | `Closed -> false
@@ -181,16 +169,16 @@ let prop_queue_model =
         | 0 ->
             let id = !next in
             incr next;
-            let accepted = Q.push q ~priority:arg id in
+            let accepted = Q.push q id in
             let should = mlen () < cap in
             if accepted then begin
-              Stdlib.Queue.add id model.(arg);
+              Stdlib.Queue.add id !model;
               admitted := id :: !admitted
             end;
             accepted = should && Q.length q = mlen () && Q.length q <= cap
         | 1 -> mlen () = 0 (* a pop would block; the op is a no-op *) || pop ()
         | _ ->
-            let before = in_pop_order () in
+            let before = List.of_seq (Stdlib.Queue.to_seq !model) in
             let seen = ref [] and k = ref 0 in
             let want ~expired id =
               seen := id :: !seen;
@@ -201,11 +189,7 @@ let prop_queue_model =
             in
             let k = ref 0 in
             let expected = List.filter (fun id -> id mod 3 = arg && (incr k; !k <= 2)) before in
-            Array.iteri
-              (fun i c ->
-                let rest = Stdlib.Queue.of_seq (Seq.filter (fun id -> not (List.mem id expected)) (Stdlib.Queue.to_seq c)) in
-                model.(i) <- rest)
-              model;
+            model := Stdlib.Queue.of_seq (List.to_seq (List.filter (fun id -> not (List.mem id expected)) before));
             left := taken @ !left;
             List.rev !seen = before && taken = expected && Q.length q = mlen ()
       in
@@ -580,39 +564,6 @@ let test_server_deadline_aware_backoff () =
   Alcotest.(check int) "timed out" 1 st.Serve.Stats.s_timed_out;
   Alcotest.(check bool) "conserved" true (Serve.Stats.conserved st)
 
-let test_server_shutdown_no_drain () =
-  (* Non-draining shutdown fails the backlog explicitly instead of
-     serving it; the in-flight request still completes. *)
-  let gate = Atomic.make false in
-  let calls = Atomic.make 0 in
-  let gated = stub ~be_name:"gated" ~gate calls in
-  let plain = stub (Atomic.make 0) in
-  let s = Serve.Server.start ~config:(config ~workers:1 ()) () in
-  let t_a = Serve.Server.submit s ~arch gated (ln 32) in
-  wait_until "the worker inside A's compile" (fun () -> Atomic.get calls >= 1);
-  let t_b = Serve.Server.submit s ~arch plain (ln 40) in
-  let t_c = Serve.Server.submit s ~arch plain (ln 48) in
-  (* shutdown joins the gated worker, so release the gate once the backlog
-     has been flushed (both tickets resolved). *)
-  let opener =
-    Domain.spawn (fun () ->
-        Fun.protect ~finally:(fun () -> Atomic.set gate true) (fun () ->
-            wait_until "the flush to resolve the backlog" (fun () ->
-                Serve.Server.peek t_b <> None && Serve.Server.peek t_c <> None)))
-  in
-  Serve.Server.shutdown ~drain:false s;
-  Domain.join opener;
-  ignore (expect_done (Serve.Server.await t_a));
-  (match (Serve.Server.await t_b, Serve.Server.await t_c) with
-  | Serve.Server.Rejected m1, Serve.Server.Rejected m2 ->
-      Alcotest.(check (pair string string)) "backlog failed as shutdown" ("shutdown", "shutdown")
-        (m1, m2)
-  | _ -> Alcotest.fail "flushed backlog must reject");
-  let st = Serve.Server.stats s in
-  Alcotest.(check int) "one served" 1 st.Serve.Stats.s_done;
-  Alcotest.(check int) "two rejected" 2 st.Serve.Stats.s_rejected;
-  Alcotest.(check bool) "conserved" true (Serve.Stats.conserved st)
-
 let test_server_sheds_infeasible () =
   (* Frozen clock: deadlines never expire in the queue, so any Shed here
      is an admission decision, not a timeout in disguise. *)
@@ -700,8 +651,16 @@ let ln_rows ?(backend = stub (Atomic.make 0)) r =
   Runtime.Workload.make ~shapes:Runtime.Shape_class.Pow2 ~arch backend
     (model_of "ln-rows" (Ir.Models.layernorm_graph ~m:r ~n:64))
 
-(* One worker on a frozen clock, the backlog staged behind [pause] so
-   batch formation is a pure function of submit order. [prepare] runs
+(* Stage a backlog behind [pause], then release it and await every
+   outcome: with one worker, batch formation is a pure function of submit
+   order. *)
+let stage s submits =
+  Serve.Server.pause s;
+  let tickets = List.map (fun submit -> submit s) submits in
+  Serve.Server.resume s;
+  List.map await_within tickets
+
+(* One worker on a frozen clock, one staged backlog. [prepare] runs
    before the backlog is staged. *)
 let staged ?(shed_deadlines = false) ?(prepare = ignore) submits =
   let cfg =
@@ -709,10 +668,7 @@ let staged ?(shed_deadlines = false) ?(prepare = ignore) submits =
   in
   let s = Serve.Server.start ~config:cfg () in
   prepare s;
-  Serve.Server.pause s;
-  let tickets = List.map (fun submit -> submit s) submits in
-  Serve.Server.resume s;
-  let outcomes = List.map await_within tickets in
+  let outcomes = stage s submits in
   Serve.Server.shutdown s;
   (s, outcomes)
 
@@ -720,33 +676,30 @@ let batch_of o =
   let r = expect_done o in
   (r.Serve.Server.r_batch, r.Serve.Server.r_rows)
 
-let test_server_follower_requeued_once () =
-  (* A gathered member whose batch's run exhausted its retries is requeued
-     exactly once (charged no retry for an attempt it never made) and is
-     then served by its own fresh run. The staged 5-row leader gathers
-     the 6-row member, and the stub fails the stacked run's three
-     attempts. *)
+let test_server_follower_shares_outcome () =
+  (* A gathered member takes the outcome of the run that carried its
+     rows: the staged 5-row leader gathers the 6-row member, the stub
+     fails the stacked run's three attempts, and both members fail with
+     the run's error. The member's rows rode every attempt, so it gets no
+     second retry budget and nothing runs a fourth time. *)
   let calls = Atomic.make 0 in
   let flaky = stub ~be_name:"flaky" ~fail_first:3 calls in
   let s, outcomes =
     staged (List.map (fun r s -> Serve.Server.submit_w s (ln_rows ~backend:flaky r)) [ 5; 6 ])
   in
-  let r =
-    match outcomes with
-    | [ Serve.Server.Failed msg; follower ] ->
-        Alcotest.(check bool) "leader carries the transient error" true
-          (Astring.String.is_infix ~affix:"transient stub failure" msg);
-        expect_done follower
-    | _ -> Alcotest.fail "leader must exhaust its retries"
-  in
-  Alcotest.(check bool) "follower served by its own fresh run" false r.Serve.Server.r_coalesced;
-  Alcotest.(check int) "follower charged no retries" 0 r.Serve.Server.r_retries;
-  Alcotest.(check int) "leader's 3 attempts + follower's 1" 4 (Atomic.get calls);
+  (match outcomes with
+  | [ Serve.Server.Failed m1; Serve.Server.Failed m2 ] ->
+      List.iter
+        (fun m ->
+          Alcotest.(check bool) "carries the run's error" true
+            (Astring.String.is_infix ~affix:"transient stub failure" m))
+        [ m1; m2 ]
+  | _ -> Alcotest.fail "both members must fail with the run");
+  Alcotest.(check int) "the run's 3 attempts, no 4th" 3 (Atomic.get calls);
   let st = Serve.Server.stats s in
-  Alcotest.(check int) "requeued exactly once" 1 st.Serve.Stats.s_requeued;
-  Alcotest.(check int) "follower done" 1 st.Serve.Stats.s_done;
-  Alcotest.(check int) "leader failed" 1 st.Serve.Stats.s_failed;
-  Alcotest.(check int) "only the leader's retries" 2 st.Serve.Stats.s_retries;
+  Alcotest.(check int) "both failed" 2 st.Serve.Stats.s_failed;
+  Alcotest.(check int) "the run's retries only" 2 st.Serve.Stats.s_retries;
+  Alcotest.(check int) "one gathered" 1 st.Serve.Stats.s_coalesced;
   Alcotest.(check bool) "conserved" true (Serve.Stats.conserved st)
 
 let test_gather_never_holds_a_worker () =
@@ -826,57 +779,63 @@ let test_gather_expired_not_batched () =
   Alcotest.(check int) "only the live members batched" 2 st.Serve.Stats.s_batched;
   Alcotest.(check bool) "conserved" true (Serve.Stats.conserved st)
 
-let test_gather_takes_lower_priority () =
-  (* Gathering scans every class in pop order: the priority-1 request of
-     the leader's key rides along instead of waiting behind the
-     priority-0 request queued before it. *)
-  let b = stub (Atomic.make 0) in
-  let _, outcomes =
-    staged
-      [
-        (fun s -> Serve.Server.submit_w s ~priority:0 (ln_rows ~backend:b 5));
-        (fun s -> Serve.Server.submit_w s ~priority:0 (Runtime.Workload.make ~arch b (ln 32)));
-        (fun s -> Serve.Server.submit_w s ~priority:1 (ln_rows ~backend:b 6));
-      ]
-  in
-  Alcotest.(check (list (pair int (option (pair int int)))))
-    "the low-priority member joined the leader"
-    [ (2, Some (0, 5)); (1, None); (2, Some (5, 6)) ]
-    (List.map batch_of outcomes)
-
-let test_gather_shutdown_no_drain () =
-  (* The leader gathers a member and is held inside its compile while a
-     non-draining shutdown flushes the backlog: the flush rejects only
-     what is still queued, and the gathered member is served with its
-     leader. *)
-  let gate = Atomic.make false in
+let test_gather_abandoned_run_times_out () =
+  (* The batch's run deadline is 1e-9 after submit on a frozen clock, so
+     the first retry's backoff would outlive it: the run is abandoned
+     after one attempt, and every member it carried, the gathered one
+     too, resolves Timed_out. Nothing runs again. *)
   let calls = Atomic.make 0 in
-  let gated = stub ~be_name:"gated" ~gate calls in
-  let s = Serve.Server.start ~config:(config ~workers:1 ()) () in
-  Serve.Server.pause s;
-  let t_l = Serve.Server.submit_w s (ln_rows ~backend:gated 5) in
-  let t_m = Serve.Server.submit_w s (ln_rows ~backend:gated 6) in
-  let t_x = Serve.Server.submit_w s (Runtime.Workload.make ~arch (stub (Atomic.make 0)) (ln 40)) in
-  Serve.Server.resume s;
-  wait_until "the leader inside its compile" (fun () -> Atomic.get calls >= 1);
-  let opener =
-    Domain.spawn (fun () ->
-        Fun.protect ~finally:(fun () -> Atomic.set gate true) (fun () ->
-            wait_until "the flush to reject the queued request" (fun () ->
-                Serve.Server.peek t_x <> None)))
+  let doomed = stub ~be_name:"doomed" ~fail_first:max_int calls in
+  let s, outcomes =
+    staged
+      (List.map (fun r s -> Serve.Server.submit_w s ~deadline_s:1e-9 (ln_rows ~backend:doomed r)) [ 5; 6 ])
   in
-  Serve.Server.shutdown ~drain:false s;
-  Domain.join opener;
-  Alcotest.(check (list (pair int (option (pair int int))))) "leader and gathered member served"
-    [ (2, Some (0, 5)); (2, Some (5, 6)) ]
-    [ batch_of (await_within t_l); batch_of (await_within t_m) ];
-  (match await_within t_x with
-  | Serve.Server.Rejected m -> Alcotest.(check string) "still-queued request flushed" "shutdown" m
-  | _ -> Alcotest.fail "the queued request must be rejected");
+  (match outcomes with
+  | [ Serve.Server.Timed_out; Serve.Server.Timed_out ] -> ()
+  | _ -> Alcotest.fail "both members must time out");
+  Alcotest.(check int) "one attempt" 1 (Atomic.get calls);
   let st = Serve.Server.stats s in
-  Alcotest.(check int) "two served" 2 st.Serve.Stats.s_done;
-  Alcotest.(check int) "one rejected" 1 st.Serve.Stats.s_rejected;
+  Alcotest.(check int) "both timed out" 2 st.Serve.Stats.s_timed_out;
+  Alcotest.(check int) "one gathered" 1 st.Serve.Stats.s_coalesced;
+  Alcotest.(check int) "no retry" 0 st.Serve.Stats.s_retries;
   Alcotest.(check bool) "conserved" true (Serve.Stats.conserved st)
+
+let test_gather_cap_recovers_after_solo_runs () =
+  (* The stub's first compile, the stacked 5 + 6-row run's, raises an
+     injected resource exhaustion: the batch splits and the cap halves
+     from 16 to 8. Under 8 no two members of the class (4, 8] stack, so
+     the cap can only recover through clean solo runs: 16 more pairs make
+     32, after which the cap is whole and the next pair stacks again. *)
+  let tripped = Atomic.make false in
+  let base = stub (Atomic.make 0) in
+  let b =
+    {
+      base with
+      Policy.compile =
+        (fun arch ~name g ->
+          if not (Atomic.exchange tripped true) then
+            raise
+              (Fault.Plan.Injected
+                 { Fault.Plan.f_kind = Fault.Plan.Resource_exhausted; f_kernel = name; f_seq = 0 });
+          base.Policy.compile arch ~name g);
+    }
+  in
+  let s =
+    Serve.Server.start ~config:{ (config ~workers:1 ()) with Serve.Server.clock = (fun () -> 0.0) } ()
+  in
+  let run_pair () = stage s (List.map (fun r s -> Serve.Server.submit_w s (ln_rows ~backend:b r)) [ 5; 6 ]) in
+  Alcotest.(check (list (pair int (option (pair int int))))) "the pressured pair split"
+    [ (1, Some (0, 5)); (1, Some (0, 6)) ]
+    (List.map batch_of (run_pair ()));
+  Alcotest.(check int) "the cap halved" 1 (Serve.Server.batch_cap_shift s);
+  for _ = 1 to 16 do
+    List.iter (fun o -> Alcotest.(check int) "under the halved cap, solo" 1 (fst (batch_of o))) (run_pair ())
+  done;
+  Alcotest.(check int) "32 clean runs restore the cap" 0 (Serve.Server.batch_cap_shift s);
+  Alcotest.(check (list (pair int (option (pair int int))))) "the next pair stacks"
+    [ (2, Some (0, 5)); (2, Some (5, 6)) ]
+    (List.map batch_of (run_pair ()));
+  Serve.Server.shutdown s
 
 let test_gather_fleet_places_stacked_run () =
   (* On a fleet, a stacked run is placed by the digest of the workload it
@@ -945,7 +904,7 @@ let () =
     [
       ( "queue",
         [
-          Alcotest.test_case "priority FIFO" `Quick test_queue_priority_fifo;
+          Alcotest.test_case "FIFO" `Quick test_queue_fifo;
           Alcotest.test_case "capacity bound" `Quick test_queue_capacity;
           Alcotest.test_case "deadline expiry" `Quick test_queue_deadline_expiry;
           Alcotest.test_case "take honours order, expiry and pause" `Quick test_queue_take;
@@ -977,8 +936,8 @@ let () =
             test_server_fails_after_retry_budget;
           Alcotest.test_case "breaker trips and recovers" `Quick test_server_breaker_recovery;
           Alcotest.test_case "deadline-aware backoff" `Quick test_server_deadline_aware_backoff;
-          Alcotest.test_case "follower requeued once" `Quick test_server_follower_requeued_once;
-          Alcotest.test_case "non-draining shutdown" `Quick test_server_shutdown_no_drain;
+          Alcotest.test_case "follower shares the run's outcome" `Quick
+            test_server_follower_shares_outcome;
           Alcotest.test_case "sheds infeasible deadlines" `Quick test_server_sheds_infeasible;
           Alcotest.test_case "quarantines repeat offenders" `Quick
             test_server_quarantines_repeat_offender;
@@ -990,10 +949,10 @@ let () =
             test_gather_overflow_leads_next;
           Alcotest.test_case "expired request times out, unbatched" `Quick
             test_gather_expired_not_batched;
-          Alcotest.test_case "lower-priority request rides with the leader" `Quick
-            test_gather_takes_lower_priority;
-          Alcotest.test_case "non-draining shutdown resolves gathered members" `Quick
-            test_gather_shutdown_no_drain;
+          Alcotest.test_case "abandoned run times out its members" `Quick
+            test_gather_abandoned_run_times_out;
+          Alcotest.test_case "batch cap recovers through solo runs" `Quick
+            test_gather_cap_recovers_after_solo_runs;
           Alcotest.test_case "a stacked run is placed by its own digest" `Quick
             test_gather_fleet_places_stacked_run;
         ] );

@@ -1,5 +1,5 @@
 (* Bounded soak for the serving runtime: 4 worker domains, >= 1k mixed
-   requests (models x backends x priorities x deadlines) through a shared
+   requests (models x backends x deadlines) through a shared
    Plan_cache, submitted from the main domain with backpressure engaged.
    Asserts the accounting conservation law against both the server's own
    counters and an independent per-ticket tally, that nothing fails, that
@@ -44,7 +44,6 @@ let config workers =
     (Serve.Server.default_config ()) with
     Serve.Server.workers;
     queue_capacity = 64;
-    priorities = 3;
   }
 
 let classify = function
@@ -86,9 +85,8 @@ let test_soak () =
         if i mod 50 = 0 then Unix.sleepf 0.001;
         let m = List.nth models (Random.State.int rng (List.length models)) in
         let b = List.nth backends (Random.State.int rng (List.length backends)) in
-        let priority = Random.State.int rng 3 in
         let deadline_s = if Random.State.int rng 100 < 3 then Some (-1.0) else None in
-        Serve.Server.submit s ~priority ?deadline_s ~arch b m)
+        Serve.Server.submit s ?deadline_s ~arch b m)
   in
   let done_ = ref 0 and rejected = ref 0 and timed_out = ref 0 and failed = ref 0 in
   List.iter
@@ -219,9 +217,8 @@ let test_mixed_shape_soak () =
           if Random.State.int rng 5 = 0 then fixed
           else (snd (List.nth sliceable (Random.State.int rng 4))) rows
         in
-        let priority = Random.State.int rng 3 in
         let deadline_s = if Random.State.int rng 100 < 3 then Some (-1.0) else None in
-        Serve.Server.submit s ~priority ?deadline_s ~arch Backends.Baselines.spacefusion m)
+        Serve.Server.submit s ?deadline_s ~arch Backends.Baselines.spacefusion m)
   in
   let done_ = ref 0 and rejected = ref 0 and timed_out = ref 0 and failed = ref 0 in
   let batched_members = ref 0 in
