@@ -416,6 +416,7 @@ let serve_cmd =
             Obs.Json.Obj
               [
                 ("functional_execs", Obs.Json.Num (float_of_int (metric_counter "run.functional_execs")));
+                ("analytic_walks", Obs.Json.Num (float_of_int (metric_counter "run.analytic_walks")));
                 ("warm_fast_path", Obs.Json.Num (float_of_int (metric_counter "run.warm_fast_path")));
               ] );
           ( "store",

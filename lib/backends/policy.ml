@@ -52,7 +52,7 @@ let compile_groups ?variant arch ~name g groups =
         end)
       !decls
   in
-  { Gpu.Plan.p_name = name; p_kernels = !kernels; p_decls = decls }
+  Gpu.Plan.make ~name ~kernels:!kernels ~decls
 
 let singletons g = List.map (fun n -> [ n ]) (compute_nodes g)
 

@@ -28,7 +28,7 @@ let map_first_kernel f (plan : Gpu.Plan.t) =
           | None -> k)
       plan.Gpu.Plan.p_kernels
   in
-  if !changed then Some { plan with Gpu.Plan.p_kernels = kernels } else None
+  if !changed then Some (Gpu.Plan.make ~name:plan.p_name ~kernels ~decls:plan.p_decls) else None
 
 (* Rewrite the first instruction [f] accepts, anywhere in the kernel. *)
 let map_first_instr f (k : K.t) =

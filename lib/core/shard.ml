@@ -172,12 +172,17 @@ let candidate_devices n =
 
 let best ?(reps = 1) ?(dispatch_us = 3.0) (node : Gpu.Node.t) (plan : Gpu.Plan.t) =
   let dispatch_s = dispatch_us *. 1e-6 in
-  (* Base per-kernel stats on a fresh, injector-free device: analytic walk
-     only, deterministic. *)
-  let device = Gpu.Device.create () in
-  Gpu.Plan.declare_all plan device;
+  (* Base per-kernel stats: the plan's memoised walk on the node's arch
+     (the arch only gates budgets, so the counters equal an arch-free
+     walk's). A plan with no memo there is walked arch-free on a fresh,
+     injector-free device, raising what that walk raises. *)
   let kstats =
-    List.map (fun k -> E.run ~mode:E.Analytic device k) plan.Gpu.Plan.p_kernels
+    match Gpu.Plan.walk plan node.Gpu.Node.nd_arch with
+    | Some steps -> List.map (fun s -> s.Gpu.Plan.s_stats) steps
+    | None ->
+        let device = Gpu.Device.create () in
+        Gpu.Plan.declare_all plan device;
+        List.map (fun k -> E.run ~mode:E.Analytic device k) plan.Gpu.Plan.p_kernels
   in
   let nk = List.length kstats in
   let gbytes = gather_bytes kstats in

@@ -61,7 +61,12 @@ val best :
     (default 1) is the subprogram repetition count — it only affects
     [Pipeline], whose fill cost amortizes over repetitions. [dispatch_us]
     (default 3.0) is the per-launch CPU overhead, as in
-    {!Spacefusion.compile}'s plan comparison. Emits [shard.*] metrics. *)
+    {!Spacefusion.compile}'s plan comparison. Emits [shard.*] metrics.
+
+    Per-kernel counters come from the plan's memoised walk on the node's
+    arch ({!Gpu.Plan.walk}; a warm plan is not walked again). A plan with
+    no memo there is walked arch-free, so a kernel over that arch's
+    budget is still costed. *)
 
 val run_functional : ?arch:Gpu.Arch.t -> Gpu.Device.t -> Gpu.Plan.t -> devices:int -> unit
 (** Execute the plan functionally as [devices] data-parallel devices

@@ -294,7 +294,7 @@ let compile_impl ?(variant = Auto_scheduler.full) ?tensor_names ~arch ~name grap
   in
   {
     c_name = name;
-    c_plan = { Gpu.Plan.p_name = name; p_kernels = List.map (fun c -> c.kc_kernel) choices; p_decls = decls };
+    c_plan = Gpu.Plan.make ~name ~kernels:(List.map (fun c -> c.kc_kernel) choices) ~decls;
     c_choices = choices;
     c_stats = stats;
     c_smg = smg;

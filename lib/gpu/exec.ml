@@ -183,9 +183,11 @@ let compile (k : Kernel.t) =
     cstages;
   }
 
-(* Compiled records are cached by the kernel's physical identity: plans
-   come out of [Plan_cache], so warm launches hit the same kernel values
-   and skip recompilation entirely. *)
+(* Compiled records are cached by the kernel's physical identity. Warm
+   Analytic plan runs read their plan's memoised walk ([Plan.walk]) and
+   never launch here; the table serves the tuner's candidate costing, each
+   plan's first walk, Full walks (first runs and the oracle) and plans
+   with no memo. *)
 module KTbl = Hashtbl.Make (struct
   type t = Kernel.t
 

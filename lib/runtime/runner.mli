@@ -21,8 +21,16 @@ val run_plan :
     [run.plans] / [run.kernels] / [run.sim_seconds] metrics; a [Full] run
     also counts one [run.functional_execs].
 
+    An [Analytic] run folds the plan's memoised walk on [arch]
+    ({!Gpu.Plan.walk}, walked on the plan's first Analytic run there) and
+    launches no kernel; a plan with no memo on [arch] (its fault-free walk
+    raised) walks each kernel with {!Gpu.Exec.run}, as a [Full] run
+    always does. Both give bit-identical results.
+
     With a fault injector attached to [device], each launch may raise
     {!Fault.Plan.Injected} (propagated to the caller mid-plan), and
-    injected latency spikes multiply that kernel's simulated time. *)
+    injected latency spikes multiply that kernel's simulated time. The
+    memoised fold consults the injector before each kernel, so the same
+    launch faults and the injector ends in the same state. *)
 
 val pp : Format.formatter -> result -> unit

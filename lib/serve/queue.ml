@@ -37,11 +37,12 @@ let length t = locked t (fun () -> Stdlib.Queue.length t.items)
 let push t ?deadline payload =
   let enq_at = t.clock () in
   locked t (fun () ->
-      if t.closed || Stdlib.Queue.length t.items >= t.q_capacity then false
+      if t.closed then `Closed
+      else if Stdlib.Queue.length t.items >= t.q_capacity then `Full
       else begin
         Stdlib.Queue.add { payload; deadline; enq_at } t.items;
         Condition.signal t.nonempty;
-        true
+        `Queued
       end)
 
 let to_popped t (e : 'a entry) =

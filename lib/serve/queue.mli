@@ -26,9 +26,10 @@ val create : ?clock:(unit -> float) -> capacity:int -> unit -> 'a t
 val length : 'a t -> int
 (** Items currently in the backlog (<= capacity, always). *)
 
-val push : 'a t -> ?deadline:float -> 'a -> bool
-(** Admit an item; [false] when the queue is full or closed (the item was
-    not enqueued). Never blocks. *)
+val push : 'a t -> ?deadline:float -> 'a -> [ `Queued | `Full | `Closed ]
+(** Admit an item ([`Queued]), or say why it was not enqueued: [`Closed]
+    after {!close}, whatever the backlog, else [`Full] at capacity. Never
+    blocks. *)
 
 val pop : 'a t -> [ `Item of 'a popped | `Expired of 'a popped | `Closed ]
 (** Take the oldest item, blocking while the queue is empty and open.
@@ -47,7 +48,7 @@ val take :
     [f]. *)
 
 val close : 'a t -> unit
-(** Stop admitting ({!push} returns [false] from now on) and wake every
+(** Stop admitting ({!push} returns [`Closed] from now on) and wake every
     blocked consumer. Idempotent. *)
 
 val pause : 'a t -> unit

@@ -626,15 +626,14 @@ let submit_w t ?deadline_s work =
   | `Admit charge ->
       rq.rq_charge <- charge;
       let deadline = Option.map (fun d -> now +. d) deadline_s in
-      if Queue.push t.queue ?deadline rq then begin
-        Stats.record t.stats Stats.Admitted;
-        Stats.set_queue_depth t.stats (Queue.length t.queue)
-      end
-      else begin
-        if charge > 0.0 then Shed.drain t.shed charge;
-        rq.rq_charge <- 0.0;
-        finish t rq (Rejected "queue full")
-      end);
+      match Queue.push t.queue ?deadline rq with
+      | `Queued ->
+          Stats.record t.stats Stats.Admitted;
+          Stats.set_queue_depth t.stats (Queue.length t.queue)
+      | (`Full | `Closed) as refusal ->
+          if charge > 0.0 then Shed.drain t.shed charge;
+          rq.rq_charge <- 0.0;
+          finish t rq (Rejected (if refusal = `Full then "queue full" else "server shut down")));
   tk
 
 (* Legacy positional submit: a workload sized to the server's fleet and

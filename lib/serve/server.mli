@@ -12,9 +12,9 @@
 
     Request lifecycle — every submitted request resolves to {e exactly
     one} outcome:
-    - [Rejected] at admission when the queue is full or the server has
-      shut down, or after admission when the (backend, arch) pair is
-      unsupported;
+    - [Rejected] at admission when the queue is full (["queue full"]) or
+      the server has shut down (["server shut down"]), or after admission
+      when the (backend, arch) pair is unsupported;
     - [Timed_out] when its deadline passed while it sat in the backlog
       (decided by the worker that dequeues it), or when the run that
       carried it was abandoned at its batch's deadline;
@@ -171,7 +171,8 @@ val start : ?cache:Runtime.Plan_cache.t -> ?config:config -> unit -> t
 
 val submit_w : t -> ?deadline_s:float -> Runtime.Workload.t -> ticket
 (** The canonical entry point: never blocks — either admits the request
-    or resolves the ticket [Rejected] immediately. [deadline_s] is
+    or resolves the ticket [Rejected] immediately (["queue full"] at
+    capacity, ["server shut down"] after {!shutdown}). [deadline_s] is
     relative to now. The request key ({!Runtime.Workload.digest}) and
     batch space are the workload's own fields, derived once by
     {!Runtime.Workload.make}: submitting a workload value again derives

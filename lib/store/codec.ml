@@ -248,19 +248,19 @@ let kernel_of_json j =
   k
 
 let plan_of_json_exn j =
-  {
-    Gpu.Plan.p_name = str (field "n" j);
-    p_kernels = List.map kernel_of_json (arr (field "kernels" j));
-    p_decls =
-      List.map
-        (function
-          | J.Arr [ name; dims ] ->
-              let shape = Array.of_list (List.map int_ (arr dims)) in
-              (try Shape.validate shape with Invalid_argument m -> fail "%s" m);
-              (str name, shape)
-          | _ -> fail "bad declaration")
-        (arr (field "decls" j));
-  }
+  let name = str (field "n" j) in
+  let kernels = List.map kernel_of_json (arr (field "kernels" j)) in
+  let decls =
+    List.map
+      (function
+        | J.Arr [ name; dims ] ->
+            let shape = Array.of_list (List.map int_ (arr dims)) in
+            (try Shape.validate shape with Invalid_argument m -> fail "%s" m);
+            (str name, shape)
+        | _ -> fail "bad declaration")
+      (arr (field "decls" j))
+  in
+  Gpu.Plan.make ~name ~kernels ~decls
 
 let plan_of_json j =
   match plan_of_json_exn j with

@@ -70,6 +70,14 @@ execs=$(grep -o '"run":{[^}]*}' "$serve_out" | grep -o '"functional_execs":[0-9]
 [ -n "$misses" ] && [ "$misses" = "$execs" ] || {
     echo "ci: serve smoke ran ${execs:-?} functional executions for ${misses:-?} plan-cache misses" >&2
     cat "$serve_out" >&2; exit 1; }
+# One Analytic walk per plan: a plan memoises its walk the first time it
+# runs analytically, so warm hits read the memo and the walks never
+# outnumber the plans the cache compiled (this smoke has no store, so
+# the cache compiled every plan it serves).
+walks=$(grep -o '"run":{[^}]*}' "$serve_out" | grep -o '"analytic_walks":[0-9]*' | cut -d: -f2)
+[ -n "$walks" ] && [ "$walks" -le "$misses" ] || {
+    echo "ci: serve smoke walked plans ${walks:-?} times for ${misses:-?} plan-cache misses" >&2
+    cat "$serve_out" >&2; exit 1; }
 rm -f "$serve_out"
 
 # Serving soak: the seeded stress test must pass three consecutive runs

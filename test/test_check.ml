@@ -162,11 +162,8 @@ let test_verify_reports_shape_clash () =
   let g = Ir.Models.softmax_graph ~m:4 ~n:8 in
   let plan = Backends.Baselines.spacefusion.Backends.Policy.compile arch ~name:"v" g in
   let redeclare name shape =
-    {
-      plan with
-      Gpu.Plan.p_decls =
-        List.map (fun (n, s) -> if n = name then (n, shape) else (n, s)) plan.Gpu.Plan.p_decls;
-    }
+    Gpu.Plan.make ~name:plan.p_name ~kernels:plan.p_kernels
+      ~decls:(List.map (fun (n, s) -> if n = name then (n, shape) else (n, s)) plan.p_decls)
   in
   List.iter
     (fun (name, shape, expected) ->

@@ -288,15 +288,16 @@ let test_transfer_bounds () =
   let k = match plan.p_kernels with [ k ] -> k | _ -> Alcotest.fail "one kernel expected" in
   let x4 = Tensor.randn (Rng.create 5) [| 4; 8 |] and x2 = Tensor.randn (Rng.create 5) [| 2; 8 |] in
   let store_dev = Device.create () in
+  let with_decls decls = Plan.make ~name:plan.p_name ~kernels:plan.p_kernels ~decls in
   Plan.declare_all
-    { plan with p_decls = List.map (fun (n, s) -> if n = "v:out0" then (n, [| 2; 8 |]) else (n, s)) plan.p_decls }
+    (with_decls (List.map (fun (n, s) -> if n = "v:out0" then (n, [| 2; 8 |]) else (n, s)) plan.p_decls))
     store_dev;
   Device.bind store_dev "x" x4;
   Alcotest.check_raises "store past the output's rows"
     (Invalid_argument "Exec v.k0: store of \"v:out0\" at axis 0: origin 2 is past extent 2")
     (fun () -> ignore (Exec.run store_dev k));
   let load_dev = Device.create () in
-  Plan.declare_all { plan with p_decls = List.remove_assoc "x" plan.p_decls } load_dev;
+  Plan.declare_all (with_decls (List.remove_assoc "x" plan.p_decls)) load_dev;
   Device.bind load_dev "x" x2;
   Alcotest.check_raises "load past the input's rows"
     (Invalid_argument "Exec v.k0: load of \"x\" at axis 0: origin 2 is past extent 2")

@@ -57,9 +57,15 @@ let counter name =
 (* Queue                                                               *)
 (* ------------------------------------------------------------------ *)
 
+let pushed =
+  Alcotest.testable
+    (fun fmt r ->
+      Format.pp_print_string fmt (match r with `Queued -> "queued" | `Full -> "full" | `Closed -> "closed"))
+    ( = )
+
 let test_queue_fifo () =
   let q = Q.create ~capacity:16 () in
-  List.iter (fun x -> Alcotest.(check bool) ("push " ^ x) true (Q.push q x)) [ "a1"; "a2"; "b1"; "c1"; "a3" ];
+  List.iter (fun x -> Alcotest.check pushed ("push " ^ x) `Queued (Q.push q x)) [ "a1"; "a2"; "b1"; "c1"; "a3" ];
   let popped () =
     match Q.pop q with
     | `Item p -> p.Q.p_payload
@@ -67,30 +73,32 @@ let test_queue_fifo () =
     | `Closed -> Alcotest.fail "unexpected close"
   in
   Alcotest.(check (list string)) "admission order" [ "a1"; "a2" ] (List.init 2 (fun _ -> popped ()));
-  Alcotest.(check bool) "push after pops" true (Q.push q "d1");
+  Alcotest.check pushed "push after pops" `Queued (Q.push q "d1");
   Alcotest.(check (list string)) "a later arrival queues behind the backlog" [ "b1"; "c1"; "a3" ]
     (List.init 3 (fun _ -> popped ()));
   Q.close q;
-  Alcotest.(check bool) "push after close refused" false (Q.push q "late");
+  Alcotest.check pushed "push after close refused" `Closed (Q.push q "late");
   Alcotest.(check string) "a closed queue still drains its backlog" "d1" (popped ());
   Alcotest.(check bool) "pop after close+empty" true (Q.pop q = `Closed)
 
 let test_queue_capacity () =
   let q = Q.create ~capacity:3 () in
-  Alcotest.(check (list bool)) "fourth arrival refused"
-    [ true; true; true; false ]
+  Alcotest.(check (list pushed)) "fourth arrival refused"
+    [ `Queued; `Queued; `Queued; `Full ]
     (List.init 4 (fun i -> Q.push q i));
   Alcotest.(check int) "backlog capped" 3 (Q.length q);
   (match Q.pop q with `Item _ -> () | _ -> Alcotest.fail "expected an item");
-  Alcotest.(check bool) "slot freed" true (Q.push q 4);
-  Alcotest.(check bool) "full again" false (Q.push q 5);
-  Alcotest.(check int) "still capped" 3 (Q.length q)
+  Alcotest.check pushed "slot freed" `Queued (Q.push q 4);
+  Alcotest.check pushed "full again" `Full (Q.push q 5);
+  Alcotest.(check int) "still capped" 3 (Q.length q);
+  Q.close q;
+  Alcotest.check pushed "a full, closed queue says closed" `Closed (Q.push q 6)
 
 let test_queue_deadline_expiry () =
   let now = ref 0.0 in
   let q = Q.create ~clock:(fun () -> !now) ~capacity:8 () in
-  Alcotest.(check bool) "push with deadline" true (Q.push q ~deadline:5.0 "d5");
-  Alcotest.(check bool) "push without deadline" true (Q.push q "live");
+  Alcotest.check pushed "push with deadline" `Queued (Q.push q ~deadline:5.0 "d5");
+  Alcotest.check pushed "push without deadline" `Queued (Q.push q "live");
   now := 10.0;
   (match Q.pop q with
   | `Expired p ->
@@ -100,7 +108,7 @@ let test_queue_deadline_expiry () =
   (match Q.pop q with
   | `Item p -> Alcotest.(check string) "deadline-free item lives" "live" p.Q.p_payload
   | _ -> Alcotest.fail "expected a live item");
-  Alcotest.(check bool) "fresh deadline not expired" true (Q.push q ~deadline:20.0 "d20");
+  Alcotest.check pushed "fresh deadline not expired" `Queued (Q.push q ~deadline:20.0 "d20");
   match Q.pop q with
   | `Item p -> Alcotest.(check string) "deadline in the future is live" "d20" p.Q.p_payload
   | _ -> Alcotest.fail "deadline 20 at clock 10 must not expire"
@@ -169,7 +177,7 @@ let prop_queue_model =
         | 0 ->
             let id = !next in
             incr next;
-            let accepted = Q.push q id in
+            let accepted = Q.push q id = `Queued in
             let should = mlen () < cap in
             if accepted then begin
               Stdlib.Queue.add id !model;
@@ -485,6 +493,28 @@ let test_server_rejects_unsupported () =
   | _ -> Alcotest.fail "unsupported (backend, arch) must reject");
   Serve.Server.shutdown s;
   Alcotest.(check bool) "conserved" true (Serve.Stats.conserved (Serve.Server.stats s))
+
+let test_server_rejections_say_why () =
+  (* A refused submission names its cause: a full backlog (staged behind
+     [pause]) reads "queue full", and one submitted after [shutdown]
+     reads "server shut down", not "queue full". *)
+  let plain = stub (Atomic.make 0) in
+  let s = Serve.Server.start ~config:(config ~workers:1 ~capacity:2 ()) () in
+  Serve.Server.pause s;
+  let admitted = List.map (fun rows -> Serve.Server.submit s ~arch plain (ln rows)) [ 32; 40 ] in
+  let rejected msg tk =
+    match Serve.Server.peek tk with
+    | Some (Serve.Server.Rejected m) -> Alcotest.(check string) "rejection message" msg m
+    | _ -> Alcotest.failf "expected an immediate Rejected %S" msg
+  in
+  rejected "queue full" (Serve.Server.submit s ~arch plain (ln 48));
+  Serve.Server.shutdown s;
+  List.iter (fun tk -> ignore (expect_done (Serve.Server.await tk))) admitted;
+  rejected "server shut down" (Serve.Server.submit s ~arch plain (ln 56));
+  let st = Serve.Server.stats s in
+  Alcotest.(check int) "submitted" 4 st.Serve.Stats.s_submitted;
+  Alcotest.(check int) "rejected" 2 st.Serve.Stats.s_rejected;
+  Alcotest.(check bool) "conserved" true (Serve.Stats.conserved st)
 
 let test_server_retries_transient () =
   let calls = Atomic.make 0 in
@@ -931,6 +961,7 @@ let () =
             test_server_degrades_on_unschedulable;
           Alcotest.test_case "arena budget relief path" `Quick test_server_arena_budget_relief;
           Alcotest.test_case "rejects unsupported" `Quick test_server_rejects_unsupported;
+          Alcotest.test_case "rejections say why" `Quick test_server_rejections_say_why;
           Alcotest.test_case "retries transient failures" `Quick test_server_retries_transient;
           Alcotest.test_case "fails after retry budget" `Quick
             test_server_fails_after_retry_budget;

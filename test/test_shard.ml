@@ -42,12 +42,26 @@ let test_node_costs () =
 
 let compile_sf name g = Backends.Baselines.spacefusion.Policy.compile arch ~name g
 
+(* A decision as the arch-free per-kernel walk made it before plans
+   memoised their walk: device count, strategy and every time bit for
+   bit. *)
+let pinned label (d : Core.Shard.decision) ~devices ~strategy ~time ~compute ~collective ~baseline =
+  let bits x = Int64.bits_of_float x in
+  Alcotest.(check int) (label ^ ": devices") devices d.Core.Shard.d_devices;
+  Alcotest.(check string) (label ^ ": strategy") strategy (Core.Shard.strategy_name d.Core.Shard.d_strategy);
+  Alcotest.(check (list int64))
+    (label ^ ": time, compute, collective, baseline bits")
+    (List.map bits [ time; compute; collective; baseline ])
+    (List.map bits Core.Shard.[ d.d_time; d.d_compute_s; d.d_collective_s; d.d_baseline_s ])
+
 let test_shard_small_stays_single () =
   (* A small memory-bound graph: every sharded candidate's collective
      costs more than the compute it saves, so the scheduler must keep it
      on one device. *)
   let plan = compile_sf "ln_small" (Ir.Models.layernorm_graph ~m:128 ~n:128) in
   let d = Core.Shard.best (Gpu.Node.nvlink arch ~devices:8) plan in
+  pinned "ln_small" d ~devices:1 ~strategy:"data_parallel" ~time:0x1.94e4c9314dbeap-18
+    ~compute:0x1.94e4c9314dbeap-18 ~collective:0.0 ~baseline:0x1.94e4c9314dbeap-18;
   Alcotest.(check int) "picked one device" 1 d.Core.Shard.d_devices;
   Alcotest.(check (float 0.0)) "speedup is exactly 1" 1.0 (Core.Shard.speedup d);
   Alcotest.(check (float 0.0)) "no collective time" 0.0 d.Core.Shard.d_collective_s
@@ -57,6 +71,8 @@ let test_shard_compute_bound_pays () =
      saves more compute than the boundary all-gather costs. *)
   let plan = compile_sf "mlp_wide" (Ir.Models.mlp ~layers:1 ~m:8192 ~n:2048 ~k:8192) in
   let d = Core.Shard.best (Gpu.Node.nvlink arch ~devices:4) plan in
+  pinned "mlp_wide" d ~devices:4 ~strategy:"data_parallel" ~time:0x1.6d69baed6e053p-11
+    ~compute:0x1.26b945a3ceacap-11 ~collective:0x1.1ac1d5267d624p-13 ~baseline:0x1.571a8019690e7p-10;
   Alcotest.(check bool) "sharded" true (d.Core.Shard.d_devices > 1);
   Alcotest.(check bool)
     (Format.asprintf "speedup > 1.2: %a" Core.Shard.pp d)
@@ -73,6 +89,8 @@ let test_shard_deterministic () =
   let node = Gpu.Node.nvlink arch ~devices:8 in
   let d1 = Core.Shard.best ~reps:4 node plan in
   let d2 = Core.Shard.best ~reps:4 node plan in
+  pinned "mlp_det" d1 ~devices:1 ~strategy:"data_parallel" ~time:0x1.5b393337f43aap-17
+    ~compute:0x1.5b393337f43aap-17 ~collective:0.0 ~baseline:0x1.5b393337f43aap-17;
   Alcotest.(check int) "same devices" d1.Core.Shard.d_devices d2.Core.Shard.d_devices;
   Alcotest.(check bool)
     "same strategy" true
@@ -170,6 +188,38 @@ let test_workload_multi_device_run () =
   | None -> Alcotest.fail "multi-device run must report a sharding decision"
   | Some d ->
       Alcotest.(check bool) "decision node matches" true (d.Core.Shard.d_node.Gpu.Node.nd_devices = 4)
+
+let test_warm_multi_device_run () =
+  (* Bert b1 on a 4-device node: the model runner's sharding decisions
+     read each plan's memoised walk, so a warm rerun walks no plan, and
+     both runs report what the arch-free walk decided. *)
+  let counter name = match Obs.Metrics.find name with Some (Obs.Metrics.Counter c) -> c | _ -> 0 in
+  List.iter
+    (fun ((b : Policy.t), devices, strategy, time, x_time) ->
+      let cache = Runtime.Plan_cache.create () in
+      let w = Runtime.Workload.make ~devices:4 ~arch b (Ir.Models.bert ~batch:1 ~seq:64) in
+      let run () =
+        let r = Core.Spacefusion.Error.get (Runtime.Model_runner.run_workload_r ~cache ~functional:`Auto w) in
+        match r.Runtime.Model_runner.m_shard with
+        | None -> Alcotest.fail "multi-device run must report a sharding decision"
+        | Some d ->
+            Alcotest.(check int) (b.be_name ^ ": devices") devices d.Core.Shard.d_devices;
+            Alcotest.(check string) (b.be_name ^ ": strategy") strategy
+              (Core.Shard.strategy_name d.Core.Shard.d_strategy);
+            Alcotest.(check int64) (b.be_name ^ ": decision time bits") (Int64.bits_of_float time)
+              (Int64.bits_of_float d.Core.Shard.d_time);
+            Alcotest.(check int64) (b.be_name ^ ": model time bits") (Int64.bits_of_float x_time)
+              (Int64.bits_of_float r.Runtime.Model_runner.m_exec.Runtime.Exec_stats.x_time)
+      in
+      run ();
+      let w0 = counter "run.analytic_walks" in
+      run ();
+      Alcotest.(check int) (b.be_name ^ ": a warm run installs no memo") 0
+        (counter "run.analytic_walks" - w0))
+    [
+      (Backends.Baselines.spacefusion, 2, "pipeline", 0x1.cae9247404718p-16, 0x1.a419763c0356ap-11);
+      (Backends.Baselines.pytorch, 4, "pipeline", 0x1.253adca3972b7p-14, 0x1.38a5807549ff8p-9);
+    ]
 
 let test_plan_cache_devices_key () =
   let calls = Atomic.make 0 in
@@ -303,6 +353,7 @@ let () =
         [
           Alcotest.test_case "identity" `Quick test_workload_identity;
           Alcotest.test_case "multi-device run" `Quick test_workload_multi_device_run;
+          Alcotest.test_case "warm multi-device run reads the memo" `Quick test_warm_multi_device_run;
           Alcotest.test_case "cache keyed by devices" `Quick test_plan_cache_devices_key;
         ] );
       ( "fleet",
