@@ -9,8 +9,6 @@
 
    Any exception out of compile or either walk is itself a divergence. *)
 
-let close ?(rtol = 1e-9) a b = Float.abs (a -. b) <= rtol *. (1.0 +. Float.abs a +. Float.abs b)
-
 let counters_agree ~name (f : Gpu.Exec.kstats) (a : Gpu.Exec.kstats) =
   let err fmt =
     Printf.ksprintf
@@ -19,12 +17,12 @@ let counters_agree ~name (f : Gpu.Exec.kstats) (a : Gpu.Exec.kstats) =
   in
   if f.ks_blocks <> a.ks_blocks then err "blocks %d <> %d" f.ks_blocks a.ks_blocks
   else if f.ks_steps <> a.ks_steps then err "steps %d <> %d" f.ks_steps a.ks_steps
-  else if not (close f.ks_gemm_flops a.ks_gemm_flops) then
-    err "gemm flops %g <> %g" f.ks_gemm_flops a.ks_gemm_flops
-  else if not (close f.ks_simd_flops a.ks_simd_flops) then
-    err "simd flops %g <> %g" f.ks_simd_flops a.ks_simd_flops
-  else if not (close f.ks_moved_bytes a.ks_moved_bytes) then
-    err "moved bytes %g <> %g" f.ks_moved_bytes a.ks_moved_bytes
+  else if f.ks_gemm_flops <> a.ks_gemm_flops then
+    err "gemm flops %.17g <> %.17g" f.ks_gemm_flops a.ks_gemm_flops
+  else if f.ks_simd_flops <> a.ks_simd_flops then
+    err "simd flops %.17g <> %.17g" f.ks_simd_flops a.ks_simd_flops
+  else if f.ks_moved_bytes <> a.ks_moved_bytes then
+    err "moved bytes %.17g <> %.17g" f.ks_moved_bytes a.ks_moved_bytes
   else Ok ()
 
 let check_counters ?(seed = 42) ~arch ~name graph (plan : Gpu.Plan.t) =

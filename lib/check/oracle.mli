@@ -8,9 +8,10 @@
 
 val counters_agree :
   name:string -> Gpu.Exec.kstats -> Gpu.Exec.kstats -> (unit, string) result
-(** Blocks and steps must match exactly; gemm/simd flops and moved bytes
-    to a tight relative tolerance (both walks sum the same integer-valued
-    contributions, only in different orders). *)
+(** Every counter must match exactly: blocks and steps, and the gemm/simd
+    flops and moved bytes too. Both walks sum integer-valued floats below
+    2{^53}, only in different orders, so their sums are exact and equal;
+    a one-flop difference at 10{^12} is a divergence. *)
 
 val check_counters :
   ?seed:int ->

@@ -86,64 +86,60 @@ let analyze_dim variant smg d =
   | Some plan when variant.use_uta || not (plan_needs_transformation plan) -> Some plan
   | _ -> None
 
-let run ?(variant = full) ?stats arch smg ~name ~tensor_of =
+(* Algorithm 1's schedule families, analysis only: the spatial-only
+   schedule, then temporal slicing on the highest-priority dimension whose
+   dependency chain simplifies (Table 3's △ analysis). A single
+   operator's private serial loop (e.g. a GEMM's K loop) is below
+   SMG-level slicing: even the spatial-only ablation variants keep it.
+   Algorithm 1 declares an SMG without sliceable dims unschedulable for
+   parallelization; for fused spaces that reduce to a scalar (no parallel
+   dim can exist, e.g. a loss) we still emit the single-block schedule
+   rather than fail — partitioning cannot create parallelism that the
+   computation does not have. *)
+let schedules ?(variant = full) ?stats smg =
   let stats = match stats with Some s -> s | None -> Cstats.create () in
-  Obs.Trace.with_span "auto_schedule" @@ fun () ->
   if not (Smg.consistent smg) then []
   else begin
-    (* Algorithm 1 declares an SMG without sliceable dims unschedulable for
-       parallelization; for fused spaces that reduce to a scalar (no
-       parallel dim can exist, e.g. a loss) we still emit the single-block
-       schedule rather than fail — partitioning cannot create parallelism
-       that the computation does not have. *)
     let spatial = Cstats.timed stats Cstats.Ss (fun () -> Analysis.spatial_dims smg) in
-    let results = ref [] in
-    let consider schedule =
-      let cfgs =
-        Cstats.timed stats Cstats.Enum (fun () ->
-            if variant.use_tuning then feasible_cfgs arch schedule ~name ~tensor_of
-            else expert_cfg variant arch schedule ~name ~tensor_of)
-      in
-      if cfgs <> [] then results := { schedule; cfgs } :: !results
+    let temporal =
+      if variant.use_temporal || List.length (Smg.iter_spaces smg) = 1 then
+        let rec try_dims = function
+          | [] -> []
+          | d :: rest -> (
+              match Cstats.timed stats Cstats.Ts (fun () -> analyze_dim variant smg d) with
+              | Some plan -> [ Schedule.make smg ~spatial ~temporal:(Some plan) ]
+              | None -> try_dims rest)
+        in
+        try_dims
+          (Cstats.timed stats Cstats.Ts (fun () -> Analysis.temporal_candidates smg ~spatial))
+      else []
     in
-    (* Spatial-only schedule. *)
-    consider (Schedule.make smg ~spatial ~temporal:None);
-    (* Temporal slicing on the highest-priority dimension whose dependency
-       chain simplifies (Table 3's △ analysis). A single operator's private
-       serial loop (e.g. a GEMM's K loop) is below SMG-level slicing: even
-       the spatial-only ablation variants keep it. *)
-    if variant.use_temporal || List.length (Smg.iter_spaces smg) = 1 then begin
-      let rec try_dims = function
-        | [] -> ()
-        | d :: rest -> (
-            match Cstats.timed stats Cstats.Ts (fun () -> analyze_dim variant smg d) with
-            | Some plan -> consider (Schedule.make smg ~spatial ~temporal:(Some plan))
-            | None -> try_dims rest)
-      in
-      try_dims
-        (Cstats.timed stats Cstats.Ts (fun () -> Analysis.temporal_candidates smg ~spatial))
-    end;
-    List.rev !results
+    Schedule.make smg ~spatial ~temporal:None :: temporal
   end
 
-let exists_feasible ?(variant = full) arch smg ~name ~tensor_of =
-  Smg.consistent smg
-  &&
-  let spatial = Analysis.spatial_dims smg in
-  let try_schedule temporal =
-    let schedule = Schedule.make smg ~spatial ~temporal in
-    let lower = Lower.lowerer schedule ~name ~tensor_of in
-    List.exists (fun cfg -> feasible_with lower arch cfg ~name <> None) (Schedule.enum_cfgs schedule)
+let enumerate ?(variant = full) ?stats arch schedule ~name ~tensor_of =
+  let stats = match stats with Some s -> s | None -> Cstats.create () in
+  let cfgs =
+    Cstats.timed stats Cstats.Enum (fun () ->
+        if variant.use_tuning then feasible_cfgs arch schedule ~name ~tensor_of
+        else expert_cfg variant arch schedule ~name ~tensor_of)
   in
-  try_schedule None
-  ||
-  ((variant.use_temporal || List.length (Smg.iter_spaces smg) = 1)
-  &&
-  let rec try_dims = function
-    | [] -> false
-    | d :: rest -> (
-        match analyze_dim variant smg d with
-        | Some plan -> try_schedule (Some plan)
-        | None -> try_dims rest)
-  in
-  try_dims (Analysis.temporal_candidates smg ~spatial))
+  { schedule; cfgs }
+
+let run ?variant ?stats arch smg ~name ~tensor_of =
+  Obs.Trace.with_span "auto_schedule" @@ fun () ->
+  List.filter_map
+    (fun schedule ->
+      match enumerate ?variant ?stats arch schedule ~name ~tensor_of with
+      | { cfgs = []; _ } -> None
+      | s -> Some s)
+    (schedules ?variant ?stats smg)
+
+let exists_feasible ?variant arch smg ~name ~tensor_of =
+  List.exists
+    (fun schedule ->
+      let lower = Lower.lowerer schedule ~name ~tensor_of in
+      List.exists
+        (fun cfg -> feasible_with lower arch cfg ~name <> None)
+        (Schedule.enum_cfgs schedule))
+    (schedules ?variant smg)

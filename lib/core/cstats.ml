@@ -6,6 +6,7 @@ type t = {
   mutable t_total : float;
   mutable n_cfgs : int;
   mutable n_early_quit : int;
+  mutable n_reused : int;
   mutable n_partitions : int;
 }
 
@@ -13,7 +14,7 @@ type phase = Ss | Ts | Enum | Tune
 
 let create () =
   { t_ss = 0.0; t_ts = 0.0; t_enum = 0.0; t_tune = 0.0; t_total = 0.0; n_cfgs = 0;
-    n_early_quit = 0; n_partitions = 0 }
+    n_early_quit = 0; n_reused = 0; n_partitions = 0 }
 
 let timed t phase f =
   let start = Unix.gettimeofday () in
@@ -43,6 +44,7 @@ let m_enum = Obs.Metrics.histogram "compile.enum_seconds"
 let m_tune = Obs.Metrics.histogram "compile.tune_seconds"
 let m_cfgs = Obs.Metrics.counter "tuner.costed"
 let m_pruned = Obs.Metrics.counter "tuner.pruned"
+let m_reused = Obs.Metrics.counter "tuner.reused"
 let m_partitions = Obs.Metrics.counter "sched.partitions"
 
 let publish t =
@@ -54,10 +56,12 @@ let publish t =
   Obs.Metrics.observe m_tune t.t_tune;
   Obs.Metrics.incr ~by:t.n_cfgs m_cfgs;
   Obs.Metrics.incr ~by:t.n_early_quit m_pruned;
+  Obs.Metrics.incr ~by:t.n_reused m_reused;
   Obs.Metrics.incr ~by:t.n_partitions m_partitions
 
 let pp fmt t =
   Format.fprintf fmt
-    "ss=%.3fms ts=%.3fms enum=%.3fms tune=%.3fms total=%.3fms cfgs=%d early_quit=%d partitions=%d"
+    "ss=%.3fms ts=%.3fms enum=%.3fms tune=%.3fms total=%.3fms cfgs=%d early_quit=%d reused=%d \
+     partitions=%d"
     (t.t_ss *. 1e3) (t.t_ts *. 1e3) (t.t_enum *. 1e3) (t.t_tune *. 1e3) (t.t_total *. 1e3)
-    t.n_cfgs t.n_early_quit t.n_partitions
+    t.n_cfgs t.n_early_quit t.n_reused t.n_partitions

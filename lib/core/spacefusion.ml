@@ -86,6 +86,50 @@ let components g =
   Hashtbl.fold (fun _ ns acc -> List.rev ns :: acc) groups []
   |> List.sort (fun a b -> compare (List.hd a) (List.hd b))
 
+(* A sub-graph's structure, as the tuning-decision memo keys it: every
+   node in id order with its kind, shape and operand ids, then the output
+   ids. Each leaf's and output's tensor name becomes the index of that
+   name's first occurrence among them, so pieces that differ only in
+   names share a key while the pattern of nodes naming one tensor stays
+   part of it. Const values, operators, axes and [trans_b] stay.
+   [Partition.subgraph] numbers the nodes of equal pieces the same way. *)
+let structure_key g tensor_of =
+  let b = Buffer.create 256 in
+  let names = Hashtbl.create 8 in
+  let name nid =
+    let t = tensor_of nid in
+    let i =
+      match Hashtbl.find_opt names t with
+      | Some i -> i
+      | None ->
+          let i = Hashtbl.length names in
+          Hashtbl.add names t i;
+          i
+    in
+    Printf.bprintf b "$%d" i
+  in
+  List.iter
+    (fun (n : G.node) ->
+      (match n.kind with
+      | G.Input _ -> Buffer.add_string b "I"; name n.id
+      | G.Weight _ -> Buffer.add_string b "W"; name n.id
+      | G.Const v -> Printf.bprintf b "C%h" v
+      | G.Unary (op, a) -> Printf.bprintf b "U%s,%d" (Ir.Op.unop_to_string op) a
+      | G.Binary (op, x, y) -> Printf.bprintf b "B%s,%d,%d" (Ir.Op.binop_to_string op) x y
+      | G.Reduce { op; axis; keepdims; arg } ->
+          Printf.bprintf b "R%s,%d,%b,%d" (Ir.Op.redop_to_string op) axis keepdims arg
+      | G.Matmul { a; b = y; trans_b } -> Printf.bprintf b "M%d,%d,%b" a y trans_b);
+      Array.iter (Printf.bprintf b ":%d") n.shape;
+      Buffer.add_char b ';')
+    (G.nodes g);
+  List.iter (fun o -> Printf.bprintf b "O%d" o; name o) (G.outputs g);
+  Buffer.contents b
+
+(* One schedule family's tuning outcome: the schedule's position in
+   [Auto_scheduler.schedules], the winning cfg and its cost, and how many
+   candidates (costed and pruned) it was picked from. *)
+type decision = { d_pos : int; d_cfg : Schedule.cfg; d_cost : float; d_candidates : int }
+
 let declare_all device name_of g =
   List.iter
     (fun (n : G.node) ->
@@ -113,6 +157,62 @@ let compile_impl ?(variant = Auto_scheduler.full) ?tensor_names ~arch ~name grap
      scheduling order. *)
   let kc = ref 0 in
   let kernel_name j = Printf.sprintf "%s.k%d" name j in
+  (* Tuning decisions of this compile, by [structure_key]. Q, K and V
+     projections, SwiGLU's gate and up GEMMs, and the partition pieces the
+     §5.3 search reaches by several paths are tuned once; a later
+     sub-graph of the same structure derives its schedules, lowers only
+     the remembered cfgs under its own names and kernel name, and takes
+     the remembered costs. Exact because the tuner's costs depend on
+     tensor names not at all ([Tuner.kernel_cost]). The table lives for
+     this compile only. *)
+  let decisions : (string, decision list) Hashtbl.t = Hashtbl.create 32 in
+  let tune smg ~key ~kname ~tensor_of =
+    let choice schedule d kernel =
+      { kc_kernel = kernel; kc_schedule = schedule; kc_cfg = d.d_cfg; kc_cost = d.d_cost }
+    in
+    match Hashtbl.find_opt decisions key with
+    | Some ds ->
+        Obs.Trace.with_span "auto_schedule" @@ fun () ->
+        let schedules = Auto_scheduler.schedules ~variant ~stats smg in
+        List.map
+          (fun d ->
+            stats.Cstats.n_reused <- stats.Cstats.n_reused + d.d_candidates;
+            let schedule = List.nth schedules d.d_pos in
+            match
+              Cstats.timed stats Cstats.Enum (fun () ->
+                  Auto_scheduler.feasible arch schedule d.d_cfg ~name:kname ~tensor_of)
+            with
+            | Some kernel -> choice schedule d kernel
+            | None ->
+                failwith
+                  (Printf.sprintf "Spacefusion: %s: remembered %s no longer lowers" kname
+                     (Schedule.cfg_to_string d.d_cfg)))
+          ds
+    | None ->
+        let enumerated =
+          Obs.Trace.with_span "auto_schedule" (fun () ->
+              List.map
+                (fun schedule ->
+                  Auto_scheduler.enumerate ~variant ~stats arch schedule ~name:kname ~tensor_of)
+                (Auto_scheduler.schedules ~variant ~stats smg))
+        in
+        let picks =
+          List.concat
+            (List.mapi
+               (fun pos (sched : Auto_scheduler.scheduled) ->
+                 match Tuner.pick_best ~stats arch device [ sched ] with
+                 | None -> []
+                 | Some (schedule, cfg, kernel, cost) ->
+                     let d =
+                       { d_pos = pos; d_cfg = cfg; d_cost = cost;
+                         d_candidates = List.length sched.cfgs }
+                     in
+                     [ (choice schedule d kernel, d) ])
+               enumerated)
+        in
+        Hashtbl.replace decisions key (List.map snd picks);
+        List.map fst picks
+  in
   (* Per-kernel CPU dispatch overhead, so candidate plans with more kernels
      pay for their extra launches in the comparison. *)
   let dispatch_cost = 3.0e-6 in
@@ -198,19 +298,9 @@ let compile_impl ?(variant = Auto_scheduler.full) ?tensor_names ~arch ~name grap
       (* One beam candidate per schedule family (spatial-only, temporal):
          the tuner's per-kernel metric cannot anticipate cross-kernel cache
          effects, so composition must get to weigh both. *)
-      match Auto_scheduler.run ~variant ~stats arch smg ~name:kname ~tensor_of with
+      match tune smg ~key:(structure_key g tensor_of) ~kname ~tensor_of with
       | [] -> None
-      | scheds -> (
-          let per_schedule =
-            List.filter_map
-              (fun sched ->
-                match Tuner.pick_best ~stats arch device [ sched ] with
-                | None -> None
-                | Some (schedule, cfg, kernel, cost) ->
-                    Some [ { kc_kernel = kernel; kc_schedule = schedule; kc_cfg = cfg; kc_cost = cost } ])
-              scheds
-          in
-          match per_schedule with [] -> None | l -> Some l)
+      | l -> Some (List.map (fun c -> [ c ]) l)
     in
     let compose (gf : Partition.part) (gl : Partition.part option) =
       (* Cartesian product of the two sides' beams. *)

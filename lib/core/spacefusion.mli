@@ -65,6 +65,19 @@ val compile_r :
     scheme entirely (used when compiling an extracted fusion group whose
     tensors must keep the enclosing program's names).
 
+    Each sub-graph the exploration schedules is tuned once per structure:
+    the compile remembers every tuning decision (per schedule family: the
+    schedule's position in {!Auto_scheduler.schedules}, the winning cfg
+    and its cost) under a key of the sub-graph's nodes, shapes, operands
+    and outputs, with tensor names replaced by the pattern of which nodes
+    name the same tensor. A later sub-graph with the same key (Q, K and V
+    projections; pieces the §5.3 search reaches by several paths) derives
+    its schedules, lowers only the remembered cfgs under its own names
+    and kernel name, and takes the remembered costs; {!Cstats.t.n_reused}
+    counts the candidates it skipped. Plans, picks and costs are those of
+    a compile that tunes every sub-graph, because {!Tuner.kernel_cost}
+    does not depend on tensor names. The memo lives for one compile.
+
     When {!Obs.Trace} is enabled, the whole pipeline is traced: a
     [compile] span with [build] / [schedule] (containing [auto_schedule],
     [tune] and [lower] spans) / [select] children; compile statistics are

@@ -1,7 +1,40 @@
+(* [Exec.run] lists a kernel's transfers in hash-table order, which
+   follows the tensors' names, and [Cost.kernel_time] sums floats and
+   tracks L2 residency in list order. The tuner costs them in the order
+   the kernel's stages first touch each tensor, reads and writes apart;
+   a tensor met under several index patterns has its transfers ordered
+   by their counts (transfers that tie are identical records). Two
+   kernels that differ only in tensor names then cost the same bits,
+   which is what lets a compile reuse one sub-graph's tuning decision
+   for another of the same structure. [Exec.run] keeps its own order: a
+   plan's kernels share one L2 model, at run time and in the compile's
+   plan comparison, so that order carries across kernels. *)
+let canonical_transfers (kernel : Gpu.Kernel.t) (ks : Gpu.Exec.kstats) =
+  let reads = ref [] and writes = ref [] in
+  let touch seen tensor = if not (List.mem tensor !seen) then seen := tensor :: !seen in
+  List.iter
+    (fun stage ->
+      List.iter
+        (function
+          | Gpu.Kernel.Load { tensor; _ } -> touch reads tensor
+          | Gpu.Kernel.Store { tensor; _ } -> touch writes tensor
+          | _ -> ())
+        (match stage with Gpu.Kernel.Once is | Gpu.Kernel.ForEachStep is -> is))
+    kernel.Gpu.Kernel.stages;
+  let counts (tr : Gpu.Exec.transfer) = (tr.tr_requested, tr.tr_per_block, tr.tr_passes) in
+  let order touched trs =
+    List.concat_map
+      (fun tensor ->
+        List.filter (fun (tr : Gpu.Exec.transfer) -> tr.tr_tensor = tensor) trs
+        |> List.sort (fun a b -> compare (counts a) (counts b)))
+      (List.rev !touched)
+  in
+  { ks with Gpu.Exec.ks_reads = order reads ks.Gpu.Exec.ks_reads; ks_writes = order writes ks.ks_writes }
+
 let kernel_cost arch device kernel =
   let stats = Gpu.Exec.run ~mode:Gpu.Exec.Analytic device kernel in
   let cache = Gpu.Cost.fresh_cache arch in
-  (Gpu.Cost.kernel_time arch cache stats).Gpu.Cost.time
+  (Gpu.Cost.kernel_time arch cache (canonical_transfers kernel stats)).Gpu.Cost.time
 
 (* Configuration-independent work of the fused graph: GEMM flops, plus every
    leaf tensor read once and every output written once. Both are lower

@@ -1,11 +1,14 @@
 (** Auto-tuning: pick the best (schedule, configuration) pair by scoring
     lowered kernels on the simulated-GPU cost model (§6.5).
 
-    The candidates arrive already lowered: {!Auto_scheduler.run} lowers
-    once per (schedule, unit-block mask) and instantiates every feasible
-    configuration's kernel from that ({!Lower.lowerer}), so tuning never
-    lowers. Candidates are folded one after another against a running
-    best: before taking a configuration's cost, an analytic lower bound
+    The candidates arrive already lowered: {!Auto_scheduler.enumerate}
+    lowers once per (schedule, unit-block mask) and instantiates every
+    feasible configuration's kernel from that ({!Lower.lowerer}), so
+    tuning never lowers. ({!Spacefusion.compile} does not tune a
+    sub-graph whose structure it tuned earlier in the same compile; it
+    reuses that decision.) Candidates are folded one after another
+    against a running best: before taking a configuration's cost, an
+    analytic lower bound
     ({!Gpu.Cost.time_lower_bound} over the graph's mandatory DRAM traffic,
     GEMM flops and the configuration's grid size) is compared against the
     best cost so far, and configurations that provably cannot beat it are
@@ -33,7 +36,15 @@
     costing as little as the final best is ever pruned. *)
 
 val kernel_cost : Gpu.Arch.t -> Gpu.Device.t -> Gpu.Kernel.t -> float
-(** Simulated seconds for one kernel on a fresh L2. *)
+(** Simulated seconds for one kernel on a fresh L2, with its transfers
+    costed in the order the kernel's stages first touch each tensor
+    (reads and writes apart; one tensor's several transfers by their
+    counts) rather than in {!Gpu.Exec.run}'s hash-table order. So the
+    cost is a function of the kernel's structure: kernels that differ
+    only in tensor names cost the same bits, which is what makes
+    {!Spacefusion.compile}'s reuse of tuning decisions exact.
+    {!Gpu.Exec.run} keeps its order, because a plan's kernels share one
+    L2 model and that order carries from kernel to kernel. *)
 
 val lower_bound : Gpu.Arch.t -> Schedule.t -> Schedule.cfg -> float
 (** The pruning bound for one candidate, computed without costing it.

@@ -1,6 +1,7 @@
 #!/bin/sh
 # CI entry point: build and run the test suite, then the gates the unit
-# tests cannot express — a bounded differential verification pass (fuzz +
+# tests cannot express — the compile-work count of a serial compile that
+# reuses tuning decisions, a bounded differential verification pass (fuzz +
 # seeded-defect corpus, fixed seed so any failure reproduces exactly), the
 # profile, serve and stress smokes, same-seed replay of the chaos, pow2,
 # overload, poison and fleet storms, the batch and shard floors, the
@@ -42,6 +43,21 @@ same_seed_gate() {
 
 dune build
 dune runtest
+
+# Compile-work gate: a serial Q/K/V projection compile tunes the three
+# projections' shared structure once, so it must reuse decisions, and
+# what it costs, prunes and reuses must add up to the 4 247 candidates a
+# compile that re-tunes every sub-graph costs and prunes (the sum is
+# exact at any job count). Fails if reuse silently turns off or drops
+# candidates.
+work=$(SPACEFUSION_JOBS=1 dune exec bin/spacefusion_cli.exe -- compile -w qkv -m 64 -n 256)
+count() { echo "$work" | grep -o "$1=[0-9]*" | cut -d= -f2; }
+costed=$(count cfgs) pruned=$(count early_quit) reused=$(count reused)
+[ -n "$costed" ] && [ -n "$pruned" ] && [ -n "$reused" ] && [ "$reused" -gt 0 ] \
+    && [ $((costed + pruned + reused)) -eq 4247 ] || {
+    echo "ci: qkv compile work: cfgs=${costed:-?} early_quit=${pruned:-?} reused=${reused:-?}" \
+        "(want reused > 0 and a sum of 4247)" >&2
+    exit 1; }
 
 # Differential oracle gate: exits nonzero if any interp/Full/Analytic
 # divergence is found or a seeded defect goes undetected.
@@ -203,4 +219,4 @@ rm -rf "$store_dir" "$warm_out"
 # kernels, cfgs_considered_per_trial (exits nonzero on any difference).
 bash benchmark/check.sh
 
-echo "ci: OK (build, tests, verify fuzz + defect corpus, profile spans, serve smoke + 3x soak, deterministic chaos + pow2-batching + overload + poison + fleet gates, batch goodput floors, shard floors, warm-store cold-start + corruption gates, same-seed benchmark exact fields identical)"
+echo "ci: OK (build, tests, compile-work reuse gate, verify fuzz + defect corpus, profile spans, serve smoke + 3x soak, deterministic chaos + pow2-batching + overload + poison + fleet gates, batch goodput floors, shard floors, warm-store cold-start + corruption gates, same-seed benchmark exact fields identical)"

@@ -69,6 +69,32 @@ let test_corpus_gate () =
     Check.Mutation.corpus;
   Alcotest.(check bool) "gate passes" true (Check.Fuzz.corpus_pass entries)
 
+(* Both walks sum integer-valued floats below 2^53, so their counters are
+   exact: one flop in 10^12 is a divergence, not rounding. *)
+let test_counters_exact () =
+  let ks gemm =
+    {
+      Gpu.Exec.ks_name = "k";
+      ks_blocks = 64;
+      ks_steps = 1;
+      ks_gemm_flops = gemm;
+      ks_simd_flops = 0.0;
+      ks_smem_bytes = 0;
+      ks_reg_bytes = 0;
+      ks_moved_bytes = 0.0;
+      ks_reads = [];
+      ks_writes = [];
+      ks_tags = [];
+    }
+  in
+  Alcotest.(check bool) "equal counters agree" true
+    (Check.Oracle.counters_agree ~name:"exact" (ks 1e12) (ks 1e12) = Ok ());
+  match Check.Oracle.counters_agree ~name:"exact" (ks 1e12) (ks (1e12 +. 1.0)) with
+  | Ok () -> Alcotest.fail "a one-flop difference at 1e12 was accepted"
+  | Error msg ->
+      Alcotest.(check bool) ("names both sums: " ^ msg) true
+        (contains ~affix:"1000000000000 <> 1000000000001" msg)
+
 (* ------------------------------------------------------------------ *)
 (* Shrinker                                                            *)
 (* ------------------------------------------------------------------ *)
@@ -245,6 +271,7 @@ let () =
           Alcotest.test_case "accepts correct plans" `Quick
             test_oracle_accepts_correct_plans;
           Alcotest.test_case "corpus gate detects every defect" `Quick test_corpus_gate;
+          Alcotest.test_case "counters compared exactly" `Quick test_counters_exact;
         ] );
       ( "shrink",
         [ Alcotest.test_case "minimizes to <= 4 nodes" `Quick test_shrinker_minimizes ] );
